@@ -12,6 +12,29 @@ queries pin down most of the secret matrix.
 Vertex layout of the 3n-vertex graphs: rows of the secret matrix own
 vertices [0, n), columns own [n, 2n), and the public completion block
 W is [2n, 3n).
+
+Batched randomized-response answers are a quadratic form in the
+selection. Vertex v releases only its pairs (v, j > v), so of the
+three rescaled values y_ij, y_ik, y_jk of a triangle i < j < k, two
+come from row i and one from row j. Let y0, y1 be the rescaled stored
+rows of the 2n secret vertices (zero outside each row's released span),
+s in {0,1}^(2n) the slot's selection and y_W the slot's fresh
+public-block values. Triangles come in three kinds:
+
+- i, j secret (k anywhere): row i is y_{s_i}, row j is y_{s_j}, and the
+  sum over k is F_ab[i, j] = y_a[i, j] (y_a y_b^T)[i, j] for a = s_i,
+  b = s_j. Interpolating the four F_ab gives c0 + c^T s + s^T C s with
+  c0 = sum F00, c_i = sum_j (F10 - F00)[i, j] + sum_j (F01 - F00)[j, i]
+  and C = F11 - F10 - F01 + F00 (strictly upper, since s_i^2 = s_i).
+- i secret, j < k public: y_ij y_ik comes from row i, so the triangle
+  adds (h0 + dH^T s) . y_W, where h0[jk] = sum_i y0_ij y0_ik and
+  dH[i, jk] = y1_ij y1_ik - y0_ij y0_ik.
+- all public: t_WWW(y_W), the triple-product sum of the public block,
+  taken over its C(n, 3) triples.
+
+So the slot's triple-product sum is c0 + c^T s + s^T C s
++ (h0 + dH^T s) . y_W + t_WWW(y_W), with O(n^2) coefficients fixed at
+prepare time.
 """
 
 from __future__ import annotations
@@ -75,7 +98,7 @@ def _as_bits(x) -> np.ndarray:
 
 def _as_signs(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
-    if not np.all(np.isin(v, (-1, 1))):
+    if not np.all(np.abs(v) == 1):
         raise ValueError("sign vector entries must be -1 or 1")
     return v
 
@@ -249,6 +272,59 @@ def mechanism_components(mechanism: str, epsilon: Optional[float] = None):
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
+@dataclass(frozen=True)
+class _SlotForm:
+    """Coefficients of one gray box's randomized-response slot answers.
+
+    With a trailing constant 1 appended to the selection, s' = (s, 1),
+    a slot's triple-product sum is s'^T Q s' + (s'^T H) . y_W + t_WWW(y_W):
+    Q holds C + diag(c) (s_i^2 = s_i) and c0 in its last diagonal entry,
+    and H stacks dH over h0. The module docstring derives the terms.
+    """
+
+    n: int
+    lo: float
+    hi: float
+    q: np.ndarray  # (2n + 1, 2n + 1)
+    h: np.ndarray  # (2n + 1, n(n-1)/2), one column per public pair in triu order
+
+    @classmethod
+    def from_payloads(cls, r0: np.ndarray, r1: np.ndarray, epsilon: float) -> "_SlotForm":
+        nu, nv = r0.shape
+        n = nv - nu
+        lo, hi = rescaled_atoms(epsilon)
+        released = np.triu(np.ones((nu, nv), dtype=bool), k=1)  # row v covers columns > v
+        ys = [np.where(released, np.where(r != 0, hi, lo), 0.0) for r in (r0, r1)]
+        # f[a][b][i, j]: triangles i < j < k with row i from output a, row j from output b
+        f = [[ys[a][:, :nu] * (ys[a] @ ys[b].T) for b in (0, 1)] for a in (0, 1)]
+        c = (f[1][0] - f[0][0]).sum(axis=1) + (f[0][1] - f[0][0]).sum(axis=0)
+        q = np.zeros((nu + 1, nu + 1))
+        q[:nu, :nu] = f[1][1] - f[1][0] - f[0][1] + f[0][0] + np.diag(c)
+        q[nu, nu] = f[0][0].sum()
+        iu = np.triu_indices(n, k=1)
+        w0, w1 = (y[:, nu + iu[0]] * y[:, nu + iu[1]] for y in ys)  # per-owner public-pair products
+        return cls(n, lo, hi, q, np.vstack((w1 - w0, w0.sum(axis=0))))
+
+    def triple_sums(self, sel: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
+        """Triple-product sums of B slots, from (B, 2n) 0/1 selections and
+        (B, n(n-1)/2) fresh public-pair bits in triu order."""
+        n = self.n
+        s = np.ones((len(sel), 2 * n + 1))
+        s[:, :-1] = sel
+        y = np.take(np.array((self.lo, self.hi)), np.asarray(w_bits, dtype=bool).view(np.uint8))
+        t = np.einsum("bi,bi->b", s @ self.q, s) + np.einsum("bp,bp->b", s @ self.h, y)
+        # public triangles a < b < c: y_ab times the dot product of the pairs
+        # (a, c > b) and (b, c > b), each a contiguous run in triu order
+        first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # index of pair (v, v + 1)
+        for a in range(n - 2):
+            for b in range(a + 1, n - 1):
+                ab = first[a] + b - a - 1
+                t += y[:, ab] * np.einsum(
+                    "sc,sc->s", y[:, ab + 1 : first[a + 1]], y[:, first[b] : first[b + 1]]
+                )
+        return t
+
+
 class GrayBox:
     """Stored two-invocation randomizer outputs plus query answering.
 
@@ -265,8 +341,11 @@ class GrayBox:
         self.r1 = r1
         self.transcript = transcript
         self.charge = charge
-        self._tables = None
-        self._rescaled_rows = None
+        self._form = (
+            _SlotForm.from_payloads(r0, r1, family.epsilon)
+            if isinstance(family, RandomizedResponse) and isinstance(post, TrianglePost)
+            else None
+        )
 
     # -- preparation ---------------------------------------------------
 
@@ -295,7 +374,9 @@ class GrayBox:
                     )
                 )
             transcript.append_round(outputs)
-        charge = compose_ledger([family.params, family.params])
+        # every secret pair is covered once per round
+        charge = transcript.ledger()
+        assert charge == compose_ledger([family.params, family.params]), charge
         return cls(n, family, post, r0, r1, transcript, charge)
 
     # -- single-query paths (fully recorded) ---------------------------
@@ -361,66 +442,38 @@ class GrayBox:
     ) -> np.ndarray:
         """Answers to k sign-vector queries, vectorized.
 
-        Equivalent to answer_outer per query, but public-vertex noise is
-        drawn per fixed-size block of the 3k underlying bit-vector
-        queries (one stream per block), and the postprocessing sum is
-        evaluated from precomputed tables. Deterministic for a given
-        stream node regardless of scheduling.
+        Equivalent to answer_outer per query. Slot 3l + t is part t of
+        query l's three-part split; public-vertex noise is drawn per
+        fixed-size block of the 3k slots (one stream per block), and each
+        slot's postprocessing sum is evaluated from the quadratic form.
+        Deterministic for a given stream node regardless of scheduling.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
         k, n = a_signs.shape
         if n != self.n:
             raise ValueError(f"query length {n} does not match prepared n={self.n}")
-        # selection patterns for the three parts of each query
-        pow2 = 1 << np.arange(n, dtype=np.int64)
-        q1a = ((a_signs + 1) // 2).astype(np.int64)
-        q2a = ((1 - a_signs) // 2).astype(np.int64)
-        q1b = ((b_signs + 1) // 2).astype(np.int64)
-        q2b = ((1 - b_signs) // 2).astype(np.int64)
-        pos_idx = q1a @ pow2 + ((q1b @ pow2) << n)
-        neg_idx = q2a @ pow2 + ((q2b @ pow2) << n)
-        ones_idx = np.full(k, (1 << (2 * n)) - 1, dtype=np.int64)
-        slot_idx = np.empty(3 * k, dtype=np.int64)
-        slot_idx[0::3] = pos_idx
-        slot_idx[1::3] = neg_idx
-        slot_idx[2::3] = ones_idx
-
         if isinstance(self.family, IdentityRelease) and isinstance(self.post, ExactCountPost):
-            slot_answers = self._exact_slot_answers(slot_idx, streams, block)
-        elif isinstance(self.family, RandomizedResponse) and isinstance(self.post, TrianglePost):
-            slot_answers = self._noisy_slot_answers(slot_idx, streams, block)
-        else:
+            # Identity releases make every selected released bit exact, so
+            # the split recombines to a^T R b with R the stored block;
+            # public-vertex "noise" is vacuous for the identity family.
+            answers = ((a_signs @ self._stored_secret_block()) * b_signs).sum(axis=1)
+            self._record_bulk_public_rounds(3 * k, None)
+            return answers.astype(np.float64)
+        if self._form is None:
             raise ValueError("no batched path for this family/postprocessor pair")
+        slot_answers = self._noisy_slot_answers(a_signs, b_signs, streams, block)
         return 2.0 * (slot_answers[0::3] + slot_answers[1::3]) - slot_answers[2::3]
 
     def _stored_secret_block(self) -> np.ndarray:
         """Released row-column block bits, read from the stored payloads."""
         return self.r0[: self.n, self.n : 2 * self.n].astype(np.int64)
 
-    def _exact_slot_answers(self, slot_idx, streams, block) -> np.ndarray:
-        # Identity releases make every selected released bit exact, so the
-        # assembled count equals n * q1^T R q2 with R the stored block;
-        # public-vertex "noise" is vacuous for the identity family.
+    def _noisy_slot_answers(self, a_signs, b_signs, streams, block) -> np.ndarray:
         n = self.n
-        r = self._stored_secret_block()
-        bits = ((slot_idx[:, None] >> np.arange(2 * n)[None, :]) & 1).astype(np.int64)
-        q1 = bits[:, :n]
-        q2 = bits[:, n:]
-        counts = ((q1 @ r) * q2).sum(axis=1)
-        self._record_bulk_public_rounds(len(slot_idx), None)
-        return counts.astype(np.float64)
-
-    def _noisy_slot_answers(self, slot_idx, streams, block) -> np.ndarray:
-        n = self.n
-        # precomputing the postprocessing sum over all 2^(2n) stored-output
-        # selections pays off up to n = 10; beyond that assemble per slot
-        tables = self._selection_tables() if 2 * n <= 20 else None
         n_wpairs = n * (n - 1) // 2
         p_flip = flip_probability(self.family.epsilon)
-        lo, hi = rescaled_atoms(self.family.epsilon)
-        iu = np.triu_indices(n, k=1)
-        total = len(slot_idx)
+        total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
         w_bit_blocks = []
         for b, start in enumerate(range(0, total, block)):
@@ -428,93 +481,15 @@ class GrayBox:
             gen = streams.child("wnoise", b).generator()
             w_bits = gen.random((stop - start, n_wpairs)) < p_flip
             w_bit_blocks.append(np.packbits(w_bits, axis=None))
-            if tables is not None:
-                answers[start:stop] = self._eval_slots(
-                    slot_idx[start:stop], w_bits, tables, lo, hi, iu
-                )
-            else:
-                answers[start:stop] = self._eval_slots_direct(
-                    slot_idx[start:stop], w_bits, lo, hi, iu
-                )
+            # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
+            # then [a = -1] and [b = -1], then all ones
+            q0, q1 = start // 3, (stop + 2) // 3
+            signs = np.concatenate((a_signs[q0:q1], b_signs[q0:q1]), axis=1)
+            sel = np.stack((signs > 0, signs < 0, np.ones(signs.shape, dtype=bool)), axis=1)
+            sel = sel.reshape(-1, 2 * n)[start - 3 * q0 : stop - 3 * q0]
+            answers[start:stop] = self._form.triple_sums(sel, w_bits) / n
         self._record_bulk_public_rounds(total, w_bit_blocks)
         return answers
-
-    def _eval_slots_direct(self, idx, w_bits, lo, hi, iu) -> np.ndarray:
-        """Table-free variant of _eval_slots: assemble the full rescaled
-        matrix per slot and take the triple-product sum."""
-        n, nu, nv = self.n, 2 * self.n, 3 * self.n
-        rescaled0, rescaled1 = self._rescaled_stored_rows(lo, hi)
-        sel = ((idx[:, None] >> np.arange(nu)[None, :]) & 1).astype(bool)
-        ymat = np.zeros((len(idx), nv, nv), dtype=np.float64)
-        ymat[:, :nu, :] = np.where(sel[:, :, None], rescaled1[None], rescaled0[None])
-        ymat[:, 2 * n + iu[0], 2 * n + iu[1]] = np.where(w_bits, hi, lo)
-        ymat += ymat.transpose(0, 2, 1)
-        t_hat = np.einsum("bij,bji->b", ymat @ ymat, ymat) / 6.0
-        return t_hat / n
-
-    def _rescaled_stored_rows(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-        """Stored payload rows as rescaled values, zero outside each row's
-        released (upper) span."""
-        if getattr(self, "_rescaled_rows", None) is None:
-            nu, nv = 2 * self.n, 3 * self.n
-            valid = np.zeros((nu, nv), dtype=bool)
-            for v in range(nu):
-                valid[v, v + 1 :] = True
-            y0 = np.where(valid, np.where(self.r0 != 0, hi, lo), 0.0)
-            y1 = np.where(valid, np.where(self.r1 != 0, hi, lo), 0.0)
-            self._rescaled_rows = (y0, y1)
-        return self._rescaled_rows
-
-    def _eval_slots(self, idx, w_bits, tables, lo, hi, iu) -> np.ndarray:
-        """Postprocessing sum for a block of selection patterns and fresh
-        public-block bits; returns per-slot answers (already /n)."""
-        n = self.n
-        t_uuu, t_uuw, h_uw = tables
-        yw = np.where(w_bits, hi, lo)
-        b = len(idx)
-        wmat = np.zeros((b, n, n), dtype=np.float64)
-        wmat[:, iu[0], iu[1]] = yw
-        wmat += wmat.transpose(0, 2, 1)
-        t_www = np.einsum("bij,bji->b", wmat @ wmat, wmat) / 6.0
-        t_uww = np.einsum("bp,bp->b", h_uw[idx], yw)
-        t_hat = t_uuu[idx] + t_uuw[idx] + t_uww + t_www
-        return t_hat / n
-
-    def _selection_tables(self):
-        """Tables over all 2^(2n) stored-output selection patterns.
-
-        For each pattern: the triple-product sum restricted to stored
-        rows (t_uuu), the cross term with one public vertex (t_uuw), and
-        the per-public-pair coefficient of the fresh values (h_uw).
-        """
-        if self._tables is not None:
-            return self._tables
-        n = self.n
-        nu = 2 * n
-        if 2 * n > 20:
-            raise ValueError("selection tables are capped at n <= 10")
-        lo, hi = rescaled_atoms(self.family.epsilon)
-        y0, y1 = self._rescaled_stored_rows(lo, hi)
-        patterns = 1 << nu
-        t_uuu = np.empty(patterns, dtype=np.float64)
-        t_uuw = np.empty(patterns, dtype=np.float64)
-        h_uw = np.empty((patterns, n * (n - 1) // 2), dtype=np.float64)
-        iu_w = np.triu_indices(n, k=1)
-        chunk = 1 << 14
-        for start in range(0, patterns, chunk):
-            stop = min(start + chunk, patterns)
-            sel = ((np.arange(start, stop)[:, None] >> np.arange(nu)[None, :]) & 1).astype(bool)
-            rows = np.where(sel[:, :, None], y1[None], y0[None])  # (c, 2n, 3n)
-            yuu_up = rows[:, :, :nu]  # upper-valid entries within stored rows
-            yuu = yuu_up + yuu_up.transpose(0, 2, 1)
-            t_uuu[start:stop] = np.einsum("cij,cji->c", yuu @ yuu, yuu) / 6.0
-            yuw = rows[:, :, nu:]  # (c, 2n, n)
-            gram_uu = yuw @ yuw.transpose(0, 2, 1)  # (c, 2n, 2n)
-            t_uuw[start:stop] = np.einsum("cuv,cuv->c", yuu_up, gram_uu)
-            gram_ww = yuw.transpose(0, 2, 1) @ yuw  # (c, n, n)
-            h_uw[start:stop] = gram_ww[:, iu_w[0], iu_w[1]]
-        self._tables = (t_uuu, t_uuw, h_uw)
-        return self._tables
 
     def _record_bulk_public_rounds(self, slot_count: int, w_bit_blocks) -> None:
         """Condensed transcript round for the public-vertex refreshes."""
@@ -536,10 +511,6 @@ class GrayBox:
                 )
             ]
         )
-
-
-def graybox_prepare(x, family, post, streams: Streams) -> GrayBox:
-    return GrayBox.prepare(x, family, post, streams)
 
 
 def default_query_count(n: int, gamma: float = DEFAULT_GAMMA) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 
 from ledplab import __version__
 from ledplab.attack import DEFAULT_GAMMA
+from ledplab.estimator import MIN_EPSILON
 from ledplab.parallel import parallel_map
 from ledplab.rng import DEFAULT_SEED, Streams
 
@@ -98,13 +99,32 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 # config plumbing
 
 
-def _positive(field: str, value, kind=float):
+def _number(field: str, value, kind):
     try:
-        value = kind(value)
+        return kind(value)
     except (TypeError, ValueError):
         raise UsageError(f"{field}: expected {kind.__name__}, got {value!r}")
+
+
+def _positive(field: str, value, kind=float):
+    value = _number(field, value, kind)
     if value <= 0:
         raise UsageError(f"{field}: must be positive, got {value}")
+    return value
+
+
+def _nonnegative_int(field: str, value) -> int:
+    value = _number(field, value, int)
+    if value < 0:
+        raise UsageError(f"{field}: must be nonnegative, got {value}")
+    return value
+
+
+def _epsilon(field: str, value) -> float:
+    """A privacy parameter the triangle estimator accepts."""
+    value = _positive(field, value)
+    if value < MIN_EPSILON:
+        raise UsageError(f"{field}: must be at least {MIN_EPSILON}, got {value}")
     return value
 
 
@@ -241,7 +261,7 @@ def run_estimate(cfg) -> tuple[int, str]:
         g = load_graph(cfg["graph"])
     except FileNotFoundError:
         raise UsageError(f"graph: file not found: {cfg['graph']}")
-    epsilon = _positive("eps", cfg["eps"])
+    epsilon = _epsilon("eps", cfg["eps"])
     trials = _positive("trials", cfg["trials"], int)
     workers = _worker_count(cfg)
     seed = int(cfg["seed"])
@@ -292,7 +312,7 @@ def run_variance_sweep(cfg) -> tuple[int, str]:
     ns = _int_list("ns", cfg["ns"])
     if any(n < 3 for n in ns):
         raise UsageError(f"ns: graph sizes must be at least 3, got {ns}")
-    eps_grid = _float_list("eps_grid", cfg["eps_grid"])
+    eps_grid = [_epsilon("eps_grid", eps) for eps in _float_list("eps_grid", cfg["eps_grid"])]
     trials = _positive("trials", cfg["trials"], int)
     if trials < 1000:
         raise UsageError(f"trials: need at least 1000 for a variance sweep, got {trials}")
@@ -426,9 +446,9 @@ def run_gadget(cfg) -> tuple[int, str]:
         t = count_triangles(g)
         payload["t_exact"] = t
         payload["identity_holds"] = t == s * n
-    trials = int(cfg["trials"])
+    trials = _nonnegative_int("trials", cfg["trials"])
     if trials > 0:
-        epsilon = _positive("eps", cfg["eps"])
+        epsilon = _epsilon("eps", cfg["eps"])
         estimates = sample_sum_via_triangles(x, epsilon, trials, Streams(seed).child("mc"))
         payload["estimates"] = {
             "trials": trials,
@@ -450,7 +470,10 @@ def run_sum_scaling(cfg) -> tuple[int, str]:
     ns = _int_list("ns", cfg["ns"])
     epsilon = _positive("eps", cfg["eps"])
     trials = _positive("trials", cfg["trials"], int)
-    triangle_trials = int(cfg["triangle_trials"])
+    triangle_trials = _nonnegative_int("triangle_trials", cfg["triangle_trials"])
+    if triangle_trials:
+        # the triangle route runs the estimator; the baseline takes any eps > 0
+        epsilon = _epsilon("eps", epsilon)
     workers = _worker_count(cfg)
     seed = int(cfg["seed"])
     items = [(n, epsilon, trials, triangle_trials, seed) for n in ns]

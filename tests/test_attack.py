@@ -28,7 +28,7 @@ from ledplab.attack import (
     submatrix_answer,
 )
 from ledplab.graphs import count_triangles
-from ledplab.ledp import PrivacyParams
+from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
 
 
@@ -67,6 +67,8 @@ def test_submatrix_answer_examples():
 def test_query_validation():
     with pytest.raises(ValueError):
         OuterProductQuery([1, 0], [1, 1])
+    with pytest.raises(ValueError):
+        OuterProductQuery([1, 1], [2, -1])
     with pytest.raises(ValueError):
         SubmatrixQuery([1, 2], [1, 1])
     with pytest.raises(ValueError):
@@ -241,70 +243,88 @@ def test_oracle_graybox_matches_exact_answers():
 
 def test_identity_batch_matches_exact_answers():
     gen = Streams(218).generator()
-    n = 6
-    x = random_bits(n, gen)
-    family, post = mechanism_components("identity")
-    box = GrayBox.prepare(x, family, post, Streams(219))
-    a_signs, b_signs = sample_query_signs(n, 500, Streams(220))
-    batch = box.answer_outer_batch(a_signs, b_signs, Streams(221))
-    assert np.array_equal(batch, exact_outer_answers(x, a_signs, b_signs))
+    for n in (6, 8, 32):
+        x = random_bits(n, gen)
+        family, post = mechanism_components("identity")
+        box = GrayBox.prepare(x, family, post, Streams(219).child(n))
+        a_signs, b_signs = sample_query_signs(n, 500, Streams(220).child(n))
+        batch = box.answer_outer_batch(a_signs, b_signs, Streams(221))
+        assert np.array_equal(batch, np.einsum("li,ij,lj->l", a_signs, x.astype(np.int64), b_signs))
+
+
+def test_charge_is_derived_from_transcript():
+    x = random_bits(4, Streams(268).generator())
+    for eps in (0.05, 0.3, 2.0):
+        box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(269))
+        assert box.charge == box.transcript.ledger() == PrivacyParams(2 * eps, 0.0)
+    box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(270))
+    assert box.charge == box.transcript.ledger()
+    assert box.charge.epsilon == math.inf and box.charge.delta == 0.0
+
+
+def direct_slot_answer(box, sel, w_bits):
+    """Assemble the released matrix for one slot and postprocess it."""
+    n = box.n
+    w_matrix = np.zeros((n, n), dtype=np.uint8)
+    w_matrix[np.triu_indices(n, k=1)] = w_bits
+    return box.post(box._assemble(sel, [w_matrix[i, i + 1 :] for i in range(n)])) / n
 
 
 def test_rr_batch_matches_single_query_postprocessing():
     # same selection pattern and same public bits must give the same answer
-    # through the table path and through direct assembly
+    # through the quadratic form and through direct assembly
     gen = Streams(222).generator()
-    n = 4
+    for n in (3, 4, 8):
+        x = random_bits(n, gen)
+        for eps in (0.05, 0.8, 2.0):
+            box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(223).child(n))
+            sel = (gen.random((25, 2 * n)) < 0.5).astype(np.uint8)
+            w_bits = gen.random((25, n * (n - 1) // 2)) < 0.5
+            via_form = box._form.triple_sums(sel, w_bits) / n
+            for t in range(25):
+                direct = direct_slot_answer(box, sel[t], w_bits[t])
+                assert via_form[t] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def check_batch_against_direct_assembly(n, eps, k, block, seed):
+    """answer_outer_batch against per-slot assembly on the same public bits:
+    one ("wnoise", b) stream per block of slots, each drawing its bits as
+    gen.random((slots, n(n-1)/2)) < p_flip."""
+    gen = Streams(seed).generator()
     x = random_bits(n, gen)
-    eps = 0.8
-    family, post = mechanism_components("rr", eps)
-    box = GrayBox.prepare(x, family, post, Streams(223))
-    tables = box._selection_tables()
-    from ledplab.estimator import rescaled_atoms
-
-    lo, hi = rescaled_atoms(eps)
-    iu = np.triu_indices(n, k=1)
-    for _ in range(25):
-        sel = (gen.random(2 * n) < 0.5).astype(np.uint8)
-        w_bits = gen.random(n * (n - 1) // 2) < 0.5
-        w_matrix = np.zeros((n, n), dtype=np.uint8)
-        w_matrix[iu] = w_bits
-        w_payloads = [w_matrix[i, i + 1 :] for i in range(n)]
-        direct = box.post(box._assemble(sel, w_payloads)) / n
-        idx = int((sel.astype(np.int64) * (1 << np.arange(2 * n))).sum())
-        via_tables = box._eval_slots(np.array([idx]), w_bits[None, :], tables, lo, hi, iu)[0]
-        assert via_tables == pytest.approx(direct, rel=1e-9, abs=1e-9)
-
-
-def test_rr_direct_block_evaluation_matches_tables():
-    gen = Streams(260).generator()
-    n, eps = 4, 1.2
-    x = random_bits(n, gen)
-    family, post = mechanism_components("rr", eps)
-    box = GrayBox.prepare(x, family, post, Streams(261))
-    from ledplab.estimator import rescaled_atoms
-
-    lo, hi = rescaled_atoms(eps)
-    iu = np.triu_indices(n, k=1)
-    tables = box._selection_tables()
-    idx = Streams(262).generator().integers(0, 1 << (2 * n), size=64)
-    w_bits = Streams(263).generator().random((64, n * (n - 1) // 2)) < 0.4
-    via_tables = box._eval_slots(idx, w_bits, tables, lo, hi, iu)
-    direct = box._eval_slots_direct(idx, w_bits, lo, hi, iu)
-    np.testing.assert_allclose(direct, via_tables, rtol=1e-9)
+    box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(seed).child("prepare"))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(seed).child("queries"))
+    streams = Streams(seed).child("answers")
+    answers = box.answer_outer_batch(a_signs, b_signs, streams, block=block)
+    p_flip = flip_probability(eps)
+    w_bits = np.concatenate([
+        streams.child("wnoise", b).generator().random((min(block, 3 * k - start), n * (n - 1) // 2)) < p_flip
+        for b, start in enumerate(range(0, 3 * k, block))
+    ])
+    public = box.transcript.rounds[-1][0]
+    assert public.count == 3 * k * n
+    assert np.array_equal(
+        public.payload,
+        np.concatenate([np.packbits(w_bits[s : s + block], axis=None) for s in range(0, 3 * k, block)]),
+    )
+    for q in range(k):
+        q1, q2, q3, combine = split_outer_product(OuterProductQuery(a_signs[q], b_signs[q]))
+        parts = [
+            direct_slot_answer(box, np.concatenate([part.q1, part.q2]), w_bits[3 * q + t])
+            for t, part in enumerate((q1, q2, q3))
+        ]
+        assert answers[q] == pytest.approx(combine(*parts), rel=1e-9, abs=1e-9)
 
 
-def test_rr_batch_beyond_table_cap():
-    # n = 11 forces the table-free path end to end
-    gen = Streams(264).generator()
-    n = 11
-    x = random_bits(n, gen)
-    family, post = mechanism_components("rr", 2.0)
-    box = GrayBox.prepare(x, family, post, Streams(265))
-    a_signs, b_signs = sample_query_signs(n, 40, Streams(266))
-    answers = box.answer_outer_batch(a_signs, b_signs, Streams(267))
-    assert answers.shape == (40,)
-    assert np.all(np.isfinite(answers))
+def test_rr_batch_blocks_match_direct_assembly():
+    # blocks of 8 slots split queries across block boundaries
+    for n, eps in ((3, 0.05), (4, 0.8), (8, 2.0)):
+        check_batch_against_direct_assembly(n, eps, k=11, block=8, seed=260 + n)
+
+
+def test_rr_batch_large_n_matches_direct_assembly():
+    for n in (11, 16):
+        check_batch_against_direct_assembly(n, 2.0, k=6, block=8192, seed=264 + n)
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

@@ -139,6 +139,34 @@ def test_usage_errors_name_the_field(workdir, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_estimate_rejects_epsilon_below_estimator_minimum(workdir, capsys):
+    assert run_cli("estimate", "--graph", "k4.txt", "--eps", "1e-7") == 2
+    assert capsys.readouterr().err.startswith("error: eps: must be at least 1e-06")
+
+
+def test_variance_sweep_rejects_zero_epsilon(workdir, capsys):
+    assert run_cli("variance-sweep", "--eps-grid", "0,1") == 2
+    assert capsys.readouterr().err.startswith("error: eps_grid: must be positive")
+
+
+def test_gadget_rejects_negative_trials(workdir, capsys):
+    assert run_cli("gadget", "--bits", "101", "--trials", "-3") == 2
+    assert capsys.readouterr().err.startswith("error: trials: must be nonnegative")
+
+
+def test_sum_scaling_rejects_negative_triangle_trials(workdir, capsys):
+    assert run_cli("sum-scaling", "--triangle-trials", "-2") == 2
+    assert capsys.readouterr().err.startswith("error: triangle_trials: must be nonnegative")
+
+
+def test_attack_runs_past_64_selection_bits(workdir):
+    # 2n = 64 selection bits; the run completes and reports the search's
+    # outcome (3: no feasible candidate at k = 10) instead of crashing
+    assert run_cli("attack", "--n", "32", "--k", "10", "--mechanism", "identity") == 3
+    payload = json.loads((workdir / "attack.json").read_text())
+    assert payload["n"] == 32 and payload["k"] == 10
+
+
 def test_config_file_with_flag_override(workdir):
     (workdir / "cfg.json").write_text(
         json.dumps({"graph": "k4.txt", "eps": 2.0, "trials": 50, "seed": 1})
