@@ -35,6 +35,16 @@ public-block values. Triangles come in three kinds:
 So the slot's triple-product sum is c0 + c^T s + s^T C s
 + (h0 + dH^T s) . y_W + t_WWW(y_W), with O(n^2) coefficients fixed at
 prepare time.
+
+The hill-climb never builds the (k, n^2) sign patterns a_li b_lj. A
+flip of bit ij moves residual r_l = a_l^T Y b_l - answer_l by
+a_li b_lj s_ij = +-1, s_ij = 1 - 2 y_ij. With P_l = [|r_l + 1| > tau] and
+M_l = [|r_l - 1| > tau], the inaccurate count after the flip is
+(sum P + sum M + s_ij (A^T diag(P - M) B)_ij) / 2, so one (n x k)(k x n)
+product scores all n^2 flips. Its entries and partial sums are integers
+of magnitude at most k < 2^53, so float64 BLAS computes it exactly in
+any order; and r_l +- 1.0 is the float operation a pattern matrix would
+do, so the counts match a pattern-matrix sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -97,10 +107,11 @@ def _as_bits(x) -> np.ndarray:
 
 
 def _as_signs(v) -> np.ndarray:
-    v = np.asarray(v, dtype=np.int64)
+    # validate before narrowing, so 257 cannot wrap to 1; int8 input is not copied
+    v = np.asarray(v)
     if not np.all(np.abs(v) == 1):
         raise ValueError("sign vector entries must be -1 or 1")
-    return v
+    return v.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -530,12 +541,12 @@ def catch_threshold(k: int, gamma: float) -> float:
 
 
 def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np.ndarray]:
-    """k independent uniform sign-vector pairs, as (k, n) arrays."""
+    """k independent uniform sign-vector pairs, as (k, n) int8 arrays."""
     if k < 1:
         raise ValueError(f"need at least one query, got k={k}")
     gen = streams.generator()
-    a = gen.choice((-1, 1), size=(k, n)).astype(np.int64)
-    b = gen.choice((-1, 1), size=(k, n)).astype(np.int64)
+    a = gen.choice((-1, 1), size=(k, n)).astype(np.int8)
+    b = gen.choice((-1, 1), size=(k, n)).astype(np.int8)
     return a, b
 
 
@@ -551,8 +562,8 @@ def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     if not np.all(np.isin(m, (-1, 0, 1))):
         raise ValueError("difference entries must lie in {-1, 0, 1}")
     n = m.shape[0]
-    a_signs = np.atleast_2d(np.asarray(a_signs, dtype=np.int64))
-    b_signs = np.atleast_2d(np.asarray(b_signs, dtype=np.int64))
+    a_signs = np.atleast_2d(_as_signs(a_signs))
+    b_signs = np.atleast_2d(_as_signs(b_signs))
     k = a_signs.shape[0]
     products = np.einsum("li,li->l", a_signs @ m, b_signs)
     separated = int(np.count_nonzero(np.abs(products) > math.sqrt(gamma) * n / 2.0))
@@ -596,12 +607,9 @@ class AttackReport:
         }
 
 
-def _query_patterns(a_signs, b_signs) -> np.ndarray:
-    """(k, n^2) int8 entrywise sign pattern of each query."""
-    return np.einsum("li,lj->lij", a_signs, b_signs).reshape(len(a_signs), -1).astype(np.int8)
-
-
-def _inaccurate_counts_for_candidates(candidates, patterns, answers, tau, prune_at=None, chunk=512):
+def _inaccurate_counts_for_candidates(
+    candidates, a_signs, b_signs, answers, tau, prune_at=None, chunk=512
+):
     """Count answers inaccurate for each candidate row.
 
     With prune_at set, candidates stop accumulating once they exceed it;
@@ -614,7 +622,8 @@ def _inaccurate_counts_for_candidates(candidates, patterns, answers, tau, prune_
     alive = np.arange(len(cands))
     for start in range(0, k, chunk):
         stop = min(start + chunk, k)
-        vals = cands[alive] @ patterns[start:stop].T.astype(np.float64)
+        patterns = np.einsum("li,lj->lij", a_signs[start:stop], b_signs[start:stop])
+        vals = cands[alive] @ patterns.reshape(stop - start, -1).T.astype(np.float64)
         counts[alive] += (np.abs(vals - answers[start:stop][None, :]) > tau).sum(axis=1)
         if prune_at is not None:
             alive = alive[counts[alive] <= prune_at]
@@ -623,14 +632,14 @@ def _inaccurate_counts_for_candidates(candidates, patterns, answers, tau, prune_
     return counts
 
 
-def _exhaustive_search(answers, patterns, n, tau, allowed):
+def _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed):
     n_bits = n * n
     if n_bits > 20:
         raise ValueError(f"exhaustive search infeasible for n^2 = {n_bits} > 20")
     idx = np.arange(1 << n_bits, dtype=np.int64)
     candidates = ((idx[:, None] >> np.arange(n_bits)[None, :]) & 1).astype(np.uint8)
     counts = _inaccurate_counts_for_candidates(
-        candidates, patterns, answers, tau, prune_at=int(allowed)
+        candidates, a_signs, b_signs, answers, tau, prune_at=int(allowed)
     )
     feasible = np.flatnonzero(counts <= allowed)
     if len(feasible):
@@ -639,7 +648,7 @@ def _exhaustive_search(answers, patterns, n, tau, allowed):
     # nothing feasible: pruned counts are partial, so rescore the pick exactly
     best = int(np.argmin(counts))
     exact = _inaccurate_counts_for_candidates(
-        candidates[best : best + 1], patterns, answers, tau
+        candidates[best : best + 1], a_signs, b_signs, answers, tau
     )
     return candidates[best].reshape(n, n), int(exact[0])
 
@@ -648,6 +657,17 @@ def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
     k, n = a_signs.shape
     corr = np.einsum("l,li,lj->ij", answers, a_signs.astype(np.float64), b_signs.astype(np.float64)) / k
     return (corr > 0.5).astype(np.uint8)
+
+
+def _flip_counts(diff, a, b, flat, tau) -> np.ndarray:
+    """Inaccurate count after flipping each bit of flat, from residuals diff
+    and float64 signs a, b (module docstring)."""
+    up = np.abs(diff + 1.0) > tau
+    down = np.abs(diff - 1.0) > tau
+    cross = a.T @ ((up.astype(np.float64) - down)[:, None] * b)
+    signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
+    both = np.count_nonzero(up) + np.count_nonzero(down)
+    return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
 
 
 def _hillclimb_search(
@@ -661,36 +681,31 @@ def _hillclimb_search(
     restarts,
     max_sweeps,
     min_improvement,
-    chunk=1 << 17,
 ):
-    k = len(answers)
-    patterns = _query_patterns(a_signs, b_signs)  # (k, n^2) int8
+    # start first, so its float temporaries are freed before the search's copies
+    start_y = _correlation_start(answers, a_signs, b_signs)
+    a = a_signs.astype(np.float64)
+    b = b_signs.astype(np.float64)
     best_y = None
     best_count = None
     for restart in range(restarts):
         if restart == 0:
-            y = _correlation_start(answers, a_signs, b_signs)
+            y = start_y
         else:
             gen = streams.child("restart", restart).generator()
             y = (gen.random((n, n)) < 0.5).astype(np.uint8)
         flat = y.reshape(-1).astype(np.float64)
-        values = patterns.astype(np.float64) @ flat
-        diff = values - answers
+        diff = np.einsum("li,li->l", a @ flat.reshape(n, n), b) - answers
         count = int(np.count_nonzero(np.abs(diff) > tau))
         for _ in range(max_sweeps):
             if count <= allowed:
                 break
-            # evaluate all single-bit flips in query chunks
-            flip_counts = np.zeros(n * n, dtype=np.int64)
-            signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
-            for start in range(0, k, chunk):
-                stop = min(start + chunk, k)
-                moved = diff[start:stop, None] + patterns[start:stop] * signs[None, :]
-                flip_counts += (np.abs(moved) > tau).sum(axis=0)
+            flip_counts = _flip_counts(diff, a, b, flat, tau)
             best_flip = int(np.argmin(flip_counts))
             if count - int(flip_counts[best_flip]) < min_improvement:
                 break
-            diff = diff + patterns[:, best_flip] * signs[best_flip]
+            i, j = divmod(best_flip, n)
+            diff += a[:, i] * b[:, j] * (1.0 - 2.0 * flat[best_flip])
             flat[best_flip] = 1.0 - flat[best_flip]
             count = int(flip_counts[best_flip])
         if best_count is None or count < best_count:
@@ -721,8 +736,8 @@ def attacker_reconstruct(
     reported so downstream diagnostics have an output to score.
     """
     answers = np.asarray(answers, dtype=np.float64)
-    a_signs = np.atleast_2d(np.asarray(a_signs, dtype=np.int64))
-    b_signs = np.atleast_2d(np.asarray(b_signs, dtype=np.int64))
+    a_signs = np.atleast_2d(_as_signs(a_signs))
+    b_signs = np.atleast_2d(_as_signs(b_signs))
     k = len(answers)
     if k != len(a_signs) or k != len(b_signs):
         raise ValueError("answers and queries must align")
@@ -733,8 +748,7 @@ def attacker_reconstruct(
     if search == "auto":
         search = "exhaustive" if n * n <= 20 else "hillclimb"
     if search == "exhaustive":
-        patterns = _query_patterns(a_signs, b_signs)
-        best_y, best_count = _exhaustive_search(answers, patterns, n, tau, allowed)
+        best_y, best_count = _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed)
     elif search == "hillclimb":
         sweeps = max_sweeps if max_sweeps is not None else 4 * n * n
         min_improvement = max(1, k // 20000)

@@ -7,6 +7,7 @@ import pytest
 
 from ledplab.attack import (
     GrayBox,
+    _as_signs,
     OuterProductQuery,
     SubmatrixQuery,
     accuracy_threshold,
@@ -399,6 +400,34 @@ def test_sample_queries_distribution_and_determinism():
     queries = sample_queries(3, 5, Streams(235))
     assert len(queries) == 5
     assert all(isinstance(q, OuterProductQuery) for q in queries)
+
+
+def test_sample_query_signs_are_int8_with_unchanged_draws():
+    n, k = 5, 3000
+    a, b = sample_query_signs(n, k, Streams(234))
+    assert a.dtype == np.int8 and b.dtype == np.int8
+    gen = Streams(234).generator()  # the same draws, widened as they used to be
+    assert np.array_equal(a, gen.choice((-1, 1), size=(k, n)).astype(np.int64))
+    assert np.array_equal(b, gen.choice((-1, 1), size=(k, n)).astype(np.int64))
+    # int8 signs pass validation without a copy
+    assert _as_signs(a) is a
+
+
+@pytest.mark.parametrize("bad", [0, 2, 257, -255])
+def test_invalid_signs_rejected_before_narrowing(bad):
+    a = np.array([[1, -1, 1], [-1, 1, 1]])
+    b = a.copy()
+    b[1, 2] = bad
+    with pytest.raises(ValueError):
+        OuterProductQuery(a[0], b[1])
+    with pytest.raises(ValueError):
+        catches(a, b, np.eye(3, dtype=int), 1.0 / 9.0)
+    with pytest.raises(ValueError):
+        attacker_reconstruct(np.zeros(2), a, b, 3, search="hillclimb")
+    x = np.eye(3, dtype=np.uint8)
+    box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(236))
+    with pytest.raises(ValueError):
+        box.answer_outer_batch(b, a, Streams(237))
 
 
 def test_default_query_count():

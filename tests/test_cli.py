@@ -192,12 +192,17 @@ def test_workers_default_from_environment(workdir, monkeypatch):
     assert (workdir / "env4.json").read_bytes() == (workdir / "plain.json").read_bytes()
 
 
-def test_module_entry_point(workdir):
+def _child_env():
     # The child runs from a tmp cwd, where a relative PYTHONPATH entry such
     # as "src" resolves to nothing; put the absolute package root first.
     package_root = str(Path(ledplab.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(workdir):
+    env = _child_env()
     result = subprocess.run(
         [sys.executable, "-m", "ledplab.cli", "gadget", "--bits", "11", "--exact"],
         capture_output=True,
@@ -207,3 +212,22 @@ def test_module_entry_point(workdir):
     )
     assert result.returncode == 0, result.stderr
     assert "T = 4, S = 2, n = 2" in result.stdout
+
+
+def test_attack_n16_default_k_fits_in_2gb(workdir):
+    # The pattern-matrix search needed more than 6 GB here (k n^2 float64
+    # entries at k = 2,654,208); the search now keeps only (k, n) arrays.
+    with open(workdir / "stdout.txt", "w") as out, open(workdir / "stderr.txt", "w") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "ledplab.cli", "attack", "--n", "16", "--mechanism", "identity",
+             "--output", "n16.json"],
+            stdout=out, stderr=err, cwd=workdir, env=_child_env(),
+        )
+        _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert child.returncode == 0, (workdir / "stderr.txt").read_text()
+    payload = json.loads((workdir / "n16.json").read_text())
+    assert payload["k"] == 2654208
+    assert payload["feasible"] is True
+    assert payload["hamming"] == 0
+    assert usage.ru_maxrss <= 2 * 1024 * 1024  # KiB on Linux
