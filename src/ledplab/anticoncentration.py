@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -132,22 +131,6 @@ def chernoff_tail_bound(mu: float, delta: float) -> float:
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     return math.exp(-delta * delta * mu / 2.0)
-
-
-def pairwise_products_uncorrelated(n: int) -> bool:
-    """Exact check that distinct entries of the sign outer product are
-    uncorrelated under enumeration (test support, n small)."""
-    signs = _all_sign_vectors(n)
-    count_a = signs.shape[0]
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    for (i1, j1), (i2, j2) in combinations(cells, 2):
-        total = 0
-        for ai in range(count_a):
-            za = signs[ai, i1] * signs[ai, i2]
-            total += za * int((signs[:, j1] * signs[:, j2]).sum())
-        if total != 0:
-            return False
-    return True
 
 
 def tail_row(m: DiffMatrix, gamma: float, streams: Streams, mc_samples: int = 20000) -> dict:

@@ -55,8 +55,8 @@ from typing import Optional
 
 import numpy as np
 
-from ledplab.estimator import rescaled_atoms, triple_product_sum
-from ledplab.graphs import Graph, VertexPartition, count_triangles
+from ledplab.estimator import released_estimates, rescaled_atoms
+from ledplab.graphs import Graph, VertexPartition, count_triangles, graph_stats
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
@@ -83,7 +83,6 @@ __all__ = [
     "build_query_graph",
     "secret_input_rows",
     "sample_query_signs",
-    "sample_queries",
     "default_query_count",
     "accuracy_threshold",
     "disagreement_budget",
@@ -247,10 +246,7 @@ class TrianglePost:
         self.epsilon = epsilon
 
     def __call__(self, released: np.ndarray) -> float:
-        lo, hi = rescaled_atoms(self.epsilon)
-        y = np.where(released != 0, hi, lo)
-        np.fill_diagonal(y, 0.0)
-        return triple_product_sum(y)
+        return float(released_estimates(released, self.epsilon))
 
 
 class ExactCountPost:
@@ -266,8 +262,7 @@ class ExactCountPost:
     def __call__(self, released: np.ndarray) -> float:
         if self.method == "enumerate":
             return float(count_triangles(Graph(released)))
-        a = released.astype(np.int64)
-        return float(np.einsum("ij,ji->", a @ a, a)) / 6.0
+        return float(graph_stats(released)[2])
 
 
 def mechanism_components(mechanism: str, epsilon: Optional[float] = None):
@@ -550,11 +545,6 @@ def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np
     return a, b
 
 
-def sample_queries(n: int, k: int, streams: Streams) -> list[OuterProductQuery]:
-    a, b = sample_query_signs(n, k, streams)
-    return [OuterProductQuery(a[i], b[i]) for i in range(k)]
-
-
 def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     """Whether the query set separates a candidate from the truth often
     enough: more than gamma^2 k / 32 queries move by over sqrt(gamma) n/2."""
@@ -565,7 +555,8 @@ def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     a_signs = np.atleast_2d(_as_signs(a_signs))
     b_signs = np.atleast_2d(_as_signs(b_signs))
     k = a_signs.shape[0]
-    products = np.einsum("li,li->l", a_signs @ m, b_signs)
+    # float64 BLAS is exact here: every entry is an integer of size <= n
+    products = np.einsum("li,li->l", a_signs.astype(np.float64) @ m.astype(np.float64), b_signs)
     separated = int(np.count_nonzero(np.abs(products) > math.sqrt(gamma) * n / 2.0))
     return separated > catch_threshold(k, gamma)
 

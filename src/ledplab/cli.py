@@ -128,7 +128,7 @@ def _epsilon(field: str, value) -> float:
     return value
 
 
-def _int_list(field: str, value) -> list[int]:
+def _number_list(field: str, value, kind) -> list:
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     elif isinstance(value, (list, tuple)):
@@ -136,22 +136,10 @@ def _int_list(field: str, value) -> list[int]:
     else:
         raise UsageError(f"{field}: expected a comma-separated list, got {value!r}")
     try:
-        return [int(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError:
-        raise UsageError(f"{field}: entries must be integers, got {value!r}")
-
-
-def _float_list(field: str, value) -> list[float]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = value
-    else:
-        raise UsageError(f"{field}: expected a comma-separated list, got {value!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{field}: entries must be numbers, got {value!r}")
+        noun = "integers" if kind is int else "numbers"
+        raise UsageError(f"{field}: entries must be {noun}, got {value!r}")
 
 
 def _resolve(args: argparse.Namespace, defaults: dict, aliases: dict) -> dict:
@@ -252,7 +240,7 @@ def _anticonc_row_item(item):
 
 def run_estimate(cfg) -> tuple[int, str]:
     from ledplab.estimator import estimate_triangles
-    from ledplab.graphs import count_triangles, load_graph
+    from ledplab.graphs import graph_stats, load_graph
 
     fmt = _check_format(cfg, ("json", "csv"))
     if not cfg["graph"]:
@@ -288,7 +276,7 @@ def run_estimate(cfg) -> tuple[int, str]:
         "estimates": [float(v) for v in estimates],
     }
     if cfg["exact"]:
-        payload["t_exact"] = count_triangles(g)
+        payload["t_exact"] = int(graph_stats(g.adjacency)[2])
         payload["mean_error"] = payload["mean"] - payload["t_exact"]
     if cfg["transcript"]:
         single, transcript = estimate_triangles(g, epsilon, Streams(seed).child("single"))
@@ -309,10 +297,10 @@ def run_estimate(cfg) -> tuple[int, str]:
 
 def run_variance_sweep(cfg) -> tuple[int, str]:
     fmt = _check_format(cfg, ("csv", "json"))
-    ns = _int_list("ns", cfg["ns"])
+    ns = _number_list("ns", cfg["ns"], int)
     if any(n < 3 for n in ns):
         raise UsageError(f"ns: graph sizes must be at least 3, got {ns}")
-    eps_grid = [_epsilon("eps_grid", eps) for eps in _float_list("eps_grid", cfg["eps_grid"])]
+    eps_grid = [_epsilon("eps_grid", eps) for eps in _number_list("eps_grid", cfg["eps_grid"], float)]
     trials = _positive("trials", cfg["trials"], int)
     if trials < 1000:
         raise UsageError(f"trials: need at least 1000 for a variance sweep, got {trials}")
@@ -423,7 +411,7 @@ def run_anticoncentration(cfg) -> tuple[int, str]:
 
 def run_gadget(cfg) -> tuple[int, str]:
     from ledplab.gadget import build_sum_gadget, sample_sum_via_triangles
-    from ledplab.graphs import count_triangles
+    from ledplab.graphs import graph_stats
 
     _check_format(cfg, ("json",))
     bits_text = cfg["bits"]
@@ -443,7 +431,7 @@ def run_gadget(cfg) -> tuple[int, str]:
     }
     if cfg["exact"]:
         g, _ = build_sum_gadget(x)
-        t = count_triangles(g)
+        t = int(graph_stats(g.adjacency)[2])
         payload["t_exact"] = t
         payload["identity_holds"] = t == s * n
     trials = _nonnegative_int("trials", cfg["trials"])
@@ -467,7 +455,7 @@ def run_sum_scaling(cfg) -> tuple[int, str]:
     from ledplab.gadget import fit_log_log_exponent
 
     fmt = _check_format(cfg, ("csv", "json"))
-    ns = _int_list("ns", cfg["ns"])
+    ns = _number_list("ns", cfg["ns"], int)
     epsilon = _positive("eps", cfg["eps"])
     trials = _positive("trials", cfg["trials"], int)
     triangle_trials = _nonnegative_int("triangle_trials", cfg["triangle_trials"])

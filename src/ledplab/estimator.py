@@ -1,10 +1,14 @@
 """Noisy triangle counting from one round of randomized response.
 
-Every released pair bit is rescaled to an unbiased edge indicator and
-the estimate is the sum of rescaled products over all vertex triples.
-The module carries two exact oracles for desk-scale verification: a
-closed-form variance decomposition and a full enumeration over flip
-patterns, which must agree to floating precision.
+Released pair bits are rescaled to unbiased edge indicators, lo for a 0
+and hi for a 1, and T_hat sums the rescaled products over all triples:
+T_hat = lo^3 t0 + lo^2 hi t1 + lo hi^2 t2 + hi^3 t3, t_j counting the
+triples with j released edges. From the released edges m, wedges
+W = sum_v C(d_v, 2) and triangles T: t3 = T, t2 = W - 3T,
+t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. `graph_stats` counts
+them by float64 matmul on 0/1 entries, whose partial sums are integers
+below 2^53 and so exact in any BLAS order or batching. The closed-form
+variance is checked against a full flip-pattern enumeration.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import numpy as np
 
 from ledplab.graphs import (
     Graph,
+    codegree_pairs,
     complete_graph,
-    count_four_cycles,
-    count_triangles,
     empty_graph,
     erdos_renyi,
+    graph_stats,
 )
 from ledplab.ledp import (
     RandomizedResponse,
@@ -38,7 +42,7 @@ __all__ = [
     "rescale",
     "rescaled_atoms",
     "edge_noise_variance",
-    "triple_product_sum",
+    "released_estimates",
     "estimate_triangles",
     "sample_estimates",
     "sample_estimates_range",
@@ -55,6 +59,9 @@ __all__ = [
 MIN_EPSILON = 1e-6
 
 ENUMERATION_MAX_PAIRS = 24
+
+# Bytes of one (trials, n, n) float64 block in sample_estimates_range.
+BLOCK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -97,22 +104,16 @@ def edge_noise_variance(epsilon: float) -> float:
     return math.exp(epsilon) / (m * m)
 
 
-def triple_product_sum(y: np.ndarray) -> float:
-    """Sum of y[i,j] * y[j,k] * y[i,k] over all unordered triples i<j<k.
-
-    For a symmetric matrix with zero diagonal this equals trace(y^3)/6:
-    every closed 3-walk through distinct vertices visits one triple in 6
-    orders, and degenerate walks vanish on the zero diagonal.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.einsum("ij,ji->", y @ y, y)) / 6.0
-
-
-def _rescaled_matrix(noisy: np.ndarray, epsilon: float) -> np.ndarray:
+def released_estimates(released: np.ndarray, epsilon: float):
+    """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices,
+    from their triple-type counts (module docstring)."""
+    n = released.shape[-1]
+    m, w, t3 = graph_stats(released)
+    t2 = w - 3 * t3
+    t1 = m * (n - 2) - 2 * w + 3 * t3
+    t0 = math.comb(n, 3) - t1 - t2 - t3
     lo, hi = rescaled_atoms(epsilon)
-    y = np.where(noisy != 0, hi, lo)
-    np.fill_diagonal(y, 0.0)
-    return y
+    return lo**3 * t0 + lo * lo * hi * t1 + lo * hi * hi * t2 + hi**3 * t3
 
 
 def estimate_triangles(
@@ -121,15 +122,14 @@ def estimate_triangles(
     """Run the one-round protocol on g and return the estimate.
 
     Each vertex releases its upper-triangle adjacency bits through
-    randomized response; the postprocessor rescales every pair and sums
-    the triple products.
+    randomized response; the postprocessor sums the rescaled triple
+    products from the released graph's counts.
     """
     if epsilon < MIN_EPSILON:
         raise ValueError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
 
     def post(released):
-        noisy = assemble_upper(released, g.n)
-        return triple_product_sum(_rescaled_matrix(noisy, epsilon))
+        return float(released_estimates(assemble_upper(released, g.n), epsilon))
 
     t_hat, transcript = run_noninteractive(
         g, RandomizedResponse(epsilon), post, streams, mode="upper"
@@ -139,14 +139,12 @@ def estimate_triangles(
         epsilon=epsilon,
         n=g.n,
         seed=streams.seed,
-        exact_t=count_triangles(g) if with_exact else None,
+        exact_t=int(graph_stats(g.adjacency)[2]) if with_exact else None,
     )
     return estimate, transcript
 
 
-def sample_estimates(
-    g: Graph, epsilon: float, trials: int, streams: Streams, block: int = 4096
-) -> np.ndarray:
+def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
     """Monte Carlo estimates for `trials` independent protocol runs.
 
     Each trial draws from its own stream (child of `streams` by trial
@@ -154,21 +152,22 @@ def sample_estimates(
     bulk path skips transcripts; use estimate_triangles for a fully
     recorded single run.
     """
-    return sample_estimates_range(g, epsilon, 0, trials, streams, block)
+    return sample_estimates_range(g, epsilon, 0, trials, streams)
 
 
 def sample_estimates_range(
-    g: Graph, epsilon: float, start: int, stop: int, streams: Streams, block: int = 4096
+    g: Graph, epsilon: float, start: int, stop: int, streams: Streams
 ) -> np.ndarray:
     """Estimates for the trial indices [start, stop); slicing a run into
-    ranges and concatenating reproduces the full run bit for bit."""
+    ranges and concatenating reproduces the full run bit for bit. Each
+    (trials, n, n) float64 batch takes at most BLOCK_BYTES."""
     if epsilon < MIN_EPSILON:
         raise ValueError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
     n = g.n
     iu = np.triu_indices(n, k=1)
     true_bits = g.adjacency[iu].astype(np.uint8)
     p_flip = flip_probability(epsilon)
-    lo, hi = rescaled_atoms(epsilon)
+    block = max(1, BLOCK_BYTES // (8 * n * n))
     out = np.empty(stop - start, dtype=np.float64)
     for lo_t in range(start, stop, block):
         hi_t = min(lo_t + block, stop)
@@ -177,13 +176,10 @@ def sample_estimates_range(
         for t in range(lo_t, hi_t):
             gen = streams.child(t).generator()
             flips[t - lo_t] = gen.random(len(true_bits)) < p_flip
-        noisy = true_bits[None, :] ^ flips
-        yvals = np.where(noisy, hi, lo)
-        ymat = np.zeros((b, n, n), dtype=np.float64)
-        ymat[:, iu[0], iu[1]] = yvals
-        ymat += ymat.transpose(0, 2, 1)
-        cube = np.einsum("bij,bji->b", ymat @ ymat, ymat)
-        out[lo_t - start : hi_t - start] = cube / 6.0
+        noisy = np.zeros((b, n, n), dtype=np.float64)
+        noisy[:, iu[0], iu[1]] = true_bits[None, :] ^ flips
+        noisy += noisy.transpose(0, 2, 1)
+        out[lo_t - start : hi_t - start] = released_estimates(noisy, epsilon)
     return out
 
 
@@ -239,7 +235,7 @@ def exact_expectation(g: Graph, epsilon: float, method: str = "auto") -> float:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    by_linearity = float(count_triangles(g))
+    by_linearity = float(graph_stats(g.adjacency)[2])
     n_pairs = g.n * (g.n - 1) // 2
     if method == "linearity":
         return by_linearity
@@ -257,31 +253,21 @@ def exact_expectation(g: Graph, epsilon: float, method: str = "auto") -> float:
 
 
 def exact_variance(g: Graph, epsilon: float) -> float:
-    """Closed-form Var[T_hat] via the per-triple/shared-edge decomposition.
+    """Closed-form Var[T_hat] = s^3 C(n,3) + s^2 m(n-2) + s W + 2 s P.
 
-    Writing s for the rescaled-bit noise variance and e_ij for true edge
-    indicators: each triple contributes (s+e_ij)(s+e_jk)(s+e_ik) - e_ijk,
-    and each unordered pair of triples sharing two vertices contributes
-    2 s when the four outer edges are present (those pairs are exactly
-    the 4-cycles counted via both diagonals).
+    s is the rescaled-bit noise variance and m, W, P = sum_{i<j}
+    C(codeg_ij, 2) are exact integer counts of the true graph (module
+    docstring). A triple with true edges e1, e2, e3 has variance
+    s^3 + s^2 (e1+e2+e3) + s (e1e2 + e2e3 + e1e3); two triples sharing
+    a pair covary by 2 s per co-degree pair closing a 4-cycle with it.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = g.n
-    a = g.adjacency.astype(np.float64)
     s = edge_noise_variance(epsilon)
-    total = 0.0
-    for i, j, k in combinations(range(n), 3):
-        eij, ejk, eik = a[i, j], a[j, k], a[i, k]
-        total += (s + eij) * (s + ejk) * (s + eik) - eij * ejk * eik
-    codeg = g.adjacency.astype(np.int64) @ g.adjacency.astype(np.int64)
-    shared = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            c = int(codeg[i, j])
-            shared += c * (c - 1) // 2
-    total += 2.0 * s * shared
-    return total
+    m, w, _ = graph_stats(g.adjacency)
+    p = codegree_pairs(g.adjacency)
+    return s**3 * math.comb(n, 3) + s * s * (int(m) * (n - 2)) + s * int(w) + 2.0 * s * p
 
 
 def variance_by_enumeration(g: Graph, epsilon: float) -> float:
@@ -312,8 +298,8 @@ def sweep_cell(family: str, n: int, epsilon: float, trials: int, streams: Stream
         "epsilon": epsilon,
         "family": family,
         "trials": trials,
-        "t_exact": count_triangles(g),
-        "c4": count_four_cycles(g),
+        "t_exact": int(graph_stats(g.adjacency)[2]),
+        "c4": codegree_pairs(g.adjacency) // 2,
         "var_empirical": var_emp,
         "var_oracle": var_oracle,
         "ratio": var_emp / var_oracle if var_oracle else float("nan"),

@@ -1,21 +1,38 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ledplab.anticoncentration import (
     DiffMatrix,
+    _all_sign_vectors,
     chernoff_tail_bound,
     moments_exhaustive,
     paley_zygmund_bound,
-    pairwise_products_uncorrelated,
     random_diff_matrix,
     tail_probability_exhaustive,
     tail_probability_mc,
     tail_report,
 )
 from ledplab.rng import Streams
+
+
+def pairwise_products_uncorrelated(n: int) -> bool:
+    """Exact check that distinct entries of the sign outer product are
+    uncorrelated under enumeration (n small)."""
+    signs = _all_sign_vectors(n)
+    count_a = signs.shape[0]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for (i1, j1), (i2, j2) in combinations(cells, 2):
+        total = 0
+        for ai in range(count_a):
+            za = signs[ai, i1] * signs[ai, i2]
+            total += za * int((signs[:, j1] * signs[:, j2]).sum())
+        if total != 0:
+            return False
+    return True
 
 
 def test_diff_matrix_validation():

@@ -22,7 +22,6 @@ from ledplab.attack import (
     outer_product_answer,
     privacy_distance_diagnostic,
     run_attack,
-    sample_queries,
     sample_query_signs,
     secret_input_rows,
     split_outer_product,
@@ -397,9 +396,6 @@ def test_sample_queries_distribution_and_determinism():
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     assert np.all(np.abs(a1.mean(axis=0)) < 0.02)
     assert np.all(np.abs(b1.mean(axis=0)) < 0.02)
-    queries = sample_queries(3, 5, Streams(235))
-    assert len(queries) == 5
-    assert all(isinstance(q, OuterProductQuery) for q in queries)
 
 
 def test_sample_query_signs_are_int8_with_unchanged_draws():

@@ -8,7 +8,8 @@ import pytest
 
 import ledplab
 from ledplab.cli import main
-from ledplab.graphs import complete_graph, save_graph
+from ledplab.graphs import complete_graph, erdos_renyi, save_graph
+from ledplab.rng import Streams
 
 
 @pytest.fixture
@@ -214,20 +215,51 @@ def test_module_entry_point(workdir):
     assert "T = 4, S = 2, n = 2" in result.stdout
 
 
+# A child's ru_maxrss also counts its parent's peak memory up to the
+# child's exec, which for the test process can be hundreds of MB. So the
+# measured command runs as a grandchild of this small launcher, which
+# reaps it with os.wait4 and prints its exit code and ru_maxrss (KiB).
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "child = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(child.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _run_cli_measured(workdir, *argv) -> tuple[int, int, str]:
+    """(exit code, peak RSS in KiB, stderr) of `python -m ledplab.cli argv`."""
+    result = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "ledplab.cli", *map(str, argv)],
+        capture_output=True, text=True, cwd=workdir, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    code, maxrss = map(int, result.stdout.split()[-2:])
+    return code, maxrss, result.stderr
+
+
 def test_attack_n16_default_k_fits_in_2gb(workdir):
     # The pattern-matrix search needed more than 6 GB here (k n^2 float64
     # entries at k = 2,654,208); the search now keeps only (k, n) arrays.
-    with open(workdir / "stdout.txt", "w") as out, open(workdir / "stderr.txt", "w") as err:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "ledplab.cli", "attack", "--n", "16", "--mechanism", "identity",
-             "--output", "n16.json"],
-            stdout=out, stderr=err, cwd=workdir, env=_child_env(),
-        )
-        _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
-        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert child.returncode == 0, (workdir / "stderr.txt").read_text()
+    code, maxrss, stderr = _run_cli_measured(
+        workdir, "attack", "--n", "16", "--mechanism", "identity", "--output", "n16.json"
+    )
+    assert code == 0, stderr
     payload = json.loads((workdir / "n16.json").read_text())
     assert payload["k"] == 2654208
     assert payload["feasible"] is True
     assert payload["hamming"] == 0
-    assert usage.ru_maxrss <= 2 * 1024 * 1024  # KiB on Linux
+    assert maxrss <= 2 * 1024 * 1024  # KiB on Linux
+
+
+def test_estimate_n160_fits_in_600mb(workdir):
+    # One (2048, 160, 160) float64 block alone is 419 MB; the estimator
+    # now batches trials under a fixed byte budget instead.
+    save_graph(erdos_renyi(160, 0.5, Streams(16).generator()), workdir / "er160.txt")
+    code, maxrss, stderr = _run_cli_measured(
+        workdir, "estimate", "--graph", "er160.txt", "--eps", "1", "--trials", "2048",
+        "--workers", "1", "--output", "er160.json",
+    )
+    assert code == 0, stderr
+    assert len(json.loads((workdir / "er160.json").read_text())["estimates"]) == 2048
+    assert maxrss <= 600 * 1024  # KiB on Linux

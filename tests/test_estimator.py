@@ -10,8 +10,9 @@ from ledplab.estimator import (
     exact_variance,
     rescale,
     rescaled_atoms,
+    released_estimates,
     sample_estimates,
-    triple_product_sum,
+    sample_estimates_range,
     variance_by_enumeration,
     variance_sweep,
 )
@@ -173,22 +174,28 @@ def test_unbiasedness_statistical():
         assert abs(est.mean() - t) <= tol
 
 
-def test_sample_estimates_block_independent():
+def test_sample_estimates_range_split_matches_full_run():
     g = erdos_renyi(6, 0.5, Streams(9).generator())
-    a = sample_estimates(g, 1.0, 100, Streams(10).child("blk"), block=7)
-    b = sample_estimates(g, 1.0, 100, Streams(10).child("blk"), block=64)
-    assert np.array_equal(a, b)
-
-
-def test_triple_product_sum_matches_explicit_loop():
-    gen = Streams(11).generator()
-    y = gen.standard_normal((7, 7))
-    y = y + y.T
-    np.fill_diagonal(y, 0.0)
-    explicit = sum(
-        y[i, j] * y[j, k] * y[i, k] for i, j, k in combinations(range(7), 3)
+    streams = Streams(10).child("blk")
+    full = sample_estimates(g, 1.0, 100, streams)
+    split = np.concatenate(
+        [sample_estimates_range(g, 1.0, 0, 37, streams), sample_estimates_range(g, 1.0, 37, 100, streams)]
     )
-    assert triple_product_sum(y) == pytest.approx(explicit, rel=1e-12)
+    assert np.array_equal(split, full)
+
+
+def test_kernel_estimates_match_explicit_loop():
+    gen = Streams(11).generator()
+    for eps in (0.05, 0.3, 1.0, 3.0):
+        lo, hi = rescaled_atoms(eps)
+        for n in (3, 5, 7, 9):
+            released = np.triu(gen.random((n, n)) < gen.random(), k=1).astype(np.uint8)
+            released |= released.T
+            y = np.where(released != 0, hi, lo)
+            explicit = math.fsum(
+                y[i, j] * y[j, k] * y[i, k] for i, j, k in combinations(range(n), 3)
+            )
+            assert released_estimates(released, eps) == pytest.approx(explicit, rel=1e-12)
 
 
 def test_variance_sweep_rows():

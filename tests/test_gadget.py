@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,8 +15,16 @@ from ledplab.gadget import (
     sum_error_scaling,
     triangles_to_sum,
 )
-from ledplab.graphs import count_triangles, triangles_per_triple
+from ledplab.graphs import count_triangles
 from ledplab.rng import Streams
+
+
+def triangles_per_triple(g):
+    """Yield every triangle as its sorted vertex triple."""
+    a = g.adjacency
+    for i, j, k in combinations(range(g.n), 3):
+        if a[i, j] and a[j, k] and a[i, k]:
+            yield (i, j, k)
 
 
 def test_gadget_identity_exhaustive_small():

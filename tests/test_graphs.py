@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ledplab.graphs import (
     Graph,
     GraphFormatError,
+    codegree_pairs,
     complete_bipartite,
     complete_graph,
     count_four_cycles,
@@ -16,6 +17,7 @@ from ledplab.graphs import (
     empty_graph,
     erdos_renyi,
     graph_from_text,
+    graph_stats,
     graph_to_text,
     path_graph,
     star_graph,
@@ -73,6 +75,28 @@ def test_four_cycles_agree_with_subset_enumeration():
         for _ in range(5):
             g = erdos_renyi(n, gen.random(), gen)
             assert count_four_cycles(g) == four_cycles_by_subsets(g)
+
+
+def test_graph_stats_batch_matches_per_graph_oracles():
+    gen = Streams(14).child("stats").generator()
+    for n in range(1, 13):
+        graphs = [erdos_renyi(n, gen.random(), gen) for _ in range(6)]
+        m, w, t = graph_stats(np.stack([g.adjacency for g in graphs]))
+        assert m.dtype == w.dtype == t.dtype == np.int64
+        degrees = [g.adjacency.sum(axis=1).astype(int) for g in graphs]
+        assert m.tolist() == [g.edge_count() for g in graphs]
+        assert w.tolist() == [sum(int(d) * (int(d) - 1) // 2 for d in deg) for deg in degrees]
+        assert t.tolist() == [count_triangles(g) for g in graphs]
+
+
+def test_codegree_pairs_are_twice_the_four_cycles():
+    gen = Streams(15).child("pairs").generator()
+    for n in range(1, 11):
+        for _ in range(4):
+            g = erdos_renyi(n, gen.random(), gen)
+            p = codegree_pairs(g.adjacency)
+            assert p % 2 == 0
+            assert p // 2 == count_four_cycles(g) == four_cycles_by_subsets(g)
 
 
 def test_erdos_renyi_extremes_and_determinism():
