@@ -101,9 +101,12 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 def _number(field: str, value, kind):
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        value = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{field}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"{field}: must be finite, got {value}")
+    return value
 
 
 def _positive(field: str, value, kind=float):
@@ -135,9 +138,11 @@ def _number_list(field: str, value, kind) -> list:
         parts = value
     else:
         raise UsageError(f"{field}: expected a comma-separated list, got {value!r}")
+    if not parts:
+        raise UsageError(f"{field}: expected at least one entry, got {value!r}")
     try:
         return [kind(p) for p in parts]
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         noun = "integers" if kind is int else "numbers"
         raise UsageError(f"{field}: entries must be {noun}, got {value!r}")
 
@@ -456,6 +461,8 @@ def run_sum_scaling(cfg) -> tuple[int, str]:
 
     fmt = _check_format(cfg, ("csv", "json"))
     ns = _number_list("ns", cfg["ns"], int)
+    if any(n < 1 for n in ns):
+        raise UsageError(f"ns: input lengths must be positive, got {ns}")
     epsilon = _positive("eps", cfg["eps"])
     trials = _positive("trials", cfg["trials"], int)
     triangle_trials = _nonnegative_int("triangle_trials", cfg["triangle_trials"])

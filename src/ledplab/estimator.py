@@ -6,9 +6,9 @@ T_hat = lo^3 t0 + lo^2 hi t1 + lo hi^2 t2 + hi^3 t3, t_j counting the
 triples with j released edges. From the released edges m, wedges
 W = sum_v C(d_v, 2) and triangles T: t3 = T, t2 = W - 3T,
 t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. `graph_stats` counts
-them by float64 matmul on 0/1 entries, whose partial sums are integers
-below 2^53 and so exact in any BLAS order or batching. The closed-form
-variance is checked against a full flip-pattern enumeration.
+them by float32 (n <= 257) or float64 matmul on 0/1 entries, whose partial
+sums stay integers below the mantissa bound, exact in any BLAS order. The
+closed-form variance is checked against a full flip-pattern enumeration.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from ledplab.graphs import (
     Graph,
     codegree_pairs,
     complete_graph,
+    count_dtype,
     empty_graph,
     erdos_renyi,
     graph_stats,
@@ -60,8 +61,8 @@ MIN_EPSILON = 1e-6
 
 ENUMERATION_MAX_PAIRS = 24
 
-# Bytes of one (trials, n, n) float64 block in sample_estimates_range.
-BLOCK_BYTES = 64 << 20
+# Bytes of one (trials, n, n) count_dtype(n) batch in sample_estimates_range.
+BLOCK_BYTES = 32 << 20
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,11 @@ def edge_noise_variance(epsilon: float) -> float:
     return math.exp(epsilon) / (m * m)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= MIN_EPSILON):
+        raise ValueError(f"epsilon must be finite and at least {MIN_EPSILON}, got {epsilon}")
+
+
 def released_estimates(released: np.ndarray, epsilon: float):
     """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices,
     from their triple-type counts (module docstring)."""
@@ -125,8 +131,7 @@ def estimate_triangles(
     randomized response; the postprocessor sums the rescaled triple
     products from the released graph's counts.
     """
-    if epsilon < MIN_EPSILON:
-        raise ValueError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
+    _check_epsilon(epsilon)
 
     def post(released):
         return float(released_estimates(assemble_upper(released, g.n), epsilon))
@@ -159,27 +164,26 @@ def sample_estimates_range(
     g: Graph, epsilon: float, start: int, stop: int, streams: Streams
 ) -> np.ndarray:
     """Estimates for the trial indices [start, stop); slicing a run into
-    ranges and concatenating reproduces the full run bit for bit. Each
-    (trials, n, n) float64 batch takes at most BLOCK_BYTES."""
-    if epsilon < MIN_EPSILON:
-        raise ValueError(f"epsilon must be at least {MIN_EPSILON}, got {epsilon}")
+    ranges and concatenating reproduces the full run bit for bit. Batches are
+    gathered through a pair-index map, at most BLOCK_BYTES at count_dtype(n)."""
+    _check_epsilon(epsilon)
     n = g.n
     iu = np.triu_indices(n, k=1)
-    true_bits = g.adjacency[iu].astype(np.uint8)
+    k = len(iu[0])
+    true_bits = g.adjacency[iu]
+    pair_index = np.full((n, n), k)  # the diagonal reads column k, left 0
+    pair_index[iu] = pair_index[iu[::-1]] = np.arange(k)
     p_flip = flip_probability(epsilon)
-    block = max(1, BLOCK_BYTES // (8 * n * n))
+    block = max(1, BLOCK_BYTES // (np.dtype(count_dtype(n)).itemsize * n * n))
     out = np.empty(stop - start, dtype=np.float64)
     for lo_t in range(start, stop, block):
         hi_t = min(lo_t + block, stop)
-        b = hi_t - lo_t
-        flips = np.empty((b, len(true_bits)), dtype=bool)
+        bits = np.zeros((hi_t - lo_t, k + 1), dtype=np.uint8)
         for t in range(lo_t, hi_t):
             gen = streams.child(t).generator()
-            flips[t - lo_t] = gen.random(len(true_bits)) < p_flip
-        noisy = np.zeros((b, n, n), dtype=np.float64)
-        noisy[:, iu[0], iu[1]] = true_bits[None, :] ^ flips
-        noisy += noisy.transpose(0, 2, 1)
-        out[lo_t - start : hi_t - start] = released_estimates(noisy, epsilon)
+            bits[t - lo_t, :k] = true_bits ^ (gen.random(k) < p_flip)
+        released = np.take(bits, pair_index, axis=1)
+        out[lo_t - start : hi_t - start] = released_estimates(released, epsilon)
     return out
 
 

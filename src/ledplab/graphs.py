@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "VertexPartition",
+    "count_dtype",
     "graph_stats",
     "codegree_pairs",
     "count_triangles",
@@ -114,12 +115,17 @@ class VertexPartition:
         return self.parts[self.labels.index(label)]
 
 
+def count_dtype(n: int):
+    """float32 while n(n-1)(n-2) < 2^24 (n <= 257), else float64: the
+    narrowest float that holds every partial sum of graph_stats exactly."""
+    return np.float32 if n * (n - 1) * (n - 2) < 1 << 24 else np.float64
+
+
 def graph_stats(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 edges m, wedges W = sum_v C(d_v, 2) and triangles T of each
     symmetric 0/1 zero-diagonal matrix in a (..., n, n) stack. T is
-    trace(A^3)/6 by float64 matmul; all partial sums are integers at most
-    n^3 < 2^53, so the counts are exact in any BLAS summation order."""
-    a = np.asarray(a, dtype=np.float64)
+    trace(A^3)/6 by matmul at count_dtype(n), exact in any BLAS order."""
+    a = np.asarray(a, dtype=count_dtype(np.shape(a)[-1]))
     deg = a.sum(axis=-1)
     m = deg.sum(axis=-1) / 2
     w = (deg * (deg - 1)).sum(axis=-1) / 2
@@ -130,7 +136,7 @@ def graph_stats(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def codegree_pairs(a) -> int:
     """P = sum_{i<j} C(codeg_ij, 2) of one 0/1 matrix, twice its 4-cycle
     count (each cycle has two diagonals); A^2 is exact as in graph_stats."""
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=count_dtype(np.shape(a)[-1]))
     c = np.triu(a @ a, k=1).astype(np.int64)
     return int((c * (c - 1) // 2).sum())
 

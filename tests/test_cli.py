@@ -150,6 +150,48 @@ def test_variance_sweep_rejects_zero_epsilon(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: eps_grid: must be positive")
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["estimate", "--graph", "k4.txt", "--eps", "nan"], "eps"),
+    (["estimate", "--graph", "k4.txt", "--eps", "inf"], "eps"),
+    (["gadget", "--bits", "101", "--trials", "10", "--eps", "nan"], "eps"),
+    (["sum-scaling", "--eps", "nan"], "eps"),
+    (["variance-sweep", "--eps-grid", "nan"], "eps_grid"),
+    (["attack", "--eps", "nan"], "epsilon"),
+    # every rr answer would be NaN, and |NaN - x| > tau reads as accurate
+    (["attack", "--n", "4", "--mechanism", "rr", "--eps", "inf", "--k", "100"], "epsilon"),
+])
+def test_float_flags_must_be_finite(workdir, capsys, argv, field):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
+
+
+@pytest.mark.parametrize("ns", ["0", "-5", "64,0"])
+def test_sum_scaling_rejects_nonpositive_sizes(workdir, capsys, ns):
+    assert run_cli("sum-scaling", "--ns", ns) == 2
+    assert capsys.readouterr().err.startswith("error: ns: input lengths must be positive")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["variance-sweep", "--ns", ""], "ns"),
+    (["variance-sweep", "--eps-grid", ","], "eps_grid"),
+    (["sum-scaling", "--ns", ","], "ns"),
+])
+def test_number_lists_need_an_entry(workdir, capsys, argv, field):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected at least one entry")
+
+
+def test_config_values_outside_the_number_types(workdir, capsys):
+    # json.load reads Infinity and null; int() of them raises OverflowError
+    # and TypeError, which must still end as a usage error
+    (workdir / "inf.json").write_text('{"n": Infinity}')
+    assert run_cli("attack", "--config", "inf.json") == 2
+    assert capsys.readouterr().err.startswith("error: n: expected int")
+    (workdir / "null.json").write_text('{"ns": [8, null]}')
+    assert run_cli("variance-sweep", "--config", "null.json") == 2
+    assert capsys.readouterr().err.startswith("error: ns: entries must be integers")
+
+
 def test_gadget_rejects_negative_trials(workdir, capsys):
     assert run_cli("gadget", "--bits", "101", "--trials", "-3") == 2
     assert capsys.readouterr().err.startswith("error: trials: must be nonnegative")
@@ -253,8 +295,9 @@ def test_attack_n16_default_k_fits_in_2gb(workdir):
 
 
 def test_estimate_n160_fits_in_600mb(workdir):
-    # One (2048, 160, 160) float64 block alone is 419 MB; the estimator
-    # now batches trials under a fixed byte budget instead.
+    # One (2048, 160, 160) float64 block alone would be 419 MB; the
+    # estimator gathers trials in batches of at most BLOCK_BYTES, counted
+    # in float32 at this n.
     save_graph(erdos_renyi(160, 0.5, Streams(16).generator()), workdir / "er160.txt")
     code, maxrss, stderr = _run_cli_measured(
         workdir, "estimate", "--graph", "er160.txt", "--eps", "1", "--trials", "2048",

@@ -49,6 +49,32 @@ def expectation_by_direct_enumeration(g, epsilon):
     return total
 
 
+def estimates_by_scatter(g, epsilon, start, stop, streams):
+    """Test-local oracle: the scatter-plus-float64 batch builder that the
+    pair-index gather replaced, with its float64 counts, in one block."""
+    n = g.n
+    iu = np.triu_indices(n, k=1)
+    true_bits = g.adjacency[iu].astype(np.uint8)
+    p_flip = flip_probability(epsilon)
+    b = stop - start
+    flips = np.empty((b, len(true_bits)), dtype=bool)
+    for t in range(start, stop):
+        gen = streams.child(t).generator()
+        flips[t - start] = gen.random(len(true_bits)) < p_flip
+    noisy = np.zeros((b, n, n), dtype=np.float64)
+    noisy[:, iu[0], iu[1]] = true_bits[None, :] ^ flips
+    noisy += noisy.transpose(0, 2, 1)
+    deg = noisy.sum(axis=-1)
+    m = (deg.sum(axis=-1) / 2).astype(np.int64)
+    w = ((deg * (deg - 1)).sum(axis=-1) / 2).astype(np.int64)
+    t3 = (np.einsum("...ij,...ij->...", noisy @ noisy, noisy) / 6).astype(np.int64)
+    t2 = w - 3 * t3
+    t1 = m * (n - 2) - 2 * w + 3 * t3
+    t0 = math.comb(n, 3) - t1 - t2 - t3
+    lo, hi = rescaled_atoms(epsilon)
+    return lo**3 * t0 + lo * lo * hi * t1 + lo * hi * hi * t2 + hi**3 * t3
+
+
 def test_rescale_atoms():
     assert rescale(1, math.log(3)) == pytest.approx(1.5)
     assert rescale(0, math.log(3)) == pytest.approx(-0.5)
@@ -69,6 +95,14 @@ def test_estimator_rejects_tiny_epsilon():
         estimate_triangles(complete_graph(3), 1e-8, Streams(0))
     with pytest.raises(ValueError):
         sample_estimates(complete_graph(3), 1e-8, 10, Streams(0))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+def test_estimator_rejects_non_finite_epsilon(eps):
+    with pytest.raises(ValueError):
+        estimate_triangles(complete_graph(3), eps, Streams(0))
+    with pytest.raises(ValueError):
+        sample_estimates_range(complete_graph(3), eps, 0, 10, Streams(0))
 
 
 def test_expectation_k3_by_direct_enumeration():
@@ -182,6 +216,20 @@ def test_sample_estimates_range_split_matches_full_run():
         [sample_estimates_range(g, 1.0, 0, 37, streams), sample_estimates_range(g, 1.0, 37, 100, streams)]
     )
     assert np.array_equal(split, full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 130])
+def test_gathered_batches_match_scatter_builder(n, monkeypatch):
+    import ledplab.estimator as estimator
+
+    # three trials a block, so every range below spans several blocks
+    monkeypatch.setattr(estimator, "BLOCK_BYTES", 3 * 4 * n * n)
+    g = erdos_renyi(n, 0.5, Streams(13).child("gather", n).generator())
+    streams = Streams(14).child("gather")
+    for eps in (0.05, 1.0, 3.0):
+        for start, stop in ((0, 10), (7, 20)):
+            got = sample_estimates_range(g, eps, start, stop, streams)
+            assert np.array_equal(got, estimates_by_scatter(g, eps, start, stop, streams))
 
 
 def test_kernel_estimates_match_explicit_loop():

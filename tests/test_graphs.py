@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ledplab.graphs import (
     codegree_pairs,
     complete_bipartite,
     complete_graph,
+    count_dtype,
     count_four_cycles,
     count_triangles,
     cycle_graph,
@@ -97,6 +99,23 @@ def test_codegree_pairs_are_twice_the_four_cycles():
             p = codegree_pairs(g.adjacency)
             assert p % 2 == 0
             assert p // 2 == count_four_cycles(g) == four_cycles_by_subsets(g)
+
+
+@pytest.mark.parametrize("n, dtype", [(257, np.float32), (258, np.float64)])
+def test_counting_kernel_exact_at_dtype_boundary(n, dtype):
+    # 257 * 256 * 255 < 2^24 <= 258 * 257 * 256: the last float32 size and
+    # the first float64 size
+    assert count_dtype(n) is dtype
+    k = complete_graph(n).adjacency
+    assert [int(v) for v in graph_stats(k)] == [comb(n, 2), n * comb(n - 1, 2), comb(n, 3)]
+    assert codegree_pairs(k) == comb(n, 2) * comb(n - 2, 2)
+    g = erdos_renyi(n, 0.9, Streams(16).child("dense", n).generator())
+    deg = g.adjacency.sum(axis=1).astype(np.int64)
+    m, w, t = graph_stats(g.adjacency)
+    assert int(m) == g.edge_count()
+    assert int(w) == int((deg * (deg - 1) // 2).sum())
+    assert int(t) == count_triangles(g)
+    assert codegree_pairs(g.adjacency) == 2 * count_four_cycles(g)
 
 
 def test_erdos_renyi_extremes_and_determinism():
