@@ -159,12 +159,17 @@ def tail_row(m: DiffMatrix, gamma: float, streams: Streams, mc_samples: int = 20
 
 
 def tail_report(
-    matrices: list[DiffMatrix],
-    gamma: float,
-    streams: Streams,
-    mc_samples: int = 20000,
+    n: int, count: int, gamma: float, streams: Streams, mc_samples: int = 20000
 ) -> list[dict]:
-    """One row per matrix: observed tail at sqrt(m)/2 vs the gamma^2/16 bound."""
-    return [
-        tail_row(m, gamma, streams.child(idx), mc_samples) for idx, m in enumerate(matrices)
-    ]
+    """Tail rows for `count` random n x n difference matrices with at least
+    gamma n^2 nonzeros. The sizes come from streams.child("sizes"), matrix i
+    from streams.child("matrix", i) and its Monte Carlo draws from that
+    node's child("mc"), so each row depends only on its own index."""
+    m_floor = math.ceil(gamma * n * n)
+    sizes = streams.child("sizes").generator().integers(m_floor, n * n + 1, size=count)
+    rows = []
+    for idx, m in enumerate(sizes):
+        node = streams.child("matrix", idx)
+        matrix = random_diff_matrix(n, int(m), node.generator())
+        rows.append(tail_row(matrix, gamma, node.child("mc"), mc_samples))
+    return rows

@@ -1,8 +1,14 @@
 """Experiment driver.
 
-Every module is exposed as a subcommand with deterministic seeding:
-the same config and seed produce byte-identical output files at any
-worker count. Flags mirror config-file keys; flags win on conflict.
+Every subcommand is declared once, in the COMMANDS table: per option its
+flags, config key, type, default, choices, bounds and help text; per
+command its help text, output formats and run function. Config-file
+values and flags pass the same checks, and flags win on conflict. Each
+subcommand calls one library driver in-process, and one shared step
+writes its JSON or CSV output, so the same config and seed give
+byte-identical output files. ``--workers`` and ``$LEDPLAB_WORKERS`` are
+still accepted and validated, but have no effect: every run is one
+process.
 """
 
 from __future__ import annotations
@@ -12,32 +18,29 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ledplab import __version__
-from ledplab.attack import DEFAULT_GAMMA
+from ledplab.attack import DEFAULT_GAMMA, default_query_count
 from ledplab.estimator import MIN_EPSILON
-from ledplab.parallel import parallel_map
 from ledplab.rng import DEFAULT_SEED, Streams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ATTACK_FAILED = 3
 
-ESTIMATE_CSV_COLUMNS = ["trial", "t_hat"]
-SWEEP_CSV_COLUMNS = [
-    "n", "epsilon", "family", "trials", "t_exact", "c4",
-    "var_empirical", "var_oracle", "ratio", "seed",
-]
-ANTICONC_CSV_COLUMNS = [
-    "n", "m", "gamma", "threshold", "tail_exact_or_mc",
-    "lemma_bound", "fourth_moment", "fourth_bound",
-]
-SCALING_CSV_COLUMNS = [
-    "n", "epsilon", "trials",
-    "mean_abs_error_baseline", "mean_abs_error_via_triangles", "fitted_exponent",
-]
+# Upper bounds of the count and size fields, each set so the first array
+# the field sizes stays near 1 GB or below, well inside a 7 GB host.
+TRIALS_MAX = 10**7  # one float64 estimate a trial: 80 MB
+SIZE_MAX = 10**4  # one (n, n) float64 draw: 800 MB
+GADGET_BITS_MAX = SIZE_MAX // 3  # the gadget graph has 3 vertices a bit
+SIGNS_MAX = 1 << 27  # attack k * n: one (k, n) int64 sign draw, 1 GiB
+MATRIX_MAX = 1 << 10  # with MC_SAMPLES_MAX, (samples, n) int64 signs: 819 MB
+MC_SAMPLES_MAX = 10**5
+MATRICES_MAX = 10**6
 
 
 class UsageError(Exception):
@@ -96,39 +99,70 @@ def write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
 
 
 # --------------------------------------------------------------------------
-# config plumbing
+# option specs and config plumbing
+
+
+@dataclass(frozen=True)
+class Opt:
+    """One option of a subcommand.
+
+    `type` is bool, str, int, float, or [int] / [float] for a comma-separated
+    list. Every float option is a positive quantity. `low` and `high` bound
+    a number, or each list entry, inclusively; `each` names a list entry in
+    error messages; `choices` lists the allowed strings.
+    """
+
+    key: str
+    flags: tuple
+    type: object
+    default: object
+    help: str
+    choices: tuple = ()
+    low: object = None
+    high: object = None
+    each: str = ""
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its options, output formats (the first is the
+    default), CSV columns and run function. `run(cfg, given)` takes the
+    checked values and the values as given, and returns (exit status,
+    JSON payload, CSV rows, summary line)."""
+
+    name: str
+    help: str
+    run: Callable
+    options: tuple
+    formats: tuple = ("json",)
+    columns: tuple = ()
+
+
+def _common_options(formats: tuple) -> tuple:
+    return (
+        Opt("seed", ("--seed",), int, DEFAULT_SEED, "master seed", low=0),
+        Opt("output", ("--output",), str, None, "output file path (default <command>.<format>)"),
+        Opt("format", ("--format",), str, formats[0], "output format", choices=formats),
+        Opt("workers", ("--workers",), int, None,
+            "accepted but has no effect: every run is one process "
+            "(default $LEDPLAB_WORKERS or 1)", low=1),
+    )
+
+
+def _help(opt: Opt) -> str:
+    notes = []
+    if opt.default is not None and opt.type is not bool:
+        notes.append(f"default {opt.default:g}" if opt.type is float else f"default {opt.default}")
+    if opt.high is not None:
+        notes.append(f"at most {opt.high}")
+    return f"{opt.help} ({'; '.join(notes)})" if notes else opt.help
 
 
 def _number(field: str, value, kind):
     try:
-        value = kind(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{field}: expected {kind.__name__}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise UsageError(f"{field}: must be finite, got {value}")
-    return value
-
-
-def _positive(field: str, value, kind=float):
-    value = _number(field, value, kind)
-    if value <= 0:
-        raise UsageError(f"{field}: must be positive, got {value}")
-    return value
-
-
-def _nonnegative_int(field: str, value) -> int:
-    value = _number(field, value, int)
-    if value < 0:
-        raise UsageError(f"{field}: must be nonnegative, got {value}")
-    return value
-
-
-def _epsilon(field: str, value) -> float:
-    """A privacy parameter the triangle estimator accepts."""
-    value = _positive(field, value)
-    if value < MIN_EPSILON:
-        raise UsageError(f"{field}: must be at least {MIN_EPSILON}, got {value}")
-    return value
 
 
 def _number_list(field: str, value, kind) -> list:
@@ -147,132 +181,107 @@ def _number_list(field: str, value, kind) -> list:
         raise UsageError(f"{field}: entries must be {noun}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, aliases: dict) -> dict:
-    """Config file first, command-line flags second, defaults last."""
-    cfg = {}
+def _bounded(opt: Opt, value):
+    field = f"{opt.key}: {opt.each} " if opt.each else f"{opt.key}: "
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise UsageError(f"{field}must be finite, got {value}")
+        if value <= 0:
+            raise UsageError(f"{field}must be positive, got {value}")
+    if opt.low is not None and value < opt.low:
+        rule = {0: "be nonnegative", 1: "be positive"}.get(opt.low, f"be at least {opt.low}")
+        raise UsageError(f"{field}must {rule}, got {value}")
+    if opt.high is not None and value > opt.high:
+        raise UsageError(f"{field}must be at most {opt.high}, got {value}")
+    return value
+
+
+def _check(opt: Opt, value):
+    """One value, from a flag or a config file alike, checked against its spec."""
+    if value is None and opt.default is None:
+        return None
+    if opt.type in (bool, str):
+        if not isinstance(value, opt.type):
+            expected = "true or false" if opt.type is bool else "a string"
+            raise UsageError(f"{opt.key}: expected {expected}, got {value!r}")
+        if opt.choices and value not in opt.choices:
+            raise UsageError(f"{opt.key}: must be one of {opt.choices}, got {value!r}")
+        return value
+    if isinstance(opt.type, list):
+        return [_bounded(opt, v) for v in _number_list(opt.key, value, opt.type[0])]
+    return _bounded(opt, _number(opt.key, value, opt.type))
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except FileNotFoundError:
+        raise UsageError(f"config: file not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config: invalid JSON in {path}: {exc}")
+    if not isinstance(loaded, dict):
+        raise UsageError("config: top level must be an object")
+    return loaded
+
+
+def _resolve(spec: Command, args: argparse.Namespace) -> tuple[dict, dict]:
+    """Config file first, command-line flags over it, defaults last; then
+    every value is checked. Returns (checked values, values as given)."""
+    options = _common_options(spec.formats) + spec.options
+    # a config key is an option's key or any of its flag names
+    keys = {f.lstrip("-").replace("-", "_"): opt.key for opt in options for f in opt.flags}
+    given = {}
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except FileNotFoundError:
-            raise UsageError(f"config: file not found: {args.config}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config: invalid JSON in {args.config}: {exc}")
-        if not isinstance(loaded, dict):
-            raise UsageError("config: top level must be an object")
-        for key, value in loaded.items():
-            cfg[aliases.get(key, key)] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func", "defaults", "aliases"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    for key, value in defaults.items():
-        cfg.setdefault(key, value)
-    unknown = set(cfg) - set(defaults)
+        for key, value in _load_config(args.config).items():
+            given[keys.get(key, key)] = value
+    for opt in options:
+        if getattr(args, opt.key) is not None:
+            given[opt.key] = getattr(args, opt.key)
+    unknown = set(given) - {opt.key for opt in options}
     if unknown:
         raise UsageError(f"{sorted(unknown)[0]}: unknown configuration key")
-    return cfg
+    if given.get("workers") is None:
+        given["workers"] = os.environ.get("LEDPLAB_WORKERS", "1")
+    for opt in options:
+        given.setdefault(opt.key, opt.default)
+    return {opt.key: _check(opt, given[opt.key]) for opt in options}, given
 
 
-def _common_defaults(fmt: str) -> dict:
-    return {"seed": DEFAULT_SEED, "output": None, "format": fmt, "workers": None}
+def _require(cfg, key: str, when: str = "") -> None:
+    if cfg[key] is None:
+        raise UsageError(f"{key}: a value is required{when}")
 
 
-def _worker_count(cfg) -> int:
-    value = cfg.get("workers")
-    if value is None:
-        value = os.environ.get("LEDPLAB_WORKERS", "1")
-    try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"workers: expected integer, got {value!r}")
-    if workers < 1:
-        raise UsageError(f"workers: must be at least 1, got {workers}")
-    return workers
-
-
-def _output_path(cfg, command: str) -> str:
-    if cfg["output"]:
-        return cfg["output"]
-    return f"{command}.{cfg['format']}"
-
-
-def _check_format(cfg, allowed: tuple[str, ...]) -> str:
-    fmt = cfg["format"]
-    if fmt not in allowed:
-        raise UsageError(f"format: must be one of {allowed}, got {fmt!r}")
-    return fmt
-
-
-# --------------------------------------------------------------------------
-# worker payloads (module level so they pickle)
-
-
-def _estimate_block(item):
-    graph, epsilon, seed, start, stop = item
-    from ledplab.estimator import sample_estimates_range
-
-    return sample_estimates_range(graph, epsilon, start, stop, Streams(seed).child("trials"))
-
-
-def _sweep_cell_item(item):
-    family, n, epsilon, trials, seed = item
-    from ledplab.estimator import sweep_cell
-
-    return sweep_cell(family, n, epsilon, trials, Streams(seed))
-
-
-def _sum_row_item(item):
-    n, epsilon, trials, triangle_trials, seed = item
-    from ledplab.gadget import sum_error_row
-
-    return sum_error_row(n, epsilon, trials, Streams(seed), triangle_trials)
-
-
-def _anticonc_row_item(item):
-    n, m_count, gamma, mc_samples, seed, idx = item
-    from ledplab.anticoncentration import random_diff_matrix, tail_row
-
-    node = Streams(seed).child("matrix", idx)
-    matrix = random_diff_matrix(n, m_count, node.generator())
-    return tail_row(matrix, gamma, node.child("mc"), mc_samples)
+def _estimator_epsilon(epsilon: float) -> None:
+    # the estimator's rescaling needs MIN_EPSILON; the sum baseline takes any eps > 0
+    if epsilon < MIN_EPSILON:
+        raise UsageError(f"eps: must be at least {MIN_EPSILON}, got {epsilon}")
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def run_estimate(cfg) -> tuple[int, str]:
-    from ledplab.estimator import estimate_triangles
-    from ledplab.graphs import graph_stats, load_graph
+def run_estimate(cfg, given):
+    from ledplab.estimator import estimate_triangles, sample_estimates
+    from ledplab.graphs import GraphFormatError, graph_stats, load_graph
 
-    fmt = _check_format(cfg, ("json", "csv"))
-    if not cfg["graph"]:
-        raise UsageError("graph: path to a graph file is required")
+    _require(cfg, "graph")
+    _require(cfg, "eps")
     try:
         g = load_graph(cfg["graph"])
     except FileNotFoundError:
         raise UsageError(f"graph: file not found: {cfg['graph']}")
-    epsilon = _epsilon("eps", cfg["eps"])
-    trials = _positive("trials", cfg["trials"], int)
-    workers = _worker_count(cfg)
-    seed = int(cfg["seed"])
+    except GraphFormatError as exc:
+        raise UsageError(f"graph: {exc}")
+    epsilon, trials, seed = cfg["eps"], cfg["trials"], cfg["seed"]
     if cfg["transcript"] and trials != 1:
         raise UsageError("transcript: only available for trials=1")
 
-    block = 4096
-    items = [
-        (g, epsilon, seed, start, min(start + block, trials))
-        for start in range(0, trials, block)
-    ]
-    chunks = parallel_map(_estimate_block, items, workers)
-    estimates = np.concatenate(chunks)
-
+    estimates = sample_estimates(g, epsilon, trials, Streams(seed).child("trials"))
     payload = {
-        "command": "estimate",
-        "version": __version__,
-        "config": {k: cfg[k] for k in ("graph", "eps", "trials", "exact", "transcript", "seed", "format")},
+        "config": {k: given[k] for k in ("graph", "eps", "trials", "exact", "transcript", "seed", "format")},
         "seed": seed,
         "n": g.n,
         "trials": trials,
@@ -287,149 +296,92 @@ def run_estimate(cfg) -> tuple[int, str]:
         single, transcript = estimate_triangles(g, epsilon, Streams(seed).child("single"))
         payload["transcript"] = transcript.dump()
         payload["single_run_t_hat"] = single.t_hat
-    path = _output_path(cfg, "estimate")
-    if fmt == "json":
-        write_json(path, payload)
-    else:
-        rows = [{"trial": t, "t_hat": float(v)} for t, v in enumerate(estimates)]
-        write_csv(path, ESTIMATE_CSV_COLUMNS, rows)
-    exact_note = f" t_exact={payload.get('t_exact')}" if cfg["exact"] else ""
-    return EXIT_OK, (
+    rows = None
+    if cfg["format"] == "csv":
+        rows = [{"trial": t, "t_hat": v} for t, v in enumerate(payload["estimates"])]
+    exact_note = f" t_exact={payload['t_exact']}" if cfg["exact"] else ""
+    return EXIT_OK, payload, rows, (
         f"estimate: n={g.n} eps={epsilon} trials={trials} "
-        f"mean={payload['mean']:.6g}{exact_note} -> {path}"
+        f"mean={payload['mean']:.6g}{exact_note}"
     )
 
 
-def run_variance_sweep(cfg) -> tuple[int, str]:
-    fmt = _check_format(cfg, ("csv", "json"))
-    ns = _number_list("ns", cfg["ns"], int)
-    if any(n < 3 for n in ns):
-        raise UsageError(f"ns: graph sizes must be at least 3, got {ns}")
-    eps_grid = [_epsilon("eps_grid", eps) for eps in _number_list("eps_grid", cfg["eps_grid"], float)]
-    trials = _positive("trials", cfg["trials"], int)
-    if trials < 1000:
-        raise UsageError(f"trials: need at least 1000 for a variance sweep, got {trials}")
-    family = cfg["family"]
-    if family not in ("er05", "empty", "complete"):
-        raise UsageError(f"family: must be er05, empty, or complete, got {family!r}")
-    workers = _worker_count(cfg)
-    seed = int(cfg["seed"])
-    items = [(family, n, eps, trials, seed) for n in ns for eps in eps_grid]
-    rows = parallel_map(_sweep_cell_item, items, workers)
-    path = _output_path(cfg, "variance-sweep")
-    if fmt == "csv":
-        write_csv(path, SWEEP_CSV_COLUMNS, rows)
-    else:
-        write_json(path, {"command": "variance-sweep", "version": __version__,
-                          "config": {k: cfg[k] for k in ("ns", "eps_grid", "family", "trials", "seed")},
-                          "rows": rows})
+def run_variance_sweep(cfg, given):
+    from ledplab.estimator import variance_sweep
+
+    rows = variance_sweep(cfg["ns"], cfg["eps_grid"], cfg["family"], cfg["trials"], Streams(cfg["seed"]))
+    payload = {"config": {k: given[k] for k in ("ns", "eps_grid", "family", "trials", "seed")}, "rows": rows}
     worst = max(abs(r["ratio"] - 1.0) for r in rows)
-    return EXIT_OK, (
-        f"variance-sweep: {len(rows)} cells, max |empirical/oracle - 1| = {worst:.3f} -> {path}"
+    return EXIT_OK, payload, rows, (
+        f"variance-sweep: {len(rows)} cells, max |empirical/oracle - 1| = {worst:.3f}"
     )
 
 
-def run_attack_cmd(cfg) -> tuple[int, str]:
+def run_attack_cmd(cfg, given):
     from ledplab.attack import run_attack
 
-    _check_format(cfg, ("json",))
-    n = _positive("n", cfg["n"], int)
-    gamma = _positive("gamma", cfg["gamma"])
+    n, gamma, k, mechanism = cfg["n"], cfg["gamma"], cfg["k"], cfg["mechanism"]
     if not gamma < 0.5:
         raise UsageError(f"gamma: must be in (0, 1/2), got {gamma}")
-    mechanism = cfg["mechanism"]
-    if mechanism not in ("rr", "identity", "oracle"):
-        raise UsageError(f"mechanism: must be rr, identity, or oracle, got {mechanism!r}")
-    search = cfg["search"]
-    if search not in ("auto", "exhaustive", "hillclimb"):
-        raise UsageError(f"search: must be auto, exhaustive, or hillclimb, got {search!r}")
-    epsilon = cfg["epsilon"]
     if mechanism == "rr":
-        epsilon = _positive("epsilon", epsilon)
-    k = cfg["k"]
-    if k is not None:
-        k = _positive("k", k, int)
-    budget = cfg["budget"]
-    if budget is not None:
-        budget = _positive("budget", budget, int)
-    seed = int(cfg["seed"])
-    streams = Streams(seed)
+        _require(cfg, "epsilon", " for mechanism rr")
+    queries = default_query_count(n, gamma) if k is None else k
+    if queries * n > SIGNS_MAX:
+        shown = k if k is not None else f"the default ceil(128 n^2 / gamma^2) = {queries}"
+        raise UsageError(f"k: must be at most {SIGNS_MAX // n} at n = {n}, got {shown}")
+    streams = Streams(cfg["seed"])
     x = (streams.child("dataset").generator().random((n, n)) < 0.5).astype(np.uint8)
     report = run_attack(
         x,
         mechanism,
         streams.child("attack"),
-        epsilon=epsilon,
+        epsilon=cfg["epsilon"],
         gamma=gamma,
         k=k,
-        search=search,
-        max_sweeps=budget,
+        search=cfg["search"],
+        max_sweeps=cfg["budget"],
     )
     payload = report.to_dict()
-    payload["command"] = "attack"
-    payload["version"] = __version__
     payload["config"] = {
-        "n": n, "gamma": gamma, "k": k, "epsilon": epsilon,
-        "mechanism": mechanism, "search": search, "budget": budget, "seed": seed,
+        key: cfg[key] for key in ("n", "gamma", "k", "epsilon", "mechanism", "search", "budget", "seed")
     }
-    path = _output_path(cfg, "attack")
-    write_json(path, payload)
     status = EXIT_OK if report.feasible else EXIT_ATTACK_FAILED
-    return status, (
+    return status, payload, None, (
         f"attack: mechanism={mechanism} n={n} k={report.k} feasible={report.feasible} "
-        f"hamming={report.best_hamming} -> {path}"
+        f"hamming={report.best_hamming}"
     )
 
 
-def run_anticoncentration(cfg) -> tuple[int, str]:
-    fmt = _check_format(cfg, ("csv", "json"))
-    n = _positive("n", cfg["n"], int)
-    count = _positive("count", cfg["count"], int)
-    gamma = _positive("gamma", cfg["gamma"])
-    if gamma > 1:
-        raise UsageError(f"gamma: must be at most 1, got {gamma}")
-    mc_samples = _positive("mc_samples", cfg["mc_samples"], int)
-    workers = _worker_count(cfg)
-    seed = int(cfg["seed"])
-    m_floor = math.ceil(gamma * n * n)
-    size_gen = Streams(seed).child("sizes").generator()
-    sizes = size_gen.integers(m_floor, n * n + 1, size=count)
-    items = [
-        (n, int(sizes[i]), gamma, mc_samples, seed, i) for i in range(count)
-    ]
-    rows = parallel_map(_anticonc_row_item, items, workers)
+def run_anticoncentration(cfg, given):
+    from ledplab.anticoncentration import tail_report
+
+    n, count = cfg["n"], cfg["count"]
+    rows = tail_report(n, count, cfg["gamma"], Streams(cfg["seed"]), cfg["mc_samples"])
     for row in rows:
         row["tail_exact_or_mc"] = row.pop("tail")
-    path = _output_path(cfg, "anticoncentration")
-    if fmt == "csv":
-        write_csv(path, ANTICONC_CSV_COLUMNS, rows)
-    else:
-        write_json(path, {"command": "anticoncentration", "version": __version__,
-                          "config": {k: cfg[k] for k in ("n", "count", "gamma", "mc_samples", "seed")},
-                          "rows": rows})
+    payload = {"config": {k: given[k] for k in ("n", "count", "gamma", "mc_samples", "seed")}, "rows": rows}
     violations = sum(1 for r in rows if r["tail_exact_or_mc"] < r["lemma_bound"])
-    return EXIT_OK, (
+    return EXIT_OK, payload, rows, (
         f"anticoncentration: {count} matrices at n={n}, "
-        f"{violations} below the gamma^2/16 bound -> {path}"
+        f"{violations} below the gamma^2/16 bound"
     )
 
 
-def run_gadget(cfg) -> tuple[int, str]:
+def run_gadget(cfg, given):
     from ledplab.gadget import build_sum_gadget, sample_sum_via_triangles
     from ledplab.graphs import graph_stats
 
-    _check_format(cfg, ("json",))
     bits_text = cfg["bits"]
-    if not bits_text or any(c not in "01" for c in str(bits_text)):
+    if not bits_text or any(c not in "01" for c in bits_text):
         raise UsageError(f"bits: expected a string of 0s and 1s, got {bits_text!r}")
-    x = np.array([int(c) for c in str(bits_text)], dtype=np.uint8)
+    if len(bits_text) > GADGET_BITS_MAX:
+        raise UsageError(f"bits: must be at most {GADGET_BITS_MAX} long, got {len(bits_text)}")
+    x = np.array([int(c) for c in bits_text], dtype=np.uint8)
     n = len(x)
     s = int(x.sum())
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     payload = {
-        "command": "gadget",
-        "version": __version__,
-        "config": {k: cfg[k] for k in ("bits", "eps", "trials", "exact", "seed")},
+        "config": {k: given[k] for k in ("bits", "eps", "trials", "exact", "seed")},
         "seed": seed,
         "n": n,
         "s": s,
@@ -439,56 +391,40 @@ def run_gadget(cfg) -> tuple[int, str]:
         t = int(graph_stats(g.adjacency)[2])
         payload["t_exact"] = t
         payload["identity_holds"] = t == s * n
-    trials = _nonnegative_int("trials", cfg["trials"])
+    trials = cfg["trials"]
     if trials > 0:
-        epsilon = _epsilon("eps", cfg["eps"])
-        estimates = sample_sum_via_triangles(x, epsilon, trials, Streams(seed).child("mc"))
+        _require(cfg, "eps", " for trials > 0")
+        _estimator_epsilon(cfg["eps"])
+        estimates = sample_sum_via_triangles(x, cfg["eps"], trials, Streams(seed).child("mc"))
         payload["estimates"] = {
             "trials": trials,
             "mean": float(estimates.mean()),
             "std": float(estimates.std(ddof=1)) if trials > 1 else None,
         }
-    path = _output_path(cfg, "gadget")
-    write_json(path, payload)
     summary = f"gadget: n = {n}, S = {s}"
     if "t_exact" in payload:
         summary = f"gadget: T = {payload['t_exact']}, S = {s}, n = {n}"
-    return EXIT_OK, summary + f" -> {path}"
+    return EXIT_OK, payload, None, summary
 
 
-def run_sum_scaling(cfg) -> tuple[int, str]:
-    from ledplab.gadget import fit_log_log_exponent
+def run_sum_scaling(cfg, given):
+    from ledplab.gadget import sum_error_scaling
 
-    fmt = _check_format(cfg, ("csv", "json"))
-    ns = _number_list("ns", cfg["ns"], int)
-    if any(n < 1 for n in ns):
-        raise UsageError(f"ns: input lengths must be positive, got {ns}")
-    epsilon = _positive("eps", cfg["eps"])
-    trials = _positive("trials", cfg["trials"], int)
-    triangle_trials = _nonnegative_int("triangle_trials", cfg["triangle_trials"])
-    if triangle_trials:
-        # the triangle route runs the estimator; the baseline takes any eps > 0
-        epsilon = _epsilon("eps", epsilon)
-    workers = _worker_count(cfg)
-    seed = int(cfg["seed"])
-    items = [(n, epsilon, trials, triangle_trials, seed) for n in ns]
-    rows = parallel_map(_sum_row_item, items, workers)
-    exponent = (
-        fit_log_log_exponent(ns, [r["mean_abs_error_baseline"] for r in rows])
-        if len(ns) >= 2
-        else None
+    if cfg["triangle_trials"] > 0:
+        _estimator_epsilon(cfg["eps"])
+        if max(cfg["ns"]) > GADGET_BITS_MAX:
+            raise UsageError(
+                f"ns: must be at most {GADGET_BITS_MAX} when triangle_trials > 0, got {max(cfg['ns'])}"
+            )
+    rows, exponent = sum_error_scaling(
+        cfg["ns"], cfg["eps"], cfg["trials"], Streams(cfg["seed"]), cfg["triangle_trials"]
     )
-    for row in rows:
-        row["fitted_exponent"] = exponent
-    path = _output_path(cfg, "sum-scaling")
-    if fmt == "csv":
-        write_csv(path, SCALING_CSV_COLUMNS, rows)
-    else:
-        write_json(path, {"command": "sum-scaling", "version": __version__,
-                          "config": {k: cfg[k] for k in ("ns", "eps", "trials", "triangle_trials", "seed")},
-                          "rows": rows})
-    exp_text = "n/a" if exponent is None else f"{exponent:.3f}"
-    return EXIT_OK, f"sum-scaling: {len(rows)} sizes, fitted exponent {exp_text} -> {path}"
+    payload = {
+        "config": {k: given[k] for k in ("ns", "eps", "trials", "triangle_trials", "seed")},
+        "rows": rows,
+    }
+    exp_text = "n/a" if math.isnan(exponent) else f"{exponent:.3f}"
+    return EXIT_OK, payload, rows, f"sum-scaling: {len(rows)} sizes, fitted exponent {exp_text}"
 
 
 # --------------------------------------------------------------------------
@@ -609,11 +545,9 @@ def _selftest_checks(seed: int):
     ]
 
 
-def run_selftest(cfg) -> tuple[int, str]:
-    _check_format(cfg, ("json",))
-    seed = int(cfg["seed"])
+def run_selftest(cfg, given):
     results = []
-    for name, fn in _selftest_checks(seed):
+    for name, fn in _selftest_checks(cfg["seed"]):
         try:
             fn()
             results.append({"name": name, "passed": True, "detail": ""})
@@ -622,21 +556,77 @@ def run_selftest(cfg) -> tuple[int, str]:
             results.append({"name": name, "passed": False, "detail": str(exc)})
             print(f"FAIL {name}: {exc}")
     passed = all(r["passed"] for r in results)
-    payload = {
-        "command": "selftest",
-        "version": __version__,
-        "seed": seed,
-        "checks": results,
-        "passed": passed,
-    }
-    path = _output_path(cfg, "selftest")
-    write_json(path, payload)
+    payload = {"seed": cfg["seed"], "checks": results, "passed": passed}
     status = EXIT_OK if passed else 1
-    return status, f"selftest: {sum(r['passed'] for r in results)}/{len(results)} checks passed -> {path}"
+    return status, payload, None, f"selftest: {sum(r['passed'] for r in results)}/{len(results)} checks passed"
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# the subcommand table
+
+
+COMMANDS = {spec.name: spec for spec in (
+    Command("estimate", "noisy triangle estimate on a graph file", run_estimate, (
+        Opt("graph", ("--graph",), str, None, "graph file (first line n, then 'i j' edges)"),
+        Opt("eps", ("--eps",), float, None, "privacy parameter", low=MIN_EPSILON),
+        Opt("trials", ("--trials",), int, 1, "number of independent runs", low=1, high=TRIALS_MAX),
+        Opt("exact", ("--exact",), bool, False, "include the exact count"),
+        Opt("transcript", ("--transcript",), bool, False, "include the transcript dump (trials=1 only)"),
+    ), ("json", "csv"), ("trial", "t_hat")),
+    Command("variance-sweep", "empirical vs oracle estimator variance", run_variance_sweep, (
+        Opt("ns", ("--ns",), [int], "8,12", "comma-separated graph sizes",
+            low=3, high=SIZE_MAX, each="graph sizes"),
+        Opt("eps_grid", ("--eps-grid",), [float], "0.5,1,2", "comma-separated epsilons", low=MIN_EPSILON),
+        Opt("family", ("--family",), str, "er05", "graph family", choices=("er05", "empty", "complete")),
+        Opt("trials", ("--trials",), int, 10000, "trials per cell", low=1000, high=TRIALS_MAX),
+    ), ("csv", "json"), (
+        "n", "epsilon", "family", "trials", "t_exact", "c4",
+        "var_empirical", "var_oracle", "ratio", "seed",
+    )),
+    Command("attack", "reconstruction attack on a random secret dataset", run_attack_cmd, (
+        Opt("n", ("--n",), int, 8, "dataset side length", low=1, high=SIZE_MAX),
+        Opt("gamma", ("--gamma",), float, DEFAULT_GAMMA, "reconstruction parameter, below 1/2"),
+        Opt("k", ("--k",), int, None,
+            f"query count, default ceil(128 n^2 / gamma^2); k * n at most {SIGNS_MAX}", low=1),
+        Opt("epsilon", ("--epsilon", "--eps"), float, None, "mechanism privacy parameter (rr only)"),
+        Opt("mechanism", ("--mechanism",), str, "rr", "mechanism under attack",
+            choices=("rr", "identity", "oracle")),
+        Opt("search", ("--search",), str, "auto", "search strategy",
+            choices=("auto", "exhaustive", "hillclimb")),
+        Opt("budget", ("--budget",), int, None, "hill-climb sweep budget per restart, default 4 n^2",
+            low=1),
+    )),
+    Command("anticoncentration", "tail bounds for random sign-sandwich statistics", run_anticoncentration, (
+        Opt("n", ("--n",), int, 6, "matrix side", low=1, high=MATRIX_MAX),
+        Opt("count", ("--count",), int, 200, "number of random matrices", low=1, high=MATRICES_MAX),
+        Opt("gamma", ("--gamma",), float, DEFAULT_GAMMA, "density parameter", high=1),
+        Opt("mc_samples", ("--mc-samples",), int, 20000, "samples when n exceeds the enumeration cap",
+            low=1000, high=MC_SAMPLES_MAX),
+    ), ("csv", "json"), (
+        "n", "m", "gamma", "threshold", "tail_exact_or_mc",
+        "lemma_bound", "fourth_moment", "fourth_bound",
+    )),
+    Command("gadget", "summation gadget: exact identity and noisy estimates", run_gadget, (
+        Opt("bits", ("--bits",), str, None, f"input bits, e.g. 101; at most {GADGET_BITS_MAX} of them"),
+        Opt("eps", ("--eps",), float, None, f"privacy parameter for estimates, at least {MIN_EPSILON}"),
+        Opt("trials", ("--trials",), int, 0, "estimate trials (0: skip)", low=0, high=TRIALS_MAX),
+        Opt("exact", ("--exact",), bool, False, "report exact triangle count and the S*n identity"),
+    )),
+    Command("sum-scaling", "summation error growth against input length", run_sum_scaling, (
+        Opt("ns", ("--ns",), [int], "64,256,1024,4096",
+            f"comma-separated input lengths, at most {GADGET_BITS_MAX} with --triangle-trials",
+            low=1, high=SIZE_MAX, each="input lengths"),
+        Opt("eps", ("--eps",), float, 1.0,
+            f"privacy parameter, at least {MIN_EPSILON} with --triangle-trials"),
+        Opt("trials", ("--trials",), int, 10000, "baseline trials per length", low=1, high=TRIALS_MAX),
+        Opt("triangle_trials", ("--triangle-trials",), int, 0, "gadget-route trials per length (0: skip)",
+            low=0, high=TRIALS_MAX),
+    ), ("csv", "json"), (
+        "n", "epsilon", "trials",
+        "mean_abs_error_baseline", "mean_abs_error_via_triangles", "fitted_exponent",
+    )),
+    Command("selftest", "run the built-in invariant battery", run_selftest, ()),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -645,108 +635,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local edge differential privacy experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for spec in COMMANDS.values():
+        p = sub.add_parser(spec.name, help=spec.help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help=f"master seed (default {DEFAULT_SEED})")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), help="output format")
-        p.add_argument("--workers", type=int, help="worker processes (default $LEDPLAB_WORKERS or 1)")
-
-    p = sub.add_parser("estimate", help="noisy triangle estimate on a graph file")
-    add_common(p)
-    p.add_argument("--graph", help="graph file (first line n, then 'i j' edges)")
-    p.add_argument("--eps", type=float, help="privacy parameter")
-    p.add_argument("--trials", type=int, help="number of independent runs (default 1)")
-    p.add_argument("--exact", action="store_true", default=None, help="include the exact count")
-    p.add_argument("--transcript", action="store_true", default=None,
-                   help="include the transcript dump (trials=1 only)")
-    p.set_defaults(func=run_estimate, aliases={}, defaults={
-        "graph": None, "eps": None, "trials": 1, "exact": False, "transcript": False,
-        **_common_defaults("json"),
-    })
-
-    p = sub.add_parser("variance-sweep", help="empirical vs oracle estimator variance")
-    add_common(p)
-    p.add_argument("--ns", help="comma-separated graph sizes (default 8,12)")
-    p.add_argument("--eps-grid", dest="eps_grid", help="comma-separated epsilons (default 0.5,1,2)")
-    p.add_argument("--family", choices=("er05", "empty", "complete"), help="graph family")
-    p.add_argument("--trials", type=int, help="trials per cell (default 10000)")
-    p.set_defaults(func=run_variance_sweep, aliases={}, defaults={
-        "ns": "8,12", "eps_grid": "0.5,1,2", "family": "er05", "trials": 10000,
-        **_common_defaults("csv"),
-    })
-
-    p = sub.add_parser("attack", help="reconstruction attack on a random secret dataset")
-    add_common(p)
-    p.add_argument("--n", type=int, help="dataset side length (default 8)")
-    p.add_argument("--gamma", type=float, help="reconstruction parameter (default 1/9)")
-    p.add_argument("--k", type=int, help="query count (default ceil(128 n^2 / gamma^2))")
-    p.add_argument("--epsilon", "--eps", dest="epsilon", type=float,
-                   help="mechanism privacy parameter (rr only)")
-    p.add_argument("--mechanism", choices=("rr", "identity", "oracle"), help="mechanism under attack")
-    p.add_argument("--search", choices=("auto", "exhaustive", "hillclimb"), help="search strategy")
-    p.add_argument("--budget", type=int, help="hill-climb sweep budget per restart")
-    p.set_defaults(func=run_attack_cmd, aliases={"eps": "epsilon"}, defaults={
-        "n": 8, "gamma": DEFAULT_GAMMA, "k": None, "epsilon": None,
-        "mechanism": "rr", "search": "auto", "budget": None,
-        **_common_defaults("json"),
-    })
-
-    p = sub.add_parser("anticoncentration", help="tail bounds for random sign-sandwich statistics")
-    add_common(p)
-    p.add_argument("--n", type=int, help="matrix side (default 6)")
-    p.add_argument("--count", type=int, help="number of random matrices (default 200)")
-    p.add_argument("--gamma", type=float, help="density parameter (default 1/9)")
-    p.add_argument("--mc-samples", dest="mc_samples", type=int,
-                   help="samples when n exceeds the enumeration cap (default 20000)")
-    p.set_defaults(func=run_anticoncentration, aliases={}, defaults={
-        "n": 6, "count": 200, "gamma": DEFAULT_GAMMA, "mc_samples": 20000,
-        **_common_defaults("csv"),
-    })
-
-    p = sub.add_parser("gadget", help="summation gadget: exact identity and noisy estimates")
-    add_common(p)
-    p.add_argument("--bits", help="input bits, e.g. 101")
-    p.add_argument("--eps", type=float, help="privacy parameter for estimates")
-    p.add_argument("--trials", type=int, help="estimate trials (default 0: skip)")
-    p.add_argument("--exact", action="store_true", default=None,
-                   help="report exact triangle count and the S*n identity")
-    p.set_defaults(func=run_gadget, aliases={}, defaults={
-        "bits": None, "eps": None, "trials": 0, "exact": False,
-        **_common_defaults("json"),
-    })
-
-    p = sub.add_parser("sum-scaling", help="summation error growth against input length")
-    add_common(p)
-    p.add_argument("--ns", help="comma-separated input lengths (default 64,256,1024,4096)")
-    p.add_argument("--eps", type=float, help="privacy parameter (default 1.0)")
-    p.add_argument("--trials", type=int, help="baseline trials per length (default 10000)")
-    p.add_argument("--triangle-trials", dest="triangle_trials", type=int,
-                   help="gadget-route trials per length (default 0: skip)")
-    p.set_defaults(func=run_sum_scaling, aliases={}, defaults={
-        "ns": "64,256,1024,4096", "eps": 1.0, "trials": 10000, "triangle_trials": 0,
-        **_common_defaults("csv"),
-    })
-
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    add_common(p)
-    p.set_defaults(func=run_selftest, aliases={}, defaults=_common_defaults("json"))
-
+        for opt in _common_options(spec.formats) + spec.options:
+            if opt.type is bool:
+                kind = {"action": "store_true", "default": None}
+            elif opt.choices:
+                kind = {"metavar": "{" + ",".join(opt.choices) + "}"}
+            else:
+                kind = {"type": opt.type} if opt.type in (int, float) else {}
+            p.add_argument(*opt.flags, dest=opt.key, help=_help(opt), **kind)
     return parser
 
 
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    spec = COMMANDS[args.command]
     try:
-        cfg = _resolve(args, args.defaults, args.aliases)
-        status, summary = args.func(cfg)
+        cfg, given = _resolve(spec, args)
+        status, payload, rows, summary = spec.run(cfg, given)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(summary)
+    path = cfg["output"] or f"{spec.name}.{cfg['format']}"
+    if cfg["format"] == "csv":
+        write_csv(path, spec.columns, rows)
+    else:
+        write_json(path, {"command": spec.name, "version": __version__, **payload})
+    print(f"{summary} -> {path}")
     return status
 
 

@@ -1,20 +1,15 @@
-"""Order-preserving parallel map over independent work items.
+"""Serial map, kept in place of the retired worker pool.
 
-Work items must be self-contained (they derive their own random streams
-from seeds they carry), so the result is byte-identical for any worker
-count, including 1.
+Every run is one process and nothing in ledplab calls ``parallel_map``.
+It stays only because the span table in ``perfbench/spans.py`` names it,
+and goes with that row in the next change to the benchmark.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["parallel_map"]
 
 
 def parallel_map(fn, items, workers: int = 1) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``; `workers` is ignored."""
+    return [fn(item) for item in items]

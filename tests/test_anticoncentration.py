@@ -165,13 +165,15 @@ def test_pairwise_products_uncorrelated():
 
 
 def test_tail_report_rows():
-    gen = Streams(32).generator()
-    mats = [random_diff_matrix(4, 10, gen), random_diff_matrix(9, 30, gen)]
-    rows = tail_report(mats, 1.0 / 4.0, Streams(33))
-    assert rows[0]["tail_mode"] == "exact"
-    assert rows[1]["tail_mode"] == "mc"
-    for row in rows:
-        assert set(row) == {
-            "n", "m", "gamma", "threshold", "tail", "tail_mode",
-            "lemma_bound", "fourth_moment", "fourth_bound",
-        }
+    gamma = 1.0 / 4.0
+    for n, mode in ((4, "exact"), (9, "mc")):
+        rows = tail_report(n, 3, gamma, Streams(33), mc_samples=2000)
+        assert len(rows) == 3
+        for row in rows:
+            assert row["tail_mode"] == mode
+            assert row["n"] == n
+            assert math.ceil(gamma * n * n) <= row["m"] <= n * n
+            assert set(row) == {
+                "n", "m", "gamma", "threshold", "tail", "tail_mode",
+                "lemma_bound", "fourth_moment", "fourth_bound",
+            }

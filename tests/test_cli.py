@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import ledplab
-from ledplab.cli import main
-from ledplab.graphs import complete_graph, erdos_renyi, save_graph
+from ledplab.anticoncentration import tail_report
+from ledplab.cli import _jsonable, main
+from ledplab.estimator import sample_estimates, variance_sweep
+from ledplab.gadget import sum_error_scaling
+from ledplab.graphs import complete_graph, erdos_renyi, load_graph, save_graph
 from ledplab.rng import Streams
 
 
@@ -145,6 +148,18 @@ def test_estimate_rejects_epsilon_below_estimator_minimum(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: eps: must be at least 1e-06")
 
 
+@pytest.mark.parametrize("argv, estimator_route", [
+    (["sum-scaling", "--ns", "8", "--trials", "10"], False),
+    (["sum-scaling", "--ns", "8", "--trials", "10", "--triangle-trials", "1"], True),
+    (["gadget", "--bits", "101", "--exact"], False),
+    (["gadget", "--bits", "101", "--trials", "1"], True),
+])
+def test_epsilon_minimum_holds_on_the_estimator_route_only(workdir, capsys, argv, estimator_route):
+    assert run_cli(*argv, "--eps", "1e-7") == (2 if estimator_route else 0)
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps: must be at least 1e-06") if estimator_route else err == ""
+
+
 def test_variance_sweep_rejects_zero_epsilon(workdir, capsys):
     assert run_cli("variance-sweep", "--eps-grid", "0,1") == 2
     assert capsys.readouterr().err.startswith("error: eps_grid: must be positive")
@@ -200,6 +215,105 @@ def test_gadget_rejects_negative_trials(workdir, capsys):
 def test_sum_scaling_rejects_negative_triangle_trials(workdir, capsys):
     assert run_cli("sum-scaling", "--triangle-trials", "-2") == 2
     assert capsys.readouterr().err.startswith("error: triangle_trials: must be nonnegative")
+
+
+BIG = "100000000000000000000"
+
+
+# Unbounded, the first runs forever and the others fail inside numpy or
+# Python (array too big, maximum dimension, overflow) with exit 1.
+@pytest.mark.parametrize("argv, field", [
+    (["estimate", "--graph", "k4.txt", "--eps", "1", "--trials", BIG], "trials"),
+    (["gadget", "--bits", "101", "--eps", "1", "--trials", BIG], "trials"),
+    (["sum-scaling", "--ns", "8", "--trials", BIG], "trials"),
+    (["variance-sweep", "--ns", "5", "--trials", BIG], "trials"),
+    (["anticoncentration", "--count", BIG], "count"),
+    (["anticoncentration", "--n", "100000"], "n"),
+    (["attack", "--n", "4", "--k", BIG, "--mechanism", "identity"], "k"),
+    (["attack", "--n", "100000000000", "--mechanism", "identity"], "n"),
+    # bounds that join two fields: k * n for the attack's sign draw, and
+    # 3n vertices for the gadget graph
+    (["attack", "--n", "10000", "--k", "16777216", "--mechanism", "identity"], "k"),
+    (["attack", "--n", "40", "--mechanism", "identity"], "k"),
+    (["gadget", "--bits", "1" * 3334, "--exact"], "bits"),
+    (["gadget", "--bits", "1" * 3334, "--eps", "1", "--trials", "1"], "bits"),
+    (["sum-scaling", "--ns", "10000", "--triangle-trials", "1"], "ns"),
+])
+def test_count_and_size_fields_are_bounded(workdir, capsys, argv, field):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be at most")
+
+
+@pytest.mark.parametrize("text", ["abc\n", "3\n0 5\n", "3\n0 1\n0 1\n"])
+def test_malformed_graph_file_is_a_usage_error(workdir, capsys, text):
+    (workdir / "bad.txt").write_text(text)
+    assert run_cli("estimate", "--graph", "bad.txt", "--eps", "1") == 2
+    assert capsys.readouterr().err.startswith("error: graph: ")
+
+
+@pytest.mark.parametrize("command, note", [
+    ("estimate", "number of independent runs (default 1; at most 10000000)"),
+    ("attack", "k * n at most 134217728"),
+    ("gadget", "at most 3333 of them"),
+])
+def test_bounds_show_in_help(capsys, command, note):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert note in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command, config, field", [
+    ("variance-sweep", {"family": "bogus"}, "family"),
+    ("attack", {"mechanism": "x"}, "mechanism"),
+    ("attack", {"search": "x"}, "search"),
+    ("estimate", {"format": "xml"}, "format"),
+])
+def test_config_values_are_checked_like_flags(workdir, capsys, command, config, field):
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(command, "--config", "cfg.json") == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+
+def _json_rows(workdir, *argv) -> list:
+    assert run_cli(*argv, "--format", "json", "--output", "rows.json") == 0
+    return json.loads((workdir / "rows.json").read_text())["rows"]
+
+
+def _library_rows(rows) -> list:
+    # NaN cells are written as null; every other cell round-trips exactly
+    return json.loads(json.dumps(_jsonable(rows)))
+
+
+def test_estimate_matches_library_driver(workdir):
+    assert run_cli("estimate", "--graph", "k4.txt", "--eps", "1", "--trials", "9000",
+                   "--seed", "3", "--output", "e.json") == 0
+    got = json.loads((workdir / "e.json").read_text())["estimates"]
+    want = sample_estimates(load_graph(workdir / "k4.txt"), 1.0, 9000, Streams(3).child("trials"))
+    assert got == want.tolist()
+
+
+def test_variance_sweep_matches_library_driver(workdir):
+    got = _json_rows(workdir, "variance-sweep", "--ns", "5,7", "--eps-grid", "0.5,2",
+                     "--trials", "1000", "--seed", "4")
+    assert got == _library_rows(variance_sweep([5, 7], [0.5, 2.0], "er05", 1000, Streams(4)))
+
+
+@pytest.mark.parametrize("ns", [[32], [16, 48]])
+def test_sum_scaling_matches_library_driver(workdir, ns):
+    got = _json_rows(workdir, "sum-scaling", "--ns", ",".join(map(str, ns)), "--trials", "500",
+                     "--triangle-trials", "20", "--seed", "6")
+    rows, _ = sum_error_scaling(ns, 1.0, 500, Streams(6), 20)
+    assert got == _library_rows(rows)
+
+
+@pytest.mark.parametrize("n", [5, 8])  # exact rows, Monte Carlo rows
+def test_anticoncentration_matches_library_driver(workdir, n):
+    got = _json_rows(workdir, "anticoncentration", "--n", n, "--count", "4",
+                     "--mc-samples", "2000", "--seed", "8")
+    rows = tail_report(n, 4, 1 / 9, Streams(8), 2000)
+    for row in rows:
+        row["tail_exact_or_mc"] = row.pop("tail")
+    assert got == _library_rows(rows)
 
 
 def test_attack_runs_past_64_selection_bits(workdir):
