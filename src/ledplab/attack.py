@@ -13,28 +13,31 @@ Vertex layout of the 3n-vertex graphs: rows of the secret matrix own
 vertices [0, n), columns own [n, 2n), and the public completion block
 W is [2n, 3n).
 
-Batched randomized-response answers are a quadratic form in the
-selection. Vertex v releases only its pairs (v, j > v), so of the
-three rescaled values y_ij, y_ik, y_jk of a triangle i < j < k, two
-come from row i and one from row j. Let y0, y1 be the rescaled stored
-rows of the 2n secret vertices (zero outside each row's released span),
-s in {0,1}^(2n) the slot's selection and y_W the slot's fresh
-public-block values. Triangles come in three kinds:
+A randomized-response slot's answer is the estimator's triple-type mix
+(estimator.triangle_mix) of the edges m, wedges W and triangles T of
+its assembled released graph, so batched answers need only those
+integers. Vertex v releases only its pairs (v, j > v), so of the three
+pairs of a triangle i < j < k, two come from row i and one from row j.
+Let r0, r1 be the stored 0/1 rows of the 2n secret vertices (zero
+outside each row's released span), s in {0,1}^(2n) the slot's selection
+and w its fresh public-pair bits. Triangles come in three kinds:
 
-- i, j secret (k anywhere): row i is y_{s_i}, row j is y_{s_j}, and the
-  sum over k is F_ab[i, j] = y_a[i, j] (y_a y_b^T)[i, j] for a = s_i,
+- i, j secret (k anywhere): row i is r_{s_i}, row j is r_{s_j}, and the
+  count over k is F_ab[i, j] = r_a[i, j] (r_a r_b^T)[i, j] for a = s_i,
   b = s_j. Interpolating the four F_ab gives c0 + c^T s + s^T C s with
   c0 = sum F00, c_i = sum_j (F10 - F00)[i, j] + sum_j (F01 - F00)[j, i]
   and C = F11 - F10 - F01 + F00 (strictly upper, since s_i^2 = s_i).
-- i secret, j < k public: y_ij y_ik comes from row i, so the triangle
-  adds (h0 + dH^T s) . y_W, where h0[jk] = sum_i y0_ij y0_ik and
-  dH[i, jk] = y1_ij y1_ik - y0_ij y0_ik.
-- all public: t_WWW(y_W), the triple-product sum of the public block,
-  taken over its C(n, 3) triples.
+- i secret, j < k public: r_ij r_ik comes from row i, so the triangle
+  adds (h0 + dH^T s) . w, where h0[jk] = sum_i r0_ij r0_ik and
+  dH[i, jk] = r1_ij r1_ik - r0_ij r0_ik.
+- all public: t_WWW(w), the public block's triangle count.
 
-So the slot's triple-product sum is c0 + c^T s + s^T C s
-+ (h0 + dH^T s) . y_W + t_WWW(y_W), with O(n^2) coefficients fixed at
-prepare time.
+Degrees are linear in (s, w): row v adds its bits to the degrees of
+their columns and their count to v's, and each public pair adds one to
+both ends. Then m = sum d / 2 and W = sum d (d - 1) / 2. Every
+coefficient is an integer fixed at prepare time, O(n^2) wide in the
+selection, so the batched answers equal the assembled graph's estimate
+bit for bit.
 
 The hill-climb never builds the (k, n^2) sign patterns a_li b_lj. A
 flip of bit ij moves residual r_l = a_l^T Y b_l - answer_l by
@@ -55,8 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from ledplab.estimator import released_estimates, rescaled_atoms
-from ledplab.graphs import Graph, VertexPartition, count_triangles, graph_stats
+from ledplab.estimator import released_estimates, triangle_mix
+from ledplab.graphs import Graph, VertexPartition, count_dtype, count_triangles, graph_stats
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
@@ -280,54 +283,109 @@ def mechanism_components(mechanism: str, epsilon: Optional[float] = None):
 
 @dataclass(frozen=True)
 class _SlotForm:
-    """Coefficients of one gray box's randomized-response slot answers.
+    """Integer coefficients of one gray box's randomized-response slots.
 
-    With a trailing constant 1 appended to the selection, s' = (s, 1),
-    a slot's triple-product sum is s'^T Q s' + (s'^T H) . y_W + t_WWW(y_W):
-    Q holds C + diag(c) (s_i^2 = s_i) and c0 in its last diagonal entry,
-    and H stacks dH over h0. The module docstring derives the terms.
+    A slot's operand is x = (s', w): s' = (1, s), its selection after a
+    constant 1, then its public-pair bits w in triu order. One product
+    coef @ x gives g = Q^T s' + H w, then the 3n degrees d of the slot's
+    assembled graph, so that T = s' . g + t_WWW(w), m = sum d / 2 and
+    W = sum d (d - 1) / 2. Q holds c0 in its first diagonal entry and
+    C + diag(c) after it (s_i^2 = s_i); H stacks h0 over dH. Every entry
+    is an integer and every partial sum stays below the mantissa bound
+    of count_dtype(3n), so the products are exact in any BLAS order. The
+    module docstring derives the terms.
     """
 
     n: int
-    lo: float
-    hi: float
-    q: np.ndarray  # (2n + 1, 2n + 1)
-    h: np.ndarray  # (2n + 1, n(n-1)/2), one column per public pair in triu order
+    epsilon: float
+    coef: np.ndarray  # (2n + 1 + 3n, 2n + 1 + n(n-1)/2): [Q^T H] over the degree rows
 
     @classmethod
     def from_payloads(cls, r0: np.ndarray, r1: np.ndarray, epsilon: float) -> "_SlotForm":
         nu, nv = r0.shape
         n = nv - nu
-        lo, hi = rescaled_atoms(epsilon)
         released = np.triu(np.ones((nu, nv), dtype=bool), k=1)  # row v covers columns > v
-        ys = [np.where(released, np.where(r != 0, hi, lo), 0.0) for r in (r0, r1)]
+        rs = [np.where(released, r, 0).astype(np.int64) for r in (r0, r1)]
         # f[a][b][i, j]: triangles i < j < k with row i from output a, row j from output b
-        f = [[ys[a][:, :nu] * (ys[a] @ ys[b].T) for b in (0, 1)] for a in (0, 1)]
+        f = [[rs[a][:, :nu] * (rs[a] @ rs[b].T) for b in (0, 1)] for a in (0, 1)]
         c = (f[1][0] - f[0][0]).sum(axis=1) + (f[0][1] - f[0][0]).sum(axis=0)
-        q = np.zeros((nu + 1, nu + 1))
-        q[:nu, :nu] = f[1][1] - f[1][0] - f[0][1] + f[0][0] + np.diag(c)
-        q[nu, nu] = f[0][0].sum()
+        q = np.zeros((nu + 1, nu + 1), dtype=np.int64)
+        q[0, 0] = f[0][0].sum()
+        q[1:, 1:] = f[1][1] - f[1][0] - f[0][1] + f[0][0] + np.diag(c)
         iu = np.triu_indices(n, k=1)
-        w0, w1 = (y[:, nu + iu[0]] * y[:, nu + iu[1]] for y in ys)  # per-owner public-pair products
-        return cls(n, lo, hi, q, np.vstack((w1 - w0, w0.sum(axis=0))))
+        w0, w1 = (r[:, nu + iu[0]] * r[:, nu + iu[1]] for r in rs)  # per-owner public-pair products
+        # row v adds its bits to their columns' degrees and their count to v's
+        d0, d1 = (r + np.eye(nu, nv, dtype=np.int64) * r.sum(axis=1, keepdims=True) for r in rs)
+        incidence = np.zeros((len(iu[0]), nv), dtype=np.int64)
+        incidence[np.arange(len(iu[0]))[:, None], nu + np.column_stack(iu)] = 1
+        coef = np.block([
+            [q.T, np.vstack((w0.sum(axis=0), w1 - w0))],
+            [d0.sum(axis=0)[:, None], (d1 - d0).T, incidence.T],
+        ])
+        dtype = count_dtype(nv)
+        exact = 1 << (np.finfo(dtype).nmant + 1)
+        # |F_ab[i, j]| <= 3n - j - 1 caps the first sum for any payloads,
+        # at 11.4M < 2^24 for n = 85, the last float32 size
+        assert np.abs(coef[: nu + 1]).sum() + math.comb(n, 3) < exact
+        assert np.abs(coef[nu + 1 :]).sum() < exact
+        return cls(n, epsilon, coef.astype(dtype))
+
+    def workspace(self, rows: int) -> dict:
+        """Buffers for blocks of up to `rows` slots, one column a slot: the
+        public noise draw and its bits, the selections and bits as uint8,
+        the operand x with its constant row set, the product coef @ x,
+        d - 1, and one run of public pairs."""
+        pairs = self.n * (self.n - 1) // 2
+        x = np.empty((self.coef.shape[1], rows), dtype=self.coef.dtype)
+        x[0] = 1
+        return {
+            "draw": np.empty((rows, pairs)),
+            "bits": np.empty((rows, pairs), dtype=bool),
+            "sw": np.empty((2 * self.n + pairs, rows), dtype=np.uint8),
+            "x": x,
+            "product": np.empty((self.coef.shape[0], rows), dtype=x.dtype),
+            "dm1": np.empty((3 * self.n, rows), dtype=x.dtype),
+            "run": np.empty((self.n, rows), dtype=np.uint8),
+        }
 
     def triple_sums(self, sel: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
         """Triple-product sums of B slots, from (B, 2n) 0/1 selections and
         (B, n(n-1)/2) fresh public-pair bits in triu order."""
+        ws = self.workspace(len(sel))
+        ws["sw"][: 2 * self.n] = sel.T
+        ws["sw"][2 * self.n :] = w_bits.T
+        return self.block_sums(ws, len(sel))
+
+    def block_sums(self, ws: dict, rows: int) -> np.ndarray:
+        """Triple-product sums of the first `rows` slots of workspace ws,
+        whose uint8 operand holds their selections and public bits."""
+        nu, nv = 2 * self.n + 1, 3 * self.n
+        sw, x = ws["sw"][:, :rows], ws["x"][:, :rows]
+        x[1:] = sw
+        g = np.matmul(self.coef, x, out=ws["product"][:, :rows])
+        deg, dm1 = g[nu:], ws["dm1"][:, :rows]
+        t = np.einsum("ib,ib->b", g[:nu], x[:nu]).astype(np.int64)
+        t += self._public_triangles(sw[nu - 1 :], ws["run"][:, :rows])
+        m = deg.sum(axis=0).astype(np.int64) // 2
+        wedges = np.einsum("ib,ib->b", deg, np.subtract(deg, 1, out=dm1)).astype(np.int64) // 2
+        return triangle_mix(m, wedges, t, nv, self.epsilon)
+
+    def _public_triangles(self, wt: np.ndarray, run: np.ndarray) -> np.ndarray:
+        """t_WWW per slot from (n(n-1)/2, B) public bits: triangles a < b < c
+        count w_ab times the AND of the pairs (a, c > b) and (b, c > b), each
+        a contiguous run in triu order."""
         n = self.n
-        s = np.ones((len(sel), 2 * n + 1))
-        s[:, :-1] = sel
-        y = np.take(np.array((self.lo, self.hi)), np.asarray(w_bits, dtype=bool).view(np.uint8))
-        t = np.einsum("bi,bi->b", s @ self.q, s) + np.einsum("bp,bp->b", s @ self.h, y)
-        # public triangles a < b < c: y_ab times the dot product of the pairs
-        # (a, c > b) and (b, c > b), each a contiguous run in triu order
         first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # index of pair (v, v + 1)
+        common_dtype = np.min_scalar_type(n)  # a run's sum is at most n - 2
+        t = np.zeros(wt.shape[1], dtype=np.min_scalar_type(math.comb(n, 3)))
         for a in range(n - 2):
             for b in range(a + 1, n - 1):
                 ab = first[a] + b - a - 1
-                t += y[:, ab] * np.einsum(
-                    "sc,sc->s", y[:, ab + 1 : first[a + 1]], y[:, first[b] : first[b + 1]]
+                both = np.bitwise_and(
+                    wt[ab + 1 : first[a + 1]], wt[first[b] : first[b + 1]], out=run[: n - b - 1]
                 )
+                common = both.sum(axis=0, dtype=common_dtype)
+                t += np.multiply(common, wt[ab], out=common)
         return t
 
 
@@ -451,8 +509,9 @@ class GrayBox:
         Equivalent to answer_outer per query. Slot 3l + t is part t of
         query l's three-part split; public-vertex noise is drawn per
         fixed-size block of the 3k slots (one stream per block), and each
-        slot's postprocessing sum is evaluated from the quadratic form.
-        Deterministic for a given stream node regardless of scheduling.
+        slot's estimate is mixed from its graph's exact integer counts, in
+        one workspace reused by every block. Deterministic for a given
+        stream node regardless of scheduling.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
@@ -477,23 +536,29 @@ class GrayBox:
 
     def _noisy_slot_answers(self, a_signs, b_signs, streams, block) -> np.ndarray:
         n = self.n
-        n_wpairs = n * (n - 1) // 2
         p_flip = flip_probability(self.family.epsilon)
         total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
+        ws = self._form.workspace(min(block, total))
         w_bit_blocks = []
         for b, start in enumerate(range(0, total, block)):
-            stop = min(start + block, total)
-            gen = streams.child("wnoise", b).generator()
-            w_bits = gen.random((stop - start, n_wpairs)) < p_flip
+            rows = min(block, total - start)
+            draw, w_bits, sw = ws["draw"][:rows], ws["bits"][:rows], ws["sw"][:, :rows]
+            streams.child("wnoise", b).generator().random(out=draw)
+            np.less(draw, p_flip, out=w_bits)
             w_bit_blocks.append(np.packbits(w_bits, axis=None))
+            sw[2 * n :] = w_bits.T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
             # then [a = -1] and [b = -1], then all ones
-            q0, q1 = start // 3, (stop + 2) // 3
-            signs = np.concatenate((a_signs[q0:q1], b_signs[q0:q1]), axis=1)
-            sel = np.stack((signs > 0, signs < 0, np.ones(signs.shape, dtype=bool)), axis=1)
-            sel = sel.reshape(-1, 2 * n)[start - 3 * q0 : stop - 3 * q0]
-            answers[start:stop] = self._form.triple_sums(sel, w_bits) / n
+            for t, compare in enumerate((np.greater, np.less, None)):
+                col = (t - start) % 3  # the block's first slot of part t
+                sel, q0 = sw[: 2 * n, col::3], (start + col) // 3
+                if compare is None:
+                    sel[...] = 1
+                else:
+                    compare(a_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[:n])
+                    compare(b_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[n:])
+            answers[start : start + rows] = self._form.block_sums(ws, rows) / n
         self._record_bulk_public_rounds(total, w_bit_blocks)
         return answers
 

@@ -270,7 +270,7 @@ def run_estimate(cfg, given):
     _require(cfg, "graph")
     _require(cfg, "eps")
     try:
-        g = load_graph(cfg["graph"])
+        g = load_graph(cfg["graph"], SIZE_MAX)
     except FileNotFoundError:
         raise UsageError(f"graph: file not found: {cfg['graph']}")
     except GraphFormatError as exc:
@@ -529,6 +529,17 @@ def _selftest_checks(seed: int):
             )
             got = box.answer_submatrix(q, Streams(seed).child("st-gb-ans", trial))
             assert got == attack.submatrix_answer(x, q)
+        # rr slots from integer counts equal direct assembly, bit for bit
+        n = 3
+        x = (gen.random((n, n)) < 0.5).astype(np.uint8)
+        family, post = attack.mechanism_components("rr", 0.5)
+        box = attack.GrayBox.prepare(x, family, post, Streams(seed).child("st-gb-rr"))
+        sel = (gen.random((8, 2 * n)) < 0.5).astype(np.uint8)
+        w_bits = (gen.random((8, n * (n - 1) // 2)) < 0.5).astype(np.uint8)
+        got = box._form.triple_sums(sel, w_bits) / n
+        for t, w in enumerate(w_bits):
+            payloads = [w[:2], w[2:], w[3:]]  # public rows own pairs (0, 1), (0, 2) | (1, 2) | none
+            assert got[t] == box.post(box._assemble(sel[t], payloads)) / n
 
     return [
         ("triangle-counts-known", triangles_known),

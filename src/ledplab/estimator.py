@@ -43,6 +43,7 @@ __all__ = [
     "rescale",
     "rescaled_atoms",
     "edge_noise_variance",
+    "triangle_mix",
     "released_estimates",
     "estimate_triangles",
     "sample_estimates",
@@ -110,16 +111,19 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and at least {MIN_EPSILON}, got {epsilon}")
 
 
-def released_estimates(released: np.ndarray, epsilon: float):
-    """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices,
-    from their triple-type counts (module docstring)."""
-    n = released.shape[-1]
-    m, w, t3 = graph_stats(released)
+def triangle_mix(m, w, t3, n: int, epsilon: float):
+    """T_hat of released n-vertex graphs from their int64 edges m, wedges
+    W and triangles T, by the triple-type mix (module docstring)."""
     t2 = w - 3 * t3
     t1 = m * (n - 2) - 2 * w + 3 * t3
     t0 = math.comb(n, 3) - t1 - t2 - t3
     lo, hi = rescaled_atoms(epsilon)
     return lo**3 * t0 + lo * lo * hi * t1 + lo * hi * hi * t2 + hi**3 * t3
+
+
+def released_estimates(released: np.ndarray, epsilon: float):
+    """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices."""
+    return triangle_mix(*graph_stats(released), released.shape[-1], epsilon)
 
 
 def estimate_triangles(

@@ -226,7 +226,9 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> Graph:
+def graph_from_text(text: str, max_n: int | None = None) -> Graph:
+    """Parse graph_to_text's format, rejecting more than max_n vertices
+    before the adjacency is allocated."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph text")
@@ -236,6 +238,8 @@ def graph_from_text(text: str) -> Graph:
         raise GraphFormatError(f"first line must be the vertex count, got {lines[0]!r}")
     if n <= 0:
         raise GraphFormatError(f"vertex count must be positive, got {n}")
+    if max_n is not None and n > max_n:
+        raise GraphFormatError(f"vertex count {n} is above the limit {max_n}")
     a = np.zeros((n, n), dtype=np.uint8)
     for ln in lines[1:]:
         fields = ln.split()
@@ -254,9 +258,9 @@ def graph_from_text(text: str) -> Graph:
     return Graph(a)
 
 
-def load_graph(path) -> Graph:
+def load_graph(path, max_n: int | None = None) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+        return graph_from_text(fh.read(), max_n)
 
 
 def save_graph(g: Graph, path) -> None:

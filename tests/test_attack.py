@@ -27,7 +27,7 @@ from ledplab.attack import (
     split_outer_product,
     submatrix_answer,
 )
-from ledplab.graphs import count_triangles
+from ledplab.graphs import count_dtype, count_triangles
 from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
 
@@ -271,8 +271,8 @@ def direct_slot_answer(box, sel, w_bits):
 
 
 def test_rr_batch_matches_single_query_postprocessing():
-    # same selection pattern and same public bits must give the same answer
-    # through the quadratic form and through direct assembly
+    # same selection pattern and same public bits must give the same answer,
+    # bit for bit, through the integer forms and through direct assembly
     gen = Streams(222).generator()
     for n in (3, 4, 8):
         x = random_bits(n, gen)
@@ -283,7 +283,7 @@ def test_rr_batch_matches_single_query_postprocessing():
             via_form = box._form.triple_sums(sel, w_bits) / n
             for t in range(25):
                 direct = direct_slot_answer(box, sel[t], w_bits[t])
-                assert via_form[t] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+                assert via_form[t] == direct
 
 
 def check_batch_against_direct_assembly(n, eps, k, block, seed):
@@ -313,7 +313,8 @@ def check_batch_against_direct_assembly(n, eps, k, block, seed):
             direct_slot_answer(box, np.concatenate([part.q1, part.q2]), w_bits[3 * q + t])
             for t, part in enumerate((q1, q2, q3))
         ]
-        assert answers[q] == pytest.approx(combine(*parts), rel=1e-9, abs=1e-9)
+        assert answers[q] == combine(*parts)
+    return box
 
 
 def test_rr_batch_blocks_match_direct_assembly():
@@ -323,8 +324,10 @@ def test_rr_batch_blocks_match_direct_assembly():
 
 
 def test_rr_batch_large_n_matches_direct_assembly():
-    for n in (11, 16):
-        check_batch_against_direct_assembly(n, 2.0, k=6, block=8192, seed=264 + n)
+    # 3n = 255 vertices count in float32, 258 in float64
+    for n, eps, k in ((11, 2.0, 6), (16, 2.0, 6), (85, 0.05, 2), (86, 0.05, 2)):
+        box = check_batch_against_direct_assembly(n, eps, k=k, block=8192, seed=264 + n)
+        assert box._form.coef.dtype == count_dtype(3 * n)
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

@@ -251,6 +251,13 @@ def test_malformed_graph_file_is_a_usage_error(workdir, capsys, text):
     assert capsys.readouterr().err.startswith("error: graph: ")
 
 
+def test_graph_file_vertex_count_is_bounded(workdir, capsys):
+    # checked before the (n, n) adjacency is allocated
+    (workdir / "huge.txt").write_text("10000000\n")
+    assert run_cli("estimate", "--graph", "huge.txt", "--eps", "1") == 2
+    assert capsys.readouterr().err.startswith("error: graph: vertex count 10000000 is above")
+
+
 @pytest.mark.parametrize("command, note", [
     ("estimate", "number of independent runs (default 1; at most 10000000)"),
     ("attack", "k * n at most 134217728"),
