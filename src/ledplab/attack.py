@@ -98,6 +98,14 @@ __all__ = [
 
 DEFAULT_GAMMA = 1.0 / 9.0
 
+# Queries per float64 product in the identity batch path.
+IDENTITY_BLOCK = 1 << 16
+
+# Signs unpacked per raw draw, a whole number of 64-bit words. The 64 KiB
+# temporaries stay on the heap: freeing a larger mapped one raises the
+# allocator's mmap threshold, which added ~1.5 MB to an attack's peak RSS.
+SIGN_CHUNK = 1 << 16
+
 
 def _as_bits(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.uint8)
@@ -453,11 +461,8 @@ class GrayBox:
     def _fresh_w_payloads(self, streams: Streams) -> list[np.ndarray]:
         """One payload per public vertex, covering its upper-triangle slice."""
         n, nv = self.n, 3 * self.n
-        payloads = []
-        for w in range(2 * n, nv):
-            gen = streams.child(w).generator()
-            payloads.append(self.family.release(np.zeros(nv - w - 1, dtype=np.uint8), gen))
-        return payloads
+        gen = streams.generator()
+        return [self.family.release(np.zeros(nv - w - 1, dtype=np.uint8), gen) for w in range(2 * n, nv)]
 
     def _assemble(self, sel: np.ndarray, w_payloads: list[np.ndarray]) -> np.ndarray:
         """Symmetric released-bit matrix from stored and fresh payloads."""
@@ -522,9 +527,14 @@ class GrayBox:
             # Identity releases make every selected released bit exact, so
             # the split recombines to a^T R b with R the stored block;
             # public-vertex "noise" is vacuous for the identity family.
-            answers = ((a_signs @ self._stored_secret_block()) * b_signs).sum(axis=1)
+            # float64 BLAS is exact: every partial sum is an integer of size <= n^2
+            r = self._stored_secret_block()
+            answers = np.empty(k)
+            for lo in range(0, k, IDENTITY_BLOCK):
+                a, b = a_signs[lo : lo + IDENTITY_BLOCK], b_signs[lo : lo + IDENTITY_BLOCK]
+                np.einsum("li,li->l", a.astype(np.float64) @ r, b, out=answers[lo : lo + len(a)])
             self._record_bulk_public_rounds(3 * k, None)
-            return answers.astype(np.float64)
+            return answers
         if self._form is None:
             raise ValueError("no batched path for this family/postprocessor pair")
         slot_answers = self._noisy_slot_answers(a_signs, b_signs, streams, block)
@@ -532,7 +542,7 @@ class GrayBox:
 
     def _stored_secret_block(self) -> np.ndarray:
         """Released row-column block bits, read from the stored payloads."""
-        return self.r0[: self.n, self.n : 2 * self.n].astype(np.int64)
+        return self.r0[: self.n, self.n : 2 * self.n].astype(np.float64)
 
     def _noisy_slot_answers(self, a_signs, b_signs, streams, block) -> np.ndarray:
         n = self.n
@@ -601,13 +611,27 @@ def catch_threshold(k: int, gamma: float) -> float:
 
 
 def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np.ndarray]:
-    """k independent uniform sign-vector pairs, as (k, n) int8 arrays."""
+    """k independent uniform sign-vector pairs, as (k, n) int8 arrays.
+
+    Each array unpacks ceil(k n / 64) raw 64-bit words of the stream of
+    `streams`, a's words first, then b's; bit j, least significant first,
+    is the sign 1 - 2 bit of entry j in row-major order.
+    """
     if k < 1:
         raise ValueError(f"need at least one query, got k={k}")
-    gen = streams.generator()
-    a = gen.choice((-1, 1), size=(k, n)).astype(np.int8)
-    b = gen.choice((-1, 1), size=(k, n)).astype(np.int8)
-    return a, b
+    bit_gen = streams.generator().bit_generator
+
+    def signs():
+        out = np.empty(k * n, dtype=np.int8)
+        for lo in range(0, k * n, SIGN_CHUNK):
+            hi = min(lo + SIGN_CHUNK, k * n)
+            words = bit_gen.random_raw(-(-(hi - lo) // 64)).astype("<u8", copy=False)
+            out[lo:hi] = np.unpackbits(words.view(np.uint8), count=hi - lo, bitorder="little")
+        out *= -2
+        out += 1
+        return out.reshape(k, n)
+
+    return signs(), signs()
 
 
 def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
@@ -711,7 +735,8 @@ def _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed):
 
 def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
     k, n = a_signs.shape
-    corr = np.einsum("l,li,lj->ij", answers, a_signs.astype(np.float64), b_signs.astype(np.float64)) / k
+    # a non-BLAS einsum: the sum order stays fixed, so corr near 0.5 cannot flip
+    corr = np.einsum("li,lj->ij", answers[:, None] * a_signs, b_signs.astype(np.float64)) / k
     return (corr > 0.5).astype(np.uint8)
 
 

@@ -34,6 +34,7 @@ from ledplab.ledp import (
     Transcript,
     assemble_upper,
     flip_probability,
+    randomized_rows,
     run_noninteractive,
 )
 from ledplab.rng import Streams
@@ -156,10 +157,11 @@ def estimate_triangles(
 def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
     """Monte Carlo estimates for `trials` independent protocol runs.
 
-    Each trial draws from its own stream (child of `streams` by trial
-    index), so results are identical however trials are scheduled. This
-    bulk path skips transcripts; use estimate_triangles for a fully
-    recorded single run.
+    All trials draw from the one stream of `streams`, trial t from its
+    words [t C(n,2), (t + 1) C(n,2)) through its own generator (stream
+    layout 2, `ledplab.rng`), so results are identical however trials are
+    scheduled. This bulk path skips transcripts; use estimate_triangles for
+    a fully recorded single run.
     """
     return sample_estimates_range(g, epsilon, 0, trials, streams)
 
@@ -171,21 +173,21 @@ def sample_estimates_range(
     ranges and concatenating reproduces the full run bit for bit. Batches are
     gathered through a pair-index map, at most BLOCK_BYTES at count_dtype(n)."""
     _check_epsilon(epsilon)
+    if not 0 <= start <= stop:
+        raise ValueError(f"trial range [{start}, {stop}) needs 0 <= start <= stop")
     n = g.n
     iu = np.triu_indices(n, k=1)
     k = len(iu[0])
     true_bits = g.adjacency[iu]
     pair_index = np.full((n, n), k)  # the diagonal reads column k, left 0
     pair_index[iu] = pair_index[iu[::-1]] = np.arange(k)
-    p_flip = flip_probability(epsilon)
     block = max(1, BLOCK_BYTES // (np.dtype(count_dtype(n)).itemsize * n * n))
     out = np.empty(stop - start, dtype=np.float64)
     for lo_t in range(start, stop, block):
         hi_t = min(lo_t + block, stop)
         bits = np.zeros((hi_t - lo_t, k + 1), dtype=np.uint8)
-        for t in range(lo_t, hi_t):
-            gen = streams.child(t).generator()
-            bits[t - lo_t, :k] = true_bits ^ (gen.random(k) < p_flip)
+        gens = (streams.generator(t * k) for t in range(lo_t, hi_t))
+        randomized_rows(true_bits, epsilon, gens, bits[:, :k])
         released = np.take(bits, pair_index, axis=1)
         out[lo_t - start : hi_t - start] = released_estimates(released, epsilon)
     return out

@@ -13,7 +13,7 @@ import numpy as np
 
 from ledplab.estimator import estimate_triangles, rescaled_atoms, sample_estimates
 from ledplab.graphs import Graph, VertexPartition, graph_stats
-from ledplab.ledp import flip_probability
+from ledplab.ledp import randomized_rows
 from ledplab.rng import Streams
 
 __all__ = [
@@ -71,27 +71,20 @@ def triangles_to_sum(t_hat: float, n: int) -> float:
 def ldp_sum_baseline(x, epsilon: float, streams: Streams) -> float:
     """Unbiased local-model sum estimate: randomize each party's bit,
     debias, add. Variance is n * e^eps/(e^eps - 1)^2."""
-    x = _as_bit_vector(x)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    p_flip = flip_probability(epsilon)
-    lo, hi = rescaled_atoms(epsilon)
-    gen = streams.generator()
-    noisy = x ^ (gen.random(len(x)) < p_flip)
-    return float(np.where(noisy, hi, lo).sum())
+    return float(sample_sum_baseline(x, epsilon, 1, streams)[0])
 
 
 def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
-    """Baseline estimates over independent trials (one stream per trial)."""
+    """Baseline estimates over independent trials, trial t from words
+    [t n, (t + 1) n) of the one stream of `streams` through its own
+    generator (stream layout 2, `ledplab.rng`); the released bits take
+    trials * n bytes."""
     x = _as_bit_vector(x)
-    p_flip = flip_probability(epsilon)
+    n = len(x)
     lo, hi = rescaled_atoms(epsilon)
-    out = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        gen = streams.child(t).generator()
-        noisy = x ^ (gen.random(len(x)) < p_flip)
-        out[t] = np.where(noisy, hi, lo).sum()
-    return out
+    gens = (streams.generator(t * n) for t in range(trials))
+    ones = randomized_rows(x, epsilon, gens, np.empty((trials, n), np.uint8)).sum(axis=1)
+    return ones * hi + (n - ones) * lo
 
 
 def end_to_end_sum_via_triangles(x, epsilon: float, streams: Streams) -> float:

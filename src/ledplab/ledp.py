@@ -31,6 +31,7 @@ __all__ = [
     "IdentityRelease",
     "flip_probability",
     "randomized_response",
+    "randomized_rows",
     "run_noninteractive",
     "compose_ledger",
     "assemble_upper",
@@ -71,10 +72,32 @@ def flip_probability(epsilon: float) -> float:
 
 def randomized_response(bits: np.ndarray, epsilon: float, gen: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with probability 1/(e^eps + 1)."""
-    p_flip = flip_probability(epsilon)
     bits = np.asarray(bits, dtype=np.uint8)
-    flips = (gen.random(bits.shape) < p_flip).astype(np.uint8)
-    return bits ^ flips
+    out = np.empty((1, bits.size), dtype=np.uint8)
+    return randomized_rows(bits.ravel(), epsilon, [gen], out).reshape(bits.shape)
+
+
+# Bytes of the double buffer randomized_rows draws through.
+DRAW_BYTES = 1 << 20
+
+
+def randomized_rows(bits: np.ndarray, epsilon: float, gens, out: np.ndarray) -> np.ndarray:
+    """Fill the (rows, len(bits)) uint8 array out with randomized-response
+    copies of bits, row r flipped by the next len(bits) doubles of the r-th
+    generator of gens, drawn through one reused buffer of at most
+    DRAW_BYTES (or one row, if longer)."""
+    p_flip = flip_probability(epsilon)
+    gens = iter(gens)
+    rows, width = out.shape
+    step = max(1, DRAW_BYTES // (8 * max(width, 1)))
+    draw = np.empty((min(step, rows), width))
+    for lo in range(0, rows, step):
+        chunk = draw[: min(step, rows - lo)]
+        for row, gen in zip(chunk, gens):
+            gen.random(out=row)
+        np.less(chunk, p_flip, out=out[lo : lo + len(chunk)])
+    out ^= bits
+    return out
 
 
 class RandomizedResponse:

@@ -8,6 +8,7 @@ import pytest
 from ledplab.attack import (
     GrayBox,
     _as_signs,
+    _correlation_start,
     OuterProductQuery,
     SubmatrixQuery,
     accuracy_threshold,
@@ -401,13 +402,22 @@ def test_sample_queries_distribution_and_determinism():
     assert np.all(np.abs(b1.mean(axis=0)) < 0.02)
 
 
-def test_sample_query_signs_are_int8_with_unchanged_draws():
-    n, k = 5, 3000
+def test_sample_query_signs_are_int8_with_unchanged_draws(monkeypatch):
+    import ledplab.attack as attack
+
+    n, k = 5, 3001  # k n = 15005 bits, not a whole number of words
     a, b = sample_query_signs(n, k, Streams(234))
+    monkeypatch.setattr(attack, "SIGN_CHUNK", 128)  # 118 draws an array, the last partial
+    a2, b2 = sample_query_signs(n, k, Streams(234))
+    assert np.array_equal(a, a2) and np.array_equal(b, b2)
     assert a.dtype == np.int8 and b.dtype == np.int8
-    gen = Streams(234).generator()  # the same draws, widened as they used to be
-    assert np.array_equal(a, gen.choice((-1, 1), size=(k, n)).astype(np.int64))
-    assert np.array_equal(b, gen.choice((-1, 1), size=(k, n)).astype(np.int64))
+    # oracle: bit j of raw word j // 64, least significant first; a's
+    # ceil(k n / 64) words, then b's; bit 1 is the sign -1
+    words = -(-k * n // 64)
+    raw = Streams(234).generator().bit_generator.random_raw(2 * words)
+    for signs, chunk in ((a, raw[:words]), (b, raw[words:])):
+        bits = [(int(w) >> s) & 1 for w in chunk for s in range(64)][: k * n]
+        assert np.array_equal(signs, 1 - 2 * np.array(bits).reshape(k, n))
     # int8 signs pass validation without a copy
     assert _as_signs(a) is a
 
@@ -432,6 +442,18 @@ def test_invalid_signs_rejected_before_narrowing(bad):
 def test_default_query_count():
     assert default_query_count(8, 1.0 / 9.0) == math.ceil(128 * 64 * 81)
     assert default_query_count(3, 1.0 / 9.0) == 93312
+
+
+def test_correlation_start_matches_three_operand_einsum():
+    gen = Streams(239).generator()
+    for k, n in ((1000, 3), (5000, 16), (41472, 8)):
+        box = GrayBox.prepare(random_bits(n, gen), *mechanism_components("rr", 0.5), Streams(240).child(n))
+        a, b = sample_query_signs(n, k, Streams(241).child(k))
+        answers = box.answer_outer_batch(a, b, Streams(242).child(k))
+        three = np.einsum("l,li,lj->ij", answers, a.astype(np.float64), b.astype(np.float64))
+        two = np.einsum("li,lj->ij", answers[:, None] * a, b.astype(np.float64))
+        assert np.array_equal(two, three)
+        assert np.array_equal(_correlation_start(answers, a, b), (three / k > 0.5).astype(np.uint8))
 
 
 def test_catches_zero_difference_never():

@@ -51,16 +51,16 @@ def expectation_by_direct_enumeration(g, epsilon):
 
 def estimates_by_scatter(g, epsilon, start, stop, streams):
     """Test-local oracle: the scatter-plus-float64 batch builder that the
-    pair-index gather replaced, with its float64 counts, in one block."""
+    pair-index gather replaced, with its float64 counts, in one block.
+    Trial t flips on the slice [t k, (t + 1) k) of one long draw."""
     n = g.n
     iu = np.triu_indices(n, k=1)
     true_bits = g.adjacency[iu].astype(np.uint8)
+    k = len(true_bits)
     p_flip = flip_probability(epsilon)
     b = stop - start
-    flips = np.empty((b, len(true_bits)), dtype=bool)
-    for t in range(start, stop):
-        gen = streams.child(t).generator()
-        flips[t - start] = gen.random(len(true_bits)) < p_flip
+    long_draw = streams.generator().random(stop * k)
+    flips = long_draw[start * k :].reshape(b, k) < p_flip
     noisy = np.zeros((b, n, n), dtype=np.float64)
     noisy[:, iu[0], iu[1]] = true_bits[None, :] ^ flips
     noisy += noisy.transpose(0, 2, 1)
@@ -218,12 +218,21 @@ def test_sample_estimates_range_split_matches_full_run():
     assert np.array_equal(split, full)
 
 
+@pytest.mark.parametrize("start, stop", [(-3, 5), (5, 2)])
+def test_sample_estimates_range_rejects_bad_ranges(start, stop):
+    with pytest.raises(ValueError, match=rf"\[{start}, {stop}\)"):
+        sample_estimates_range(complete_graph(4), 1.0, start, stop, Streams(10))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 64, 130])
 def test_gathered_batches_match_scatter_builder(n, monkeypatch):
     import ledplab.estimator as estimator
+    import ledplab.ledp as ledp
 
-    # three trials a block, so every range below spans several blocks
+    # three trials a block, so every range below spans several blocks, and
+    # two trials a draw chunk, so every block spans two chunks
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 3 * 4 * n * n)
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * 8 * n * (n - 1) // 2)
     g = erdos_renyi(n, 0.5, Streams(13).child("gather", n).generator())
     streams = Streams(14).child("gather")
     for eps in (0.05, 1.0, 3.0):

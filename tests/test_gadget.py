@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from ledplab.estimator import edge_noise_variance, exact_variance
+from ledplab.estimator import edge_noise_variance, exact_variance, rescaled_atoms
 from ledplab.gadget import (
     build_sum_gadget,
     end_to_end_sum_via_triangles,
@@ -16,6 +16,7 @@ from ledplab.gadget import (
     triangles_to_sum,
 )
 from ledplab.graphs import count_triangles
+from ledplab.ledp import flip_probability
 from ledplab.rng import Streams
 
 
@@ -143,6 +144,24 @@ def test_baseline_single_run_and_validation():
         ldp_sum_baseline(x, 0.0, Streams(46))
     with pytest.raises(ValueError):
         ldp_sum_baseline(np.array([0, 2]), 1.0, Streams(46))
+
+
+def test_sample_sum_baseline_trials_are_stream_slices(monkeypatch):
+    import ledplab.ledp as ledp
+
+    n, eps, trials = 7, 0.8, 25
+    x = (Streams(48).child("x").generator().random(n) < 0.5).astype(np.uint8)
+    streams = Streams(48).child("mc")
+    full = sample_sum_baseline(x, eps, trials, streams)
+    assert full[0] == ldp_sum_baseline(x, eps, streams)
+    # trial t reads words [t n, (t + 1) n) of one stream
+    long_draw = streams.generator().random(trials * n).reshape(trials, n)
+    lo, hi = rescaled_atoms(eps)
+    ones = (x ^ (long_draw < flip_probability(eps))).sum(axis=1)
+    assert np.array_equal(full, ones * hi + (n - ones) * lo)
+    # drawn 2 rows at a time, the chunks concatenate bit for bit
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * 8 * n)
+    assert np.array_equal(sample_sum_baseline(x, eps, trials, streams), full)
 
 
 def test_end_to_end_sum_unbiased():
