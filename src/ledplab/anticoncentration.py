@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ledplab.attack import sample_query_signs
 from ledplab.rng import Streams
 
 __all__ = [
@@ -101,12 +102,12 @@ def tail_probability_exhaustive(m: DiffMatrix, threshold: float) -> Fraction:
 def tail_probability_mc(
     m: DiffMatrix, threshold: float, samples: int, streams: Streams
 ) -> tuple[float, float]:
-    """Monte Carlo Pr[|U| > threshold] with its standard error."""
+    """Monte Carlo Pr[|U| > threshold] with its standard error. The sign
+    pairs are sample_query_signs(n, samples, streams): int8 signs unpacked
+    from the raw words of one stream."""
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
-    gen = streams.generator()
-    a = gen.choice((-1, 1), size=(samples, m.n))
-    b = gen.choice((-1, 1), size=(samples, m.n))
+    a, b = sample_query_signs(m.n, samples, streams)
     u = np.einsum("si,si->s", a @ m.entries, b)
     p_hat = float(np.mean(np.abs(u) > threshold))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)

@@ -68,6 +68,7 @@ from ledplab.ledp import (
     Transcript,
     compose_ledger,
     flip_probability,
+    release_runs,
 )
 from ledplab.rng import Streams
 
@@ -100,6 +101,14 @@ DEFAULT_GAMMA = 1.0 / 9.0
 
 # Queries per float64 product in the identity batch path.
 IDENTITY_BLOCK = 1 << 16
+
+# Randomized-response slots answered per block, one reused workspace. A
+# multiple of 8, so each full block packs its public bits into whole bytes
+# and the recorded payload does not depend on the block size.
+SLOT_BLOCK = 8192
+
+# Hill-climb starts: the correlation start, then one uniform random dataset.
+RESTARTS = 2
 
 # Signs unpacked per raw draw, a whole number of 64-bit words. The 64 KiB
 # temporaries stay on the heap: freeing a larger mapped one raises the
@@ -423,33 +432,22 @@ class GrayBox:
 
     @classmethod
     def prepare(cls, x, family, post, streams: Streams) -> "GrayBox":
+        """Run each secret vertex's randomizer once per round, round 0 on
+        the bare secret graph and round 1 with the public block attached,
+        all 4n payloads drawn in round then vertex order from the one
+        stream of `streams`."""
         x = _as_bits(x)
-        n = x.shape[0]
-        nv = 3 * n
-        rows0, rows1 = secret_input_rows(x)
-        r0 = np.zeros((2 * n, nv), dtype=np.uint8)
-        r1 = np.zeros((2 * n, nv), dtype=np.uint8)
+        gen = streams.generator()
         transcript = Transcript()
-        for tag, rows, store in ((0, rows0, r0), (1, rows1, r1)):
-            outputs = []
-            for v in range(2 * n):
-                gen = streams.child("prepare", tag, v).generator()
-                payload = family.release(rows[v, v + 1 :], gen)
-                store[v, v + 1 :] = payload
-                outputs.append(
-                    RandomizerOutput(
-                        vertex=v,
-                        randomizer=family.name,
-                        params=family.params,
-                        payload=payload,
-                        covered=tuple((v, j) for j in range(v + 1, nv)),
-                    )
-                )
+        stored = []
+        for rows in secret_input_rows(x):
+            outputs, released = release_runs(family, rows, gen)
             transcript.append_round(outputs)
+            stored.append(released)
         # every secret pair is covered once per round
         charge = transcript.ledger()
         assert charge == compose_ledger([family.params, family.params]), charge
-        return cls(n, family, post, r0, r1, transcript, charge)
+        return cls(x.shape[0], family, post, *stored, transcript, charge)
 
     # -- single-query paths (fully recorded) ---------------------------
 
@@ -457,12 +455,6 @@ class GrayBox:
         if len(q.q1) != self.n:
             raise ValueError(f"query length {len(q.q1)} does not match prepared n={self.n}")
         return np.concatenate([q.q1, q.q2]).astype(np.uint8)
-
-    def _fresh_w_payloads(self, streams: Streams) -> list[np.ndarray]:
-        """One payload per public vertex, covering its upper-triangle slice."""
-        n, nv = self.n, 3 * self.n
-        gen = streams.generator()
-        return [self.family.release(np.zeros(nv - w - 1, dtype=np.uint8), gen) for w in range(2 * n, nv)]
 
     def _assemble(self, sel: np.ndarray, w_payloads: list[np.ndarray]) -> np.ndarray:
         """Symmetric released-bit matrix from stored and fresh payloads."""
@@ -479,21 +471,14 @@ class GrayBox:
         """Answer one bit-vector query: simulate the mechanism on the query
         graph using stored secret-vertex outputs, divide by n."""
         sel = self._selection_bits(q)
-        w_payloads = self._fresh_w_payloads(streams)
-        outputs = [
-            RandomizerOutput(
-                vertex=2 * self.n + idx,
-                randomizer=self.family.name,
-                params=self.family.params,
-                payload=p,
-                covered=tuple((2 * self.n + idx, j) for j in range(2 * self.n + idx + 1, 3 * self.n)),
-                public=True,
-            )
-            for idx, p in enumerate(w_payloads)
-        ]
+        n = self.n
+        # each public vertex releases its run of zeros, drawn in vertex order from one stream
+        outputs, _ = release_runs(
+            self.family, np.zeros((n, 3 * n), dtype=np.uint8), streams.generator(), first=2 * n, public=True
+        )
         self.transcript.append_round(outputs)
-        released = self._assemble(sel, w_payloads)
-        return self.post(released) / self.n
+        released = self._assemble(sel, [out.payload for out in outputs])
+        return self.post(released) / n
 
     def answer_outer(self, q: OuterProductQuery, streams: Streams) -> float:
         """Answer one sign-vector query through its three-part split."""
@@ -506,17 +491,16 @@ class GrayBox:
 
     # -- batched path ---------------------------------------------------
 
-    def answer_outer_batch(
-        self, a_signs: np.ndarray, b_signs: np.ndarray, streams: Streams, block: int = 8192
-    ) -> np.ndarray:
+    def answer_outer_batch(self, a_signs: np.ndarray, b_signs: np.ndarray, streams: Streams) -> np.ndarray:
         """Answers to k sign-vector queries, vectorized.
 
         Equivalent to answer_outer per query. Slot 3l + t is part t of
-        query l's three-part split; public-vertex noise is drawn per
-        fixed-size block of the 3k slots (one stream per block), and each
-        slot's estimate is mixed from its graph's exact integer counts, in
-        one workspace reused by every block. Deterministic for a given
-        stream node regardless of scheduling.
+        query l's three-part split. Slot j's public-pair bits come from the
+        words [j P, (j + 1) P) of the one stream of `streams`, P = n(n-1)/2
+        (stream layout 3, `ledplab.rng`), and each slot's estimate is mixed
+        from its graph's exact integer counts. Slots are answered SLOT_BLOCK
+        at a time in one reused workspace; the answers and the recorded
+        public payload do not depend on the block size.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
@@ -537,24 +521,26 @@ class GrayBox:
             return answers
         if self._form is None:
             raise ValueError("no batched path for this family/postprocessor pair")
-        slot_answers = self._noisy_slot_answers(a_signs, b_signs, streams, block)
+        slot_answers = self._noisy_slot_answers(a_signs, b_signs, streams)
         return 2.0 * (slot_answers[0::3] + slot_answers[1::3]) - slot_answers[2::3]
 
     def _stored_secret_block(self) -> np.ndarray:
         """Released row-column block bits, read from the stored payloads."""
         return self.r0[: self.n, self.n : 2 * self.n].astype(np.float64)
 
-    def _noisy_slot_answers(self, a_signs, b_signs, streams, block) -> np.ndarray:
-        n = self.n
+    def _noisy_slot_answers(self, a_signs, b_signs, streams) -> np.ndarray:
+        n, block = self.n, SLOT_BLOCK
+        assert block % 8 == 0, f"SLOT_BLOCK must be a multiple of 8, got {block}"
+        pairs = n * (n - 1) // 2
         p_flip = flip_probability(self.family.epsilon)
         total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
         ws = self._form.workspace(min(block, total))
         w_bit_blocks = []
-        for b, start in enumerate(range(0, total, block)):
+        for start in range(0, total, block):
             rows = min(block, total - start)
             draw, w_bits, sw = ws["draw"][:rows], ws["bits"][:rows], ws["sw"][:, :rows]
-            streams.child("wnoise", b).generator().random(out=draw)
+            streams.generator(start * pairs).random(out=draw)
             np.less(draw, p_flip, out=w_bits)
             w_bit_blocks.append(np.packbits(w_bits, axis=None))
             sw[2 * n :] = w_bits.T
@@ -586,7 +572,6 @@ class GrayBox:
                     randomizer=self.family.name,
                     params=self.family.params,
                     payload=payload,
-                    covered=(),
                     public=True,
                     count=slot_count * self.n,
                 )
@@ -804,7 +789,6 @@ def attacker_reconstruct(
     n: int,
     gamma: float = DEFAULT_GAMMA,
     search: str = "auto",
-    restarts: int = 2,
     max_sweeps: Optional[int] = None,
     streams: Optional[Streams] = None,
     x_true=None,
@@ -835,7 +819,7 @@ def attacker_reconstruct(
         min_improvement = max(1, k // 20000)
         best_y, best_count = _hillclimb_search(
             answers, a_signs, b_signs, n, tau, allowed,
-            streams, restarts, sweeps, min_improvement,
+            streams, RESTARTS, sweeps, min_improvement,
         )
     else:
         raise ValueError(f"unknown search {search!r}")
@@ -873,7 +857,6 @@ def run_attack(
     gamma: float = DEFAULT_GAMMA,
     k: Optional[int] = None,
     search: str = "auto",
-    restarts: int = 2,
     max_sweeps: Optional[int] = None,
 ) -> AttackReport:
     """Full pipeline: prepare the gray box on x, answer k random queries,
@@ -893,7 +876,6 @@ def run_attack(
         n,
         gamma=gamma,
         search=search,
-        restarts=restarts,
         max_sweeps=max_sweeps,
         streams=streams.child("search"),
         x_true=x,

@@ -158,9 +158,16 @@ def _help(opt: Opt) -> str:
     return f"{opt.help} ({'; '.join(notes)})" if notes else opt.help
 
 
+def _convert(value, kind):
+    # a JSON true is not 1, and a JSON 2.9 is not the int 2
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        raise TypeError(value)
+    return kind(value)
+
+
 def _number(field: str, value, kind):
     try:
-        return kind(value)
+        return _convert(value, kind)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{field}: expected {kind.__name__}, got {value!r}")
 
@@ -175,7 +182,7 @@ def _number_list(field: str, value, kind) -> list:
     if not parts:
         raise UsageError(f"{field}: expected at least one entry, got {value!r}")
     try:
-        return [kind(p) for p in parts]
+        return [_convert(p, kind) for p in parts]
     except (TypeError, ValueError, OverflowError):
         noun = "integers" if kind is int else "numbers"
         raise UsageError(f"{field}: entries must be {noun}, got {value!r}")
@@ -220,6 +227,8 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config: file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config: invalid JSON in {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config: cannot read {path} as UTF-8 text: {exc}")
     if not isinstance(loaded, dict):
         raise UsageError("config: top level must be an object")
     return loaded
@@ -273,6 +282,8 @@ def run_estimate(cfg, given):
         g = load_graph(cfg["graph"], SIZE_MAX)
     except FileNotFoundError:
         raise UsageError(f"graph: file not found: {cfg['graph']}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"graph: cannot read {cfg['graph']} as ASCII text: {exc}")
     except GraphFormatError as exc:
         raise UsageError(f"graph: {exc}")
     epsilon, trials, seed = cfg["eps"], cfg["trials"], cfg["seed"]
@@ -293,9 +304,10 @@ def run_estimate(cfg, given):
         payload["t_exact"] = int(graph_stats(g.adjacency)[2])
         payload["mean_error"] = payload["mean"] - payload["t_exact"]
     if cfg["transcript"]:
-        single, transcript = estimate_triangles(g, epsilon, Streams(seed).child("single"))
+        # the recorded run is trial 0 of the run above, so its T_hat is estimates[0]
+        single_t_hat, transcript = estimate_triangles(g, epsilon, Streams(seed).child("trials"))
         payload["transcript"] = transcript.dump()
-        payload["single_run_t_hat"] = single.t_hat
+        payload["single_run_t_hat"] = single_t_hat
     rows = None
     if cfg["format"] == "csv":
         rows = [{"trial": t, "t_hat": v} for t, v in enumerate(payload["estimates"])]

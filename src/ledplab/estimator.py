@@ -14,9 +14,7 @@ closed-form variance is checked against a full flip-pattern enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -29,18 +27,10 @@ from ledplab.graphs import (
     erdos_renyi,
     graph_stats,
 )
-from ledplab.ledp import (
-    RandomizedResponse,
-    Transcript,
-    assemble_upper,
-    flip_probability,
-    randomized_rows,
-    run_noninteractive,
-)
+from ledplab.ledp import RandomizedResponse, Transcript, flip_probability, randomized_rows, release_runs
 from ledplab.rng import Streams
 
 __all__ = [
-    "TriangleEstimate",
     "rescale",
     "rescaled_atoms",
     "edge_noise_variance",
@@ -65,19 +55,6 @@ ENUMERATION_MAX_PAIRS = 24
 
 # Bytes of one (trials, n, n) count_dtype(n) batch in sample_estimates_range.
 BLOCK_BYTES = 32 << 20
-
-
-@dataclass(frozen=True)
-class TriangleEstimate:
-    t_hat: float
-    epsilon: float
-    n: int
-    seed: int
-    exact_t: Optional[int] = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.t_hat):
-            raise ValueError(f"estimate must be finite, got {self.t_hat}")
 
 
 def rescale(x: float, epsilon: float) -> float:
@@ -127,31 +104,19 @@ def released_estimates(released: np.ndarray, epsilon: float):
     return triangle_mix(*graph_stats(released), released.shape[-1], epsilon)
 
 
-def estimate_triangles(
-    g: Graph, epsilon: float, streams: Streams, with_exact: bool = False
-) -> tuple[TriangleEstimate, Transcript]:
-    """Run the one-round protocol on g and return the estimate.
+def estimate_triangles(g: Graph, epsilon: float, streams: Streams) -> tuple[float, Transcript]:
+    """Trial 0 of sample_estimates on the same node, bit for bit, recorded.
 
-    Each vertex releases its upper-triangle adjacency bits through
-    randomized response; the postprocessor sums the rescaled triple
-    products from the released graph's counts.
+    Vertex v releases its run of the trial's triu-ordered bits, the pairs
+    (v, j > v), through randomized response; the postprocessor sums the
+    rescaled triple products from the released graph's counts. Returns
+    (T_hat, the one-round Transcript).
     """
     _check_epsilon(epsilon)
-
-    def post(released):
-        return float(released_estimates(assemble_upper(released, g.n), epsilon))
-
-    t_hat, transcript = run_noninteractive(
-        g, RandomizedResponse(epsilon), post, streams, mode="upper"
-    )
-    estimate = TriangleEstimate(
-        t_hat=t_hat,
-        epsilon=epsilon,
-        n=g.n,
-        seed=streams.seed,
-        exact_t=int(graph_stats(g.adjacency)[2]) if with_exact else None,
-    )
-    return estimate, transcript
+    outputs, released = release_runs(RandomizedResponse(epsilon), g.adjacency, streams.generator())
+    transcript = Transcript()
+    transcript.append_round(outputs)
+    return float(released_estimates(released | released.T, epsilon)), transcript
 
 
 def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
@@ -159,9 +124,9 @@ def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) ->
 
     All trials draw from the one stream of `streams`, trial t from its
     words [t C(n,2), (t + 1) C(n,2)) through its own generator (stream
-    layout 2, `ledplab.rng`), so results are identical however trials are
-    scheduled. This bulk path skips transcripts; use estimate_triangles for
-    a fully recorded single run.
+    layout 3, `ledplab.rng`), so results are identical however trials are
+    scheduled. This bulk path skips transcripts; estimate_triangles records
+    trial 0.
     """
     return sample_estimates_range(g, epsilon, 0, trials, streams)
 

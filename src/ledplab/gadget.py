@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ledplab.estimator import estimate_triangles, rescaled_atoms, sample_estimates
+from ledplab.estimator import rescaled_atoms, sample_estimates
 from ledplab.graphs import Graph, VertexPartition, graph_stats
 from ledplab.ledp import randomized_rows
 from ledplab.rng import Streams
@@ -77,7 +77,7 @@ def ldp_sum_baseline(x, epsilon: float, streams: Streams) -> float:
 def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
     """Baseline estimates over independent trials, trial t from words
     [t n, (t + 1) n) of the one stream of `streams` through its own
-    generator (stream layout 2, `ledplab.rng`); the released bits take
+    generator (stream layout 3, `ledplab.rng`); the released bits take
     trials * n bytes."""
     x = _as_bit_vector(x)
     n = len(x)
@@ -88,14 +88,9 @@ def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.
 
 
 def end_to_end_sum_via_triangles(x, epsilon: float, streams: Streams) -> float:
-    """Build the gadget, run the triangle estimator, divide by n."""
-    x = _as_bit_vector(x)
-    n = len(x)
-    g, _ = build_sum_gadget(x)
-    s = int(x.sum())
-    assert graph_stats(g.adjacency)[2] == s * n  # construction identity
-    estimate, _ = estimate_triangles(g, epsilon, streams)
-    return triangles_to_sum(estimate.t_hat, n)
+    """Build the gadget, run the triangle estimator, divide by n: trial 0
+    of sample_sum_via_triangles."""
+    return float(sample_sum_via_triangles(x, epsilon, 1, streams)[0])
 
 
 def sample_sum_via_triangles(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
@@ -104,7 +99,7 @@ def sample_sum_via_triangles(x, epsilon: float, trials: int, streams: Streams) -
     n = len(x)
     g, _ = build_sum_gadget(x)
     assert graph_stats(g.adjacency)[2] == int(x.sum()) * n
-    return sample_estimates(g, epsilon, trials, streams) / n
+    return triangles_to_sum(sample_estimates(g, epsilon, trials, streams), n)
 
 
 def fit_log_log_exponent(ns, errors) -> float:

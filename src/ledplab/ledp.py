@@ -5,10 +5,8 @@ Transcript records every released payload together with the privacy
 parameters charged, and a ledger derives per-bit and global (epsilon,
 delta) totals by plain composition arithmetic.
 
-Two invocation modes exist: "upper" releases only the bits for pairs
-(v, j) with j > v, so one round charges each potential edge once;
-"full" releases the whole adjacency row, charging shared bits at both
-endpoints.
+Vertex v releases only its run, the bits of pairs (v, j) for v < j < end,
+so one round of `release_runs` charges each potential edge once.
 """
 
 from __future__ import annotations
@@ -16,12 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from ledplab.graphs import Graph
-from ledplab.rng import Streams
 
 __all__ = [
     "PrivacyParams",
@@ -32,9 +27,8 @@ __all__ = [
     "flip_probability",
     "randomized_response",
     "randomized_rows",
-    "run_noninteractive",
+    "release_runs",
     "compose_ledger",
-    "assemble_upper",
 ]
 
 
@@ -133,8 +127,8 @@ class IdentityRelease:
 class RandomizerOutput:
     """One randomizer invocation: who released what, at what charge.
 
-    `covered` lists the unordered pairs whose input bits the released
-    payload depends on; the ledger charges this invocation against
+    The payload depends on the input bits of pairs (vertex, j) for
+    vertex < j < end, and the ledger charges this invocation against
     exactly those bits. `public` marks invocations whose inputs hold no
     secret data (their release is post-processing and charges nothing).
     `count` lets one record stand for a block of identical-shape
@@ -145,7 +139,7 @@ class RandomizerOutput:
     randomizer: str
     params: PrivacyParams
     payload: np.ndarray
-    covered: tuple = ()
+    end: int = 0
     public: bool = False
     count: int = 1
 
@@ -167,27 +161,22 @@ class Transcript:
         for rnd in self.rounds:
             yield from rnd
 
-    def per_bit_ledger(self) -> dict[tuple[int, int], PrivacyParams]:
-        totals: dict[tuple[int, int], list[float]] = {}
-        for out in self.invocations():
-            if out.public:
-                continue
-            for pair in out.covered:
-                key = (min(pair), max(pair))
-                acc = totals.setdefault(key, [0.0, 0.0])
-                acc[0] += out.params.epsilon
-                acc[1] += out.params.delta
-        return {k: PrivacyParams(v[0], v[1]) for k, v in totals.items()}
+    def per_bit_ledger(self) -> np.ndarray:
+        """Composition totals per bit, as a (2, N, N) array for N the largest
+        run end: [0, v, j] sums the epsilons and [1, v, j] the deltas of
+        the private invocations whose run holds pair (v, j), v < j, added
+        in invocation order. Entries of no run read 0."""
+        private = [out for out in self.invocations() if not out.public]
+        size = max((out.end for out in private), default=0)
+        totals = np.zeros((2, size, size))
+        for out in private:
+            totals[:, out.vertex, out.vertex + 1 : out.end] += [[out.params.epsilon], [out.params.delta]]
+        return totals
 
     def ledger(self) -> PrivacyParams:
         """Global charge: the worst per-bit composition total."""
-        per_bit = self.per_bit_ledger()
-        if not per_bit:
-            return PrivacyParams(0.0, 0.0)
-        return PrivacyParams(
-            max(p.epsilon for p in per_bit.values()),
-            max(p.delta for p in per_bit.values()),
-        )
+        eps, delta = self.per_bit_ledger()
+        return PrivacyParams(float(eps.max(initial=0.0)), float(delta.max(initial=0.0)))
 
     def dump(self) -> dict:
         """JSON-ready dump: one row per invocation plus the ledger summary."""
@@ -214,56 +203,16 @@ class Transcript:
         return json.dumps(self.dump(), sort_keys=True, separators=(",", ":"))
 
 
-def _row_bits(g: Graph, v: int, mode: str) -> np.ndarray:
-    if mode == "upper":
-        return g.adjacency[v, v + 1 :]
-    if mode == "full":
-        return g.adjacency[v]
-    raise ValueError(f"mode must be 'upper' or 'full', got {mode!r}")
-
-
-def _covered_pairs(n: int, v: int, mode: str) -> tuple:
-    if mode == "upper":
-        return tuple((v, j) for j in range(v + 1, n))
-    return tuple((v, j) for j in range(n) if j != v)
-
-
-def run_noninteractive(
-    g: Graph,
-    randomizer,
-    postprocess: Callable[[dict[int, np.ndarray]], object],
-    streams: Streams,
-    mode: str = "upper",
-):
-    """One round of per-vertex randomizer invocations, then postprocessing.
-
-    Every vertex's randomizer runs exactly once on that vertex's
-    adjacency bits (sliced per `mode`), in vertex order, each on its own
-    derived stream. Returns (postprocess result, one-round Transcript).
-    """
+def release_runs(randomizer, rows: np.ndarray, gen: np.random.Generator, first: int = 0, public: bool = False):
+    """One round in which vertex v = first + i releases its run of rows[i],
+    the bits of pairs (v, j) for v < j < rows.shape[1], all drawn from gen in
+    vertex order. Returns the round's outputs and a zero array the shape of
+    rows holding each released run in place."""
+    end = rows.shape[1]
+    released = np.zeros(rows.shape, dtype=np.uint8)
     outputs = []
-    released: dict[int, np.ndarray] = {}
-    for v in range(g.n):
-        gen = streams.child(v).generator()
-        payload = randomizer.release(_row_bits(g, v, mode), gen)
-        released[v] = payload
-        outputs.append(
-            RandomizerOutput(
-                vertex=v,
-                randomizer=randomizer.name,
-                params=randomizer.params,
-                payload=payload,
-                covered=_covered_pairs(g.n, v, mode),
-            )
-        )
-    transcript = Transcript()
-    transcript.append_round(outputs)
-    return postprocess(released), transcript
-
-
-def assemble_upper(released: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Rebuild the symmetric released-bit matrix from upper-triangle payloads."""
-    m = np.zeros((n, n), dtype=np.uint8)
-    for v, payload in released.items():
-        m[v, v + 1 :] = payload
-    return m | m.T
+    for v, row in enumerate(rows, start=first):
+        payload = randomizer.release(row[v + 1 :], gen)
+        released[v - first, v + 1 :] = payload
+        outputs.append(RandomizerOutput(v, randomizer.name, randomizer.params, payload, end, public))
+    return outputs, released

@@ -5,14 +5,19 @@ tree of named child streams. Two runs with the same seed and the same
 stream paths produce identical draws regardless of execution order or
 worker count.
 
-Stream layout 2 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
+Stream layout 3 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
 PCG64 stream, and trial t reads the fixed slice [t P, (t + 1) P) of its
 64-bit words, for P words a trial (a double or a raw word takes one
 word), through its own ``generator(skip=t * P)``. A trial's draws do not
 depend on which other trials run, so slicing a run into ranges reproduces
 it bit for bit. A node hashes its SeedSequence once, so deriving a
 generator costs about 2 us, not 20. Layout 1 gave each trial a child node
-of its own; its outputs differ from layout 2's.
+of its own. Layout 2 sliced Monte Carlo runs and query signs this way,
+but a gray box's prepared payloads, its blocks of public answer bits and
+the recorded estimator run still drew from child nodes of their own;
+layout 3 slices those too, and draws Monte Carlo tail signs as query
+signs, so rr attack outputs, recorded estimator runs and Monte Carlo tail
+rows differ from layout 2's.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ __all__ = ["Streams", "DEFAULT_SEED", "STREAM_LAYOUT"]
 DEFAULT_SEED = 20240601
 
 # Version of the mapping from (seed, path, trial) to draws; see the module docstring.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 def _step_to_int(step) -> int:

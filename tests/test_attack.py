@@ -198,6 +198,12 @@ def test_prepare_stores_two_outputs_per_secret_vertex():
     for tag, store in ((0, box.r0), (1, box.r1)):
         for inv in box.transcript.rounds[tag]:
             assert np.array_equal(store[inv.vertex, inv.vertex + 1 :], inv.payload)
+    # all 4n payloads flip their inputs by consecutive doubles of the
+    # node's one stream, round 0 then round 1, each in vertex order
+    inputs = np.concatenate([rows[v, v + 1 :] for rows in secret_input_rows(x) for v in range(2 * n)])
+    flips = Streams(208).generator().random(len(inputs)) < flip_probability(1.0)
+    payloads = np.concatenate([inv.payload for inv in box.transcript.invocations()])
+    assert np.array_equal(payloads, inputs ^ flips)
 
 
 def test_single_bit_changes_two_vertex_inputs():
@@ -287,27 +293,20 @@ def test_rr_batch_matches_single_query_postprocessing():
                 assert via_form[t] == direct
 
 
-def check_batch_against_direct_assembly(n, eps, k, block, seed):
+def check_batch_against_direct_assembly(n, eps, k, seed):
     """answer_outer_batch against per-slot assembly on the same public bits:
-    one ("wnoise", b) stream per block of slots, each drawing its bits as
-    gen.random((slots, n(n-1)/2)) < p_flip."""
+    slot j's bits are gen.random(n(n-1)/2) < p_flip on the words after
+    slot j - 1's, all from one generator of the answer node."""
     gen = Streams(seed).generator()
     x = random_bits(n, gen)
     box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(seed).child("prepare"))
     a_signs, b_signs = sample_query_signs(n, k, Streams(seed).child("queries"))
     streams = Streams(seed).child("answers")
-    answers = box.answer_outer_batch(a_signs, b_signs, streams, block=block)
-    p_flip = flip_probability(eps)
-    w_bits = np.concatenate([
-        streams.child("wnoise", b).generator().random((min(block, 3 * k - start), n * (n - 1) // 2)) < p_flip
-        for b, start in enumerate(range(0, 3 * k, block))
-    ])
+    answers = box.answer_outer_batch(a_signs, b_signs, streams)
+    w_bits = streams.generator().random((3 * k, n * (n - 1) // 2)) < flip_probability(eps)
     public = box.transcript.rounds[-1][0]
     assert public.count == 3 * k * n
-    assert np.array_equal(
-        public.payload,
-        np.concatenate([np.packbits(w_bits[s : s + block], axis=None) for s in range(0, 3 * k, block)]),
-    )
+    assert np.array_equal(public.payload, np.packbits(w_bits, axis=None))
     for q in range(k):
         q1, q2, q3, combine = split_outer_product(OuterProductQuery(a_signs[q], b_signs[q]))
         parts = [
@@ -318,17 +317,38 @@ def check_batch_against_direct_assembly(n, eps, k, block, seed):
     return box
 
 
-def test_rr_batch_blocks_match_direct_assembly():
+def test_rr_batch_blocks_match_direct_assembly(monkeypatch):
+    import ledplab.attack as attack
+
     # blocks of 8 slots split queries across block boundaries
+    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
     for n, eps in ((3, 0.05), (4, 0.8), (8, 2.0)):
-        check_batch_against_direct_assembly(n, eps, k=11, block=8, seed=260 + n)
+        check_batch_against_direct_assembly(n, eps, k=11, seed=260 + n)
 
 
 def test_rr_batch_large_n_matches_direct_assembly():
     # 3n = 255 vertices count in float32, 258 in float64
     for n, eps, k in ((11, 2.0, 6), (16, 2.0, 6), (85, 0.05, 2), (86, 0.05, 2)):
-        box = check_batch_against_direct_assembly(n, eps, k=k, block=8192, seed=264 + n)
+        box = check_batch_against_direct_assembly(n, eps, k=k, seed=264 + n)
         assert box._form.coef.dtype == count_dtype(3 * n)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_rr_batch_independent_of_slot_block(monkeypatch, n):
+    import ledplab.attack as attack
+
+    # 3k = 3003 slots: blocks of 8 and 24 end mid-query, and 8192 is one block
+    x = random_bits(n, Streams(266).child(n).generator())
+    a_signs, b_signs = sample_query_signs(n, 1001, Streams(267).child(n))
+    runs = []
+    for block in (8, 24, 8192):
+        monkeypatch.setattr(attack, "SLOT_BLOCK", block)
+        box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(268).child(n))
+        answers = box.answer_outer_batch(a_signs, b_signs, Streams(269).child(n))
+        runs.append((answers, box.transcript.rounds[-1][0].payload))
+    for answers, payload in runs[1:]:
+        assert answers.tobytes() == runs[0][0].tobytes()
+        assert np.array_equal(payload, runs[0][1])
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

@@ -207,6 +207,39 @@ def test_config_values_outside_the_number_types(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: ns: entries must be integers")
 
 
+@pytest.mark.parametrize("command, config, field", [
+    # once run as 2 trials, n = 1 and k = 50 with exit 0 while the config echoed the input
+    ("estimate", {"graph": "k4.txt", "eps": 1, "trials": 2.9}, "trials"),
+    ("attack", {"n": True, "mechanism": "identity"}, "n"),
+    ("attack", {"n": 4, "k": 50.9, "mechanism": "identity"}, "k"),
+    ("attack", {"n": 4, "k": 50.0, "mechanism": "identity"}, "k"),
+    ("attack", {"epsilon": True}, "epsilon"),
+    ("estimate", {"graph": "k4.txt", "eps": True}, "eps"),
+    ("variance-sweep", {"ns": [8, 12.5]}, "ns"),
+    ("sum-scaling", {"ns": [64, True]}, "ns"),
+    ("variance-sweep", {"eps_grid": [1, True]}, "eps_grid"),
+])
+def test_config_numbers_pass_the_flag_type_checks(workdir, capsys, command, config, field):
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(command, "--config", "cfg.json", "--output", "out.json") == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (workdir / "out.json").exists()
+
+
+def test_unreadable_input_files_are_usage_errors(workdir, capsys):
+    (workdir / "adir").mkdir()
+    (workdir / "latin.txt").write_bytes(b"3\n0 1 \xe9\n")
+    (workdir / "latin.json").write_bytes(b'{"eps": 1, "seed": "\xe9"}')
+    for argv, field in (
+        (["--graph", "adir", "--eps", "1"], "graph"),
+        (["--graph", "latin.txt", "--eps", "1"], "graph"),
+        (["--graph", "k4.txt", "--config", "adir"], "config"),
+        (["--graph", "k4.txt", "--config", "latin.json"], "config"),
+    ):
+        assert run_cli("estimate", *argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def test_gadget_rejects_negative_trials(workdir, capsys):
     assert run_cli("gadget", "--bits", "101", "--trials", "-3") == 2
     assert capsys.readouterr().err.startswith("error: trials: must be nonnegative")

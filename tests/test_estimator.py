@@ -25,7 +25,7 @@ from ledplab.graphs import (
     path_graph,
     star_graph,
 )
-from ledplab.ledp import flip_probability
+from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
 
 
@@ -123,20 +123,30 @@ def test_exact_expectation_routes_agree():
 
 
 def test_no_triples_gives_zero():
-    est, _ = estimate_triangles(path_graph(2), 1.0, Streams(1))
-    assert est.t_hat == 0.0
+    t_hat, _ = estimate_triangles(path_graph(2), 1.0, Streams(1))
+    assert t_hat == 0.0
 
 
 def test_estimate_deterministic_and_records_metadata():
     g = erdos_renyi(8, 0.5, Streams(2).generator())
-    e1, t1 = estimate_triangles(g, 1.0, Streams(42).child("run"), with_exact=True)
-    e2, t2 = estimate_triangles(g, 1.0, Streams(42).child("run"), with_exact=True)
+    e1, t1 = estimate_triangles(g, 1.0, Streams(42).child("run"))
+    e2, t2 = estimate_triangles(g, 1.0, Streams(42).child("run"))
     assert e1 == e2
-    assert e1.seed == 42
-    assert e1.n == 8
-    assert e1.exact_t == exact_expectation(g, 1.0)
     assert t1.round_count == 1
     assert t1.dumps() == t2.dumps()
+    outputs = list(t1.invocations())
+    assert [out.vertex for out in outputs] == list(range(8))
+    assert all(out.end == 8 and not out.public for out in outputs)
+    assert t1.ledger() == PrivacyParams(1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 80])
+def test_estimate_triangles_is_trial_zero_of_sample_estimates(n):
+    g = erdos_renyi(n, 0.5, Streams(5).child(n).generator())
+    node = Streams(6).child("trials", n)
+    t_hat, _ = estimate_triangles(g, 0.9, node)
+    bulk = sample_estimates(g, 0.9, 3, node)
+    assert np.float64(t_hat).tobytes() == bulk[0].tobytes()
 
 
 def test_released_values_rescale_to_atoms():

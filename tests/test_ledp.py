@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ledplab.graphs import complete_graph
+from ledplab.estimator import estimate_triangles
+from ledplab.graphs import complete_graph, erdos_renyi
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
     RandomizedResponse,
-    assemble_upper,
+    Transcript,
     compose_ledger,
     flip_probability,
     randomized_response,
-    run_noninteractive,
+    release_runs,
 )
 from ledplab.rng import Streams
 
@@ -85,65 +86,101 @@ def test_randomized_response_rejects_bad_epsilon():
 
 
 def test_run_noninteractive_released_bit_counts():
-    k3 = complete_graph(3)
-
-    def count_bits(released):
-        return sum(len(p) for p in released.values())
-
-    total, transcript = run_noninteractive(
-        k3, RandomizedResponse(1.0), count_bits, Streams(8), mode="upper"
-    )
-    assert total == 3  # vertex 0 releases 2 bits, vertex 1 one, vertex 2 none
+    # one round of the one-round protocol: vertex v releases its run (v, j > v)
+    t_hat, transcript = estimate_triangles(complete_graph(3), 1.0, Streams(8))
     assert transcript.round_count == 1
+    outputs = list(transcript.invocations())
+    assert [out.vertex for out in outputs] == [0, 1, 2]
+    assert [len(out.payload) for out in outputs] == [2, 1, 0]
+    assert [out.end for out in outputs] == [3, 3, 3]
 
-    total_full, _ = run_noninteractive(
-        k3, RandomizedResponse(1.0), count_bits, Streams(8), mode="full"
-    )
-    assert total_full == 9
+
+def reference_per_bit_ledger(transcript):
+    """The per-bit totals by a loop over each private output's pairs."""
+    totals = {}
+    for out in transcript.invocations():
+        if not out.public:
+            for j in range(out.vertex + 1, out.end):
+                acc = totals.setdefault((out.vertex, j), [0.0, 0.0])
+                acc[0] += out.params.epsilon
+                acc[1] += out.params.delta
+    return totals
 
 
 def test_run_noninteractive_ledger_totals():
-    k3 = complete_graph(3)
     eps = 0.7
-    _, t_upper = run_noninteractive(k3, RandomizedResponse(eps), lambda r: None, Streams(9))
-    assert t_upper.ledger() == PrivacyParams(eps, 0.0)
-    # full-row release charges each shared bit at both endpoints
-    _, t_full = run_noninteractive(
-        k3, RandomizedResponse(eps), lambda r: None, Streams(9), mode="full"
-    )
-    assert t_full.ledger().epsilon == pytest.approx(2 * eps)
+    _, t = estimate_triangles(complete_graph(3), eps, Streams(9))
+    assert t.ledger() == PrivacyParams(eps, 0.0)
+    per_bit = t.per_bit_ledger()
+    assert per_bit.shape == (2, 3, 3)
+    assert np.array_equal(per_bit[0], np.triu(np.full((3, 3), eps), k=1))
+    assert not per_bit[1].any()
+    # rounds of different charges and lengths, one public: each covered
+    # entry is its pair's sum, in invocation order, and the rest are 0
+    gen = Streams(9).child("rounds").generator()
+    rows = np.ones((6, 6), dtype=np.uint8)
+    t = Transcript()
+    for family, first, public in (
+        (RandomizedResponse(0.3), 0, False),
+        (RandomizedResponse(0.1), 2, False),
+        (RandomizedResponse(5.0), 3, True),
+    ):
+        t.append_round(release_runs(family, rows[first:], gen, first=first, public=public)[0])
+    t.append_round(release_runs(RandomizedResponse(0.2), rows[:4, :4], gen)[0])
+    per_bit = t.per_bit_ledger()
+    want = reference_per_bit_ledger(t)
+    for (v, j), (e, d) in want.items():
+        assert per_bit[0, v, j] == e and per_bit[1, v, j] == d
+    uncovered = np.ones((6, 6), dtype=bool)
+    uncovered[tuple(np.array(list(want)).T)] = False
+    assert not per_bit[:, uncovered].any()
+    assert t.ledger() == PrivacyParams(max(e for e, _ in want.values()), 0.0)
+    assert Transcript().ledger() == PrivacyParams(0.0, 0.0)
 
 
 def test_identity_release_infinite_charge():
-    k3 = complete_graph(3)
-    _, t = run_noninteractive(k3, IdentityRelease(), lambda r: None, Streams(10))
+    outputs, _ = release_runs(IdentityRelease(), complete_graph(3).adjacency, Streams(10).generator())
+    t = Transcript()
+    t.append_round(outputs)
     assert t.ledger().epsilon == math.inf
 
 
 def test_transcript_records_all_released_values():
-    k3 = complete_graph(3)
-    released_seen = {}
-
-    def keep(released):
-        released_seen.update(released)
-        return None
-
-    _, t = run_noninteractive(k3, RandomizedResponse(1.0), keep, Streams(11))
-    by_vertex = {out.vertex: out.payload for out in t.invocations()}
-    assert set(by_vertex) == set(released_seen)
-    for v, payload in released_seen.items():
-        assert np.array_equal(by_vertex[v], payload)
+    # each payload is its vertex's contiguous run of the trial's
+    # triu-ordered bits, flipped by the run's doubles of the node's stream
+    n, eps = 7, 1.0
+    g = erdos_renyi(n, 0.5, Streams(11).child("g").generator())
+    _, t = estimate_triangles(g, eps, Streams(11))
+    iu = np.triu_indices(n, k=1)
+    flips = Streams(11).generator().random(len(iu[0])) < flip_probability(eps)
+    bits = g.adjacency[iu] ^ flips
+    runs = np.split(bits, np.cumsum(np.arange(n - 1, 0, -1)))
+    outputs = list(t.invocations())
+    assert [out.vertex for out in outputs] == list(range(n))
+    for out, run in zip(outputs, runs):
+        assert np.array_equal(out.payload, run)
 
 
 def test_transcript_dump_format():
     k3 = complete_graph(3)
-    _, t = run_noninteractive(k3, RandomizedResponse(1.5), lambda r: None, Streams(12))
+    _, t = estimate_triangles(k3, 1.5, Streams(12))
     dump = t.dump()
-    assert set(dump) == {"invocations", "ledger"}
-    assert dump["ledger"] == {"epsilon_total": 1.5, "delta_total": 0.0}
-    row = dump["invocations"][0]
-    assert set(row) == {"round", "vertex", "randomizer", "epsilon", "delta", "payload_hex"}
-    json.loads(t.dumps())  # round-trips as JSON
+    assert dump == {
+        "invocations": [
+            {
+                "round": 0,
+                "vertex": v,
+                "randomizer": "randomized-response",
+                "epsilon": 1.5,
+                "delta": 0.0,
+                "payload_hex": np.packbits(out.payload).tobytes().hex(),
+            }
+            for v, out in enumerate(t.invocations())
+        ],
+        "ledger": {"epsilon_total": 1.5, "delta_total": 0.0},
+    }
+    assert json.loads(t.dumps()) == dump  # round-trips as JSON
+    assert t.dumps() == json.dumps(dump, sort_keys=True, separators=(",", ":"))
 
 
 def test_compose_ledger_examples():
@@ -185,8 +222,9 @@ def test_privacy_params_validation():
 
 
 def test_assemble_upper_round_trip():
-    k3 = complete_graph(3)
-    result, _ = run_noninteractive(
-        k3, IdentityRelease(), lambda released: assemble_upper(released, 3), Streams(13)
-    )
-    assert np.array_equal(result, k3.adjacency)
+    # identity runs reassemble to the adjacency
+    g = erdos_renyi(7, 0.5, Streams(13).generator())
+    outputs, released = release_runs(IdentityRelease(), g.adjacency, Streams(13).generator())
+    assert np.array_equal(released | released.T, g.adjacency)
+    for out in outputs:
+        assert np.array_equal(released[out.vertex, out.vertex + 1 :], out.payload)
