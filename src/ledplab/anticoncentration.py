@@ -108,7 +108,9 @@ def tail_probability_mc(
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     a, b = sample_query_signs(m.n, samples, streams)
-    u = np.einsum("si,si->s", a @ m.entries, b)
+    # float32 is exact: every partial sum is an integer of magnitude at most
+    # n^2 < 2^24, and it halves the (samples, n) temporaries of int64
+    u = np.einsum("si,si->s", a @ m.entries.astype(np.float32), b).astype(np.int64)
     p_hat = float(np.mean(np.abs(u) > threshold))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     return p_hat, se

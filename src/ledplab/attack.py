@@ -45,14 +45,18 @@ a_li b_lj s_ij = +-1, s_ij = 1 - 2 y_ij. With P_l = [|r_l + 1| > tau] and
 M_l = [|r_l - 1| > tau], the inaccurate count after the flip is
 (sum P + sum M + s_ij (A^T diag(P - M) B)_ij) / 2, so one (n x k)(k x n)
 product scores all n^2 flips. Its entries and partial sums are integers
-of magnitude at most k < 2^53, so float64 BLAS computes it exactly in
-any order; and r_l +- 1.0 is the float operation a pattern matrix would
-do, so the counts match a pattern-matrix sweep bit for bit.
+of magnitude at most k, and those of the start residuals a_l^T Y b_l at
+most n^2, so BLAS computes both exactly in any order: in float32 while
+k and n^2 are below 2^24, in float64 above. And r_l +- 1.0 is the float
+operation a pattern matrix would do, so the counts match a pattern-matrix
+sweep bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,6 +111,12 @@ IDENTITY_BLOCK = 1 << 16
 # and the recorded payload does not depend on the block size.
 SLOT_BLOCK = 8192
 
+# Bytes of slot workspaces live at once. The answer threads are the
+# fewest of the usable CPUs, the blocks and the workspaces this budget
+# holds (at least one). A workspace is 5.8 MiB at n = 8, 19 MiB at n = 16
+# and over the budget from n = 32, where the blocks run one at a time.
+WORKSPACE_BYTES = 64 << 20
+
 # Hill-climb starts: the correlation start, then one uniform random dataset.
 RESTARTS = 2
 
@@ -114,6 +124,14 @@ RESTARTS = 2
 # temporaries stay on the heap: freeing a larger mapped one raises the
 # allocator's mmap threshold, which added ~1.5 MB to an attack's peak RSS.
 SIGN_CHUNK = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the answer-block thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_bits(x) -> np.ndarray:
@@ -499,8 +517,13 @@ class GrayBox:
         words [j P, (j + 1) P) of the one stream of `streams`, P = n(n-1)/2
         (stream layout 3, `ledplab.rng`), and each slot's estimate is mixed
         from its graph's exact integer counts. Slots are answered SLOT_BLOCK
-        at a time in one reused workspace; the answers and the recorded
-        public payload do not depend on the block size.
+        at a time, the blocks in parallel on up to one thread a usable CPU
+        and no more threads than WORKSPACE_BYTES holds workspaces, each
+        running block in a workspace of its own; the threads pay off only
+        with BLAS on one thread. A block writes only its own answers
+        and its generator is derived before the threads start, so the
+        answers and the recorded public payload depend on neither the block
+        size nor the thread count.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
@@ -535,14 +558,26 @@ class GrayBox:
         p_flip = flip_probability(self.family.epsilon)
         total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
-        ws = self._form.workspace(min(block, total))
-        w_bit_blocks = []
-        for start in range(0, total, block):
+        starts = range(0, total, block)
+        # generators are derived here, so the workers call nothing outside numpy
+        generators = [streams.generator(start * pairs) for start in starts]
+        # one workspace a running block, allocated here: the caller's heap
+        # then keeps its pages warm for the search that follows
+        first = self._form.workspace(min(block, total))
+        size = sum(buf.nbytes for buf in first.values())
+        threads = min(_usable_cpus(), len(starts), max(1, WORKSPACE_BYTES // size))
+        workspaces = queue.SimpleQueue()
+        workspaces.put(first)
+        for _ in range(threads - 1):
+            workspaces.put(self._form.workspace(min(block, total)))
+
+        def answer_block(start, gen):
             rows = min(block, total - start)
+            ws = workspaces.get()
             draw, w_bits, sw = ws["draw"][:rows], ws["bits"][:rows], ws["sw"][:, :rows]
-            streams.generator(start * pairs).random(out=draw)
+            gen.random(out=draw)
             np.less(draw, p_flip, out=w_bits)
-            w_bit_blocks.append(np.packbits(w_bits, axis=None))
+            packed = np.packbits(w_bits, axis=None)
             sw[2 * n :] = w_bits.T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
             # then [a = -1] and [b = -1], then all ones
@@ -555,6 +590,17 @@ class GrayBox:
                     compare(a_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[:n])
                     compare(b_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[n:])
             answers[start : start + rows] = self._form.block_sums(ws, rows) / n
+            workspaces.put(ws)
+            return packed
+
+        if threads == 1:
+            w_bit_blocks = list(map(answer_block, starts, generators))
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # ~8 ms to import: one-thread runs skip it
+
+            # numpy releases the GIL in the draw, the ufuncs and BLAS
+            with ThreadPoolExecutor(threads) as pool:
+                w_bit_blocks = list(pool.map(answer_block, starts, generators))
         self._record_bulk_public_rounds(total, w_bit_blocks)
         return answers
 
@@ -725,12 +771,19 @@ def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
     return (corr > 0.5).astype(np.uint8)
 
 
+def _sweep_dtype(k: int, n: int):
+    """float32 while k < 2^24 and n^2 < 2^24, else float64: the narrowest
+    float in which the hill-climb's products are exact integers, the flip
+    product's partial sums being at most k and a residual's at most n^2."""
+    return np.float32 if max(k, n * n) < 1 << 24 else np.float64
+
+
 def _flip_counts(diff, a, b, flat, tau) -> np.ndarray:
     """Inaccurate count after flipping each bit of flat, from residuals diff
-    and float64 signs a, b (module docstring)."""
+    and signs a, b as floats of _sweep_dtype (module docstring)."""
     up = np.abs(diff + 1.0) > tau
     down = np.abs(diff - 1.0) > tau
-    cross = a.T @ ((up.astype(np.float64) - down)[:, None] * b)
+    cross = a.T @ ((up.astype(a.dtype) - down)[:, None] * b)
     signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
     both = np.count_nonzero(up) + np.count_nonzero(down)
     return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
@@ -750,8 +803,8 @@ def _hillclimb_search(
 ):
     # start first, so its float temporaries are freed before the search's copies
     start_y = _correlation_start(answers, a_signs, b_signs)
-    a = a_signs.astype(np.float64)
-    b = b_signs.astype(np.float64)
+    dtype = _sweep_dtype(len(answers), n)
+    a, b = a_signs.astype(dtype), b_signs.astype(dtype)
     best_y = None
     best_count = None
     for restart in range(restarts):
@@ -761,7 +814,7 @@ def _hillclimb_search(
             gen = streams.child("restart", restart).generator()
             y = (gen.random((n, n)) < 0.5).astype(np.uint8)
         flat = y.reshape(-1).astype(np.float64)
-        diff = np.einsum("li,li->l", a @ flat.reshape(n, n), b) - answers
+        diff = np.einsum("li,li->l", a @ flat.reshape(n, n).astype(a.dtype), b) - answers
         count = int(np.count_nonzero(np.abs(diff) > tau))
         for _ in range(max_sweeps):
             if count <= allowed:
@@ -771,7 +824,7 @@ def _hillclimb_search(
             if count - int(flip_counts[best_flip]) < min_improvement:
                 break
             i, j = divmod(best_flip, n)
-            diff += a[:, i] * b[:, j] * (1.0 - 2.0 * flat[best_flip])
+            diff += a_signs[:, i] * b_signs[:, j] * (1.0 - 2.0 * flat[best_flip])
             flat[best_flip] = 1.0 - flat[best_flip]
             count = int(flip_counts[best_flip])
         if best_count is None or count < best_count:

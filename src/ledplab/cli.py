@@ -38,7 +38,7 @@ TRIALS_MAX = 10**7  # one float64 estimate a trial: 80 MB
 SIZE_MAX = 10**4  # one (n, n) float64 draw: 800 MB
 GADGET_BITS_MAX = SIZE_MAX // 3  # the gadget graph has 3 vertices a bit
 SIGNS_MAX = 1 << 27  # attack k * n: one (k, n) int64 sign draw, 1 GiB
-MATRIX_MAX = 1 << 10  # with MC_SAMPLES_MAX, (samples, n) int64 signs: 819 MB
+MATRIX_MAX = 1 << 10  # with MC_SAMPLES_MAX, (samples, n) float32 signs and products: 410 MB each
 MC_SAMPLES_MAX = 10**5
 MATRICES_MAX = 10**6
 

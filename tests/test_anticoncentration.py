@@ -16,6 +16,7 @@ from ledplab.anticoncentration import (
     tail_probability_mc,
     tail_report,
 )
+from ledplab.attack import sample_query_signs
 from ledplab.rng import Streams
 
 
@@ -113,6 +114,19 @@ def test_tail_mc_agrees_with_exhaustive():
         exact = float(tail_probability_exhaustive(m, threshold))
         est, se = tail_probability_mc(m, threshold, 40000, Streams(25).child(i))
         assert abs(est - exact) <= 4 * se + 1e-12
+
+
+def test_tail_mc_matches_integer_products():
+    # the float32 products equal int64 ones on the same signs, at the
+    # thresholds sqrt(m)/2 and at integers, where |U| > t is strict
+    gen = Streams(32).generator()
+    for n in (9, 64, 200):
+        m = random_diff_matrix(n, n * n, gen)
+        a, b = sample_query_signs(n, 2000, Streams(33).child(n))
+        u = np.abs(np.einsum("si,ij,sj->s", a.astype(np.int64), m.entries, b.astype(np.int64)))
+        for threshold in (math.sqrt(m.m) / 2.0, 0.0, float(np.median(u)), float(u.max() - 1)):
+            est, _ = tail_probability_mc(m, threshold, 2000, Streams(33).child(n))
+            assert est == float(np.mean(u > threshold))
 
 
 def test_tail_mc_large_matrix_meets_bound():

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from itertools import product
 
 import numpy as np
@@ -337,18 +339,85 @@ def test_rr_batch_large_n_matches_direct_assembly():
 def test_rr_batch_independent_of_slot_block(monkeypatch, n):
     import ledplab.attack as attack
 
-    # 3k = 3003 slots: blocks of 8 and 24 end mid-query, and 8192 is one block
+    # 3k = 3003 slots: blocks of 8 and 24 end mid-query, and 8192 is one
+    # block; 3 threads is more than this host's 2 cores
     x = random_bits(n, Streams(266).child(n).generator())
     a_signs, b_signs = sample_query_signs(n, 1001, Streams(267).child(n))
     runs = []
-    for block in (8, 24, 8192):
-        monkeypatch.setattr(attack, "SLOT_BLOCK", block)
-        box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(268).child(n))
-        answers = box.answer_outer_batch(a_signs, b_signs, Streams(269).child(n))
-        runs.append((answers, box.transcript.rounds[-1][0].payload))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would show
+    try:
+        for block, threads in product((8, 24, 8192), (1, 2, 3)):
+            monkeypatch.setattr(attack, "SLOT_BLOCK", block)
+            monkeypatch.setattr(attack, "_usable_cpus", lambda: threads)
+            box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(268).child(n))
+            answers = box.answer_outer_batch(a_signs, b_signs, Streams(269).child(n))
+            runs.append((answers, box.transcript.rounds[-1][0].payload))
+    finally:
+        sys.setswitchinterval(interval)
     for answers, payload in runs[1:]:
         assert answers.tobytes() == runs[0][0].tobytes()
-        assert np.array_equal(payload, runs[0][1])
+        assert payload.tobytes() == runs[0][1].tobytes()
+
+
+def test_rr_batch_workers_derive_no_generators(monkeypatch):
+    import ledplab.attack as attack
+
+    # every block generator comes from the calling thread, once a block,
+    # and only the workers answer blocks
+    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+    n, k = 4, 100  # 300 slots: 38 blocks
+    box = GrayBox.prepare(random_bits(n, Streams(270).generator()), *mechanism_components("rr", 0.8), Streams(271))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(272))
+    caller, generator_threads, block_threads = threading.current_thread(), [], set()
+    generator, block_sums = Streams.generator, attack._SlotForm.block_sums
+
+    def traced_generator(self, skip=0):
+        generator_threads.append(threading.current_thread())
+        return generator(self, skip)
+
+    def traced_block_sums(self, ws, rows):
+        block_threads.add(threading.current_thread())
+        return block_sums(self, ws, rows)
+
+    monkeypatch.setattr(Streams, "generator", traced_generator)
+    monkeypatch.setattr(attack._SlotForm, "block_sums", traced_block_sums)
+    box.answer_outer_batch(a_signs, b_signs, Streams(273))
+    assert generator_threads == [caller] * 38
+    assert block_threads and caller not in block_threads and len(block_threads) <= 2
+
+
+@pytest.mark.parametrize("fits, expected", [(1, 1), (2, 2), (3, 3)])
+def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected):
+    import ledplab.attack as attack
+
+    # with 8 usable CPUs and 38 blocks, the budget alone caps the threads;
+    # one workspace answers every block on the calling thread
+    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: 8)
+    n, k = 4, 100
+    box = GrayBox.prepare(random_bits(n, Streams(274).generator()), *mechanism_components("rr", 0.8), Streams(275))
+    size = sum(buf.nbytes for buf in box._form.workspace(8).values())
+    monkeypatch.setattr(attack, "WORKSPACE_BYTES", fits * size + size - 1)
+    a_signs, b_signs = sample_query_signs(n, k, Streams(276))
+    caller, workspaces, block_threads = threading.current_thread(), [], set()
+    workspace, block_sums = attack._SlotForm.workspace, attack._SlotForm.block_sums
+
+    def counted_workspace(self, rows):
+        workspaces.append(rows)
+        return workspace(self, rows)
+
+    def traced_block_sums(self, ws, rows):
+        block_threads.add(threading.current_thread())
+        return block_sums(self, ws, rows)
+
+    monkeypatch.setattr(attack._SlotForm, "workspace", counted_workspace)
+    monkeypatch.setattr(attack._SlotForm, "block_sums", traced_block_sums)
+    box.answer_outer_batch(a_signs, b_signs, Streams(277))
+    assert len(workspaces) == expected
+    assert len(block_threads) <= expected
+    assert (block_threads == {caller}) == (expected == 1)
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

@@ -15,6 +15,7 @@ from ledplab.attack import (
     _flip_counts,
     _hillclimb_search,
     _inaccurate_counts_for_candidates,
+    _sweep_dtype,
     accuracy_threshold,
     disagreement_budget,
     mechanism_components,
@@ -87,9 +88,26 @@ def test_flip_counts_match_pattern_oracle_at_threshold_edges(n):
     patterns = query_patterns(a, b)
     for _ in range(4):
         flat = (gen.random(n * n) < 0.5).astype(np.float64)
-        got = _flip_counts(diff, a.astype(np.float64), b.astype(np.float64), flat, tau)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, pattern_flip_counts(diff, patterns, flat, tau, chunk=701))
+        want = pattern_flip_counts(diff, patterns, flat, tau, chunk=701)
+        # the search's float32 signs (k < 2^24) and the float64 ones above
+        for dtype in (np.float32, np.float64):
+            got = _flip_counts(diff, a.astype(dtype), b.astype(dtype), flat, tau)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "k, n, dtype",
+    [
+        (2**24 - 1, 8, np.float32),
+        (2**24, 8, np.float64),
+        (3000, 2**12 - 1, np.float32),
+        (3000, 2**12, np.float64),  # residuals reach n^2 = 2^24
+    ],
+)
+def test_sweep_dtype_switches_at_2_pow_24(k, n, dtype):
+    # chosen from (k, n) alone, so no k rows are allocated
+    assert _sweep_dtype(k, n) is dtype
 
 
 def _answers(mechanism, epsilon, n, k, seed):
