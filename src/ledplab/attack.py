@@ -112,9 +112,10 @@ IDENTITY_BLOCK = 1 << 16
 SLOT_BLOCK = 8192
 
 # Bytes of slot workspaces live at once. The answer threads are the
-# fewest of the usable CPUs, the blocks and the workspaces this budget
-# holds (at least one). A workspace is 5.8 MiB at n = 8, 19 MiB at n = 16
-# and over the budget from n = 32, where the blocks run one at a time.
+# fewest of the usable CPUs per BLAS thread, the blocks and the workspaces
+# this budget holds (at least one). A workspace is 5.8 MiB at n = 8,
+# 19 MiB at n = 16 and over the budget from n = 32, where the blocks run
+# one at a time.
 WORKSPACE_BYTES = 64 << 20
 
 # Hill-climb starts: the correlation start, then one uniform random dataset.
@@ -132,6 +133,13 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads a BLAS product runs on, from the variables OpenBLAS reads;
+    all usable CPUs when neither is set or the value is malformed."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    return int(value) if value.isdecimal() and int(value) > 0 else _usable_cpus()
 
 
 def _as_bits(x) -> np.ndarray:
@@ -518,12 +526,11 @@ class GrayBox:
         (stream layout 3, `ledplab.rng`), and each slot's estimate is mixed
         from its graph's exact integer counts. Slots are answered SLOT_BLOCK
         at a time, the blocks in parallel on up to one thread a usable CPU
-        and no more threads than WORKSPACE_BYTES holds workspaces, each
-        running block in a workspace of its own; the threads pay off only
-        with BLAS on one thread. A block writes only its own answers
-        and its generator is derived before the threads start, so the
-        answers and the recorded public payload depend on neither the block
-        size nor the thread count.
+        per BLAS thread and no more threads than WORKSPACE_BYTES holds
+        workspaces, each running block in a workspace of its own. A block
+        writes only its own answers and its generator is derived before
+        the threads start, so the answers and the recorded public payload
+        depend on neither the block size nor the thread count.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
@@ -565,7 +572,9 @@ class GrayBox:
         # then keeps its pages warm for the search that follows
         first = self._form.workspace(min(block, total))
         size = sum(buf.nbytes for buf in first.values())
-        threads = min(_usable_cpus(), len(starts), max(1, WORKSPACE_BYTES // size))
+        # each block's product runs on the BLAS threads: share the CPUs out
+        cpus = max(1, _usable_cpus() // _blas_threads())
+        threads = min(cpus, len(starts), max(1, WORKSPACE_BYTES // size))
         workspaces = queue.SimpleQueue()
         workspaces.put(first)
         for _ in range(threads - 1):

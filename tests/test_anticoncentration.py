@@ -5,10 +5,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ledplab.anticoncentration as ac
 from ledplab.anticoncentration import (
     DiffMatrix,
+    _all_products,
     _all_sign_vectors,
     chernoff_tail_bound,
+    fourth_moment,
     moments_exhaustive,
     paley_zygmund_bound,
     random_diff_matrix,
@@ -44,6 +47,13 @@ def test_diff_matrix_validation():
         DiffMatrix(np.zeros((2, 3)))
 
 
+def test_diff_matrix_rejects_out_of_range_entries():
+    for value in (2, -2, 3, np.iinfo(np.int64).min, np.iinfo(np.int64).max):
+        with pytest.raises(ValueError):
+            DiffMatrix(np.array([[1, -1], [0, value]], dtype=np.int64))
+    assert DiffMatrix(np.array([[1, -1], [0, 0]])).m == 2
+
+
 def test_mean_is_exactly_zero():
     gen = Streams(20).generator()
     for _ in range(25):
@@ -69,6 +79,55 @@ def test_fourth_moment_bound():
         m = random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen)
         _, _, fourth = moments_exhaustive(m)
         assert fourth <= 9 * n**4
+
+
+def test_fourth_moment_matches_enumeration():
+    gen = Streams(34).generator()
+    for n in range(1, 8):
+        sizes = [0, n * n, *gen.integers(0, n * n + 1, size=6).tolist()]
+        for m_size in sizes:
+            m = random_diff_matrix(n, int(m_size), gen)
+            assert fourth_moment(m) == moments_exhaustive(m)[2]
+
+
+def test_tail_matches_all_products():
+    # t = sqrt(m)/2, integers, where |U| > t is strict, 0, and just below 2,
+    # which float32 would round up to 2
+    gen = Streams(35).generator()
+    for n in range(1, 8):
+        for m_size in (0, n * n, *gen.integers(1, n * n + 1, size=4).tolist()):
+            m = random_diff_matrix(n, int(m_size), gen)
+            u = np.abs(_all_products(m))
+            thresholds = (math.sqrt(m.m) / 2.0, 0.0, 1.0, 2.0, math.nextafter(2.0, 0.0),
+                          float(np.median(u)), float(u.max()))
+            for threshold in thresholds:
+                want = Fraction(int(np.count_nonzero(u > threshold)), 1 << (2 * n))
+                assert tail_probability_exhaustive(m, threshold) == want
+
+
+def test_tail_independent_of_block(monkeypatch):
+    # one row a block against the default block, and past the oracle's cap
+    # against int64 products of all sign pairs
+    gen = Streams(36).generator()
+    cases = [random_diff_matrix(n, int(gen.integers(1, n * n + 1)), gen) for n in (3, 6, 8, 9)]
+    threshold = [math.sqrt(m.m) / 2.0 for m in cases]
+    default = [tail_probability_exhaustive(m, t) for m, t in zip(cases, threshold)]
+    monkeypatch.setattr(ac, "TAIL_BLOCK", 1)
+    assert [tail_probability_exhaustive(m, t) for m, t in zip(cases, threshold)] == default
+    for m, t, tail in zip(cases, threshold, default):
+        signs = _all_sign_vectors(m.n)
+        u = np.abs(signs @ m.entries @ signs.T)
+        assert tail == Fraction(int(np.count_nonzero(u > t)), 1 << (2 * m.n))
+
+
+def test_tail_mc_agrees_with_exact_past_oracle():
+    gen = Streams(37).generator()
+    for n in (8, 9, 10):
+        m = random_diff_matrix(n, int(gen.integers(n, n * n + 1)), gen)
+        threshold = math.sqrt(m.m) / 2.0
+        exact = float(tail_probability_exhaustive(m, threshold))
+        est, se = tail_probability_mc(m, threshold, 40000, Streams(38).child(n))
+        assert abs(est - exact) <= 4 * se
 
 
 def test_all_ones_2x2_moments():
@@ -180,13 +239,14 @@ def test_pairwise_products_uncorrelated():
 
 def test_tail_report_rows():
     gamma = 1.0 / 4.0
-    for n, mode in ((4, "exact"), (9, "mc")):
+    for n, mode in ((4, "exact"), (9, "exact"), (12, "exact"), (13, "mc")):
         rows = tail_report(n, 3, gamma, Streams(33), mc_samples=2000)
         assert len(rows) == 3
         for row in rows:
             assert row["tail_mode"] == mode
             assert row["n"] == n
             assert math.ceil(gamma * n * n) <= row["m"] <= n * n
+            assert row["fourth_moment"] <= row["fourth_bound"]  # exact at every n
             assert set(row) == {
                 "n", "m", "gamma", "threshold", "tail", "tail_mode",
                 "lemma_bound", "fourth_moment", "fourth_bound",

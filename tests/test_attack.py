@@ -341,6 +341,7 @@ def test_rr_batch_independent_of_slot_block(monkeypatch, n):
 
     # 3k = 3003 slots: blocks of 8 and 24 end mid-query, and 8192 is one
     # block; 3 threads is more than this host's 2 cores
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     x = random_bits(n, Streams(266).child(n).generator())
     a_signs, b_signs = sample_query_signs(n, 1001, Streams(267).child(n))
     runs = []
@@ -365,6 +366,7 @@ def test_rr_batch_workers_derive_no_generators(monkeypatch):
 
     # every block generator comes from the calling thread, once a block,
     # and only the workers answer blocks
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
     monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
     n, k = 4, 100  # 300 slots: 38 blocks
@@ -394,6 +396,7 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
 
     # with 8 usable CPUs and 38 blocks, the budget alone caps the threads;
     # one workspace answers every block on the calling thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
     monkeypatch.setattr(attack, "_usable_cpus", lambda: 8)
     n, k = 4, 100
@@ -418,6 +421,39 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
     assert len(workspaces) == expected
     assert len(block_threads) <= expected
     assert (block_threads == {caller}) == (expected == 1)
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+])
+def test_rr_batch_threads_share_cpus_with_blas(monkeypatch, env, expected):
+    import ledplab.attack as attack
+
+    # 4 usable CPUs over the BLAS threads: unset or malformed, BLAS takes
+    # every CPU and one thread answers; OPENBLAS_NUM_THREADS wins over OMP
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "_usable_cpus", lambda: 4)
+    n, k = 4, 100  # 38 blocks
+    box = GrayBox.prepare(random_bits(n, Streams(278).generator()), *mechanism_components("rr", 0.8), Streams(279))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(280))
+    workspaces, workspace = [], attack._SlotForm.workspace
+
+    def counted_workspace(self, rows):
+        workspaces.append(rows)
+        return workspace(self, rows)
+
+    monkeypatch.setattr(attack._SlotForm, "workspace", counted_workspace)
+    box.answer_outer_batch(a_signs, b_signs, Streams(281))
+    assert len(workspaces) == expected
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

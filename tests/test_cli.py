@@ -346,7 +346,7 @@ def test_sum_scaling_matches_library_driver(workdir, ns):
     assert got == _library_rows(rows)
 
 
-@pytest.mark.parametrize("n", [5, 8])  # exact rows, Monte Carlo rows
+@pytest.mark.parametrize("n", [5, 13])  # exact rows, Monte Carlo rows
 def test_anticoncentration_matches_library_driver(workdir, n):
     got = _json_rows(workdir, "anticoncentration", "--n", n, "--count", "4",
                      "--mc-samples", "2000", "--seed", "8")
