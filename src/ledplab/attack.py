@@ -50,6 +50,16 @@ most n^2, so BLAS computes both exactly in any order: in float32 while
 k and n^2 are below 2^24, in float64 above. And r_l +- 1.0 is the float
 operation a pattern matrix would do, so the counts match a pattern-matrix
 sweep bit for bit.
+
+The hill-climb starts from y_ij = [S_ij > k/2], S = A^T diag(answers) B,
+decided exactly. Each term +-answer_l is exact in float64, so any
+summation order of the k terms (blocked, threaded or with FMA) returns S
+within gamma_k sum_l |answer_l| <= k 2^-52 sum_l |answer_l| of the true
+sum. Where |S_ij - k/2| exceeds twice that, 2 k 2^-52 sum_l |answer_l|,
+which also covers the rounding of that sum and of the subtraction, the
+float sign is the true one; the entries inside are re-summed with
+math.fsum. So y is the real-number decision whatever the BLAS thread
+count, block size or CPU.
 """
 
 from __future__ import annotations
@@ -103,8 +113,9 @@ __all__ = [
 
 DEFAULT_GAMMA = 1.0 / 9.0
 
-# Queries per float64 product in the identity batch path.
-IDENTITY_BLOCK = 1 << 16
+# Queries per float64 product of the per-query sign forms (identity
+# answers, catches, the correlation start): a block's operands stay in cache.
+QUERY_BLOCK = 1 << 12
 
 # Randomized-response slots answered per block, one reused workspace. A
 # multiple of 8, so each full block packs its public bits into whole bytes
@@ -541,12 +552,7 @@ class GrayBox:
             # Identity releases make every selected released bit exact, so
             # the split recombines to a^T R b with R the stored block;
             # public-vertex "noise" is vacuous for the identity family.
-            # float64 BLAS is exact: every partial sum is an integer of size <= n^2
-            r = self._stored_secret_block()
-            answers = np.empty(k)
-            for lo in range(0, k, IDENTITY_BLOCK):
-                a, b = a_signs[lo : lo + IDENTITY_BLOCK], b_signs[lo : lo + IDENTITY_BLOCK]
-                np.einsum("li,li->l", a.astype(np.float64) @ r, b, out=answers[lo : lo + len(a)])
+            answers = _bilinear(a_signs, self._stored_secret_block(), b_signs)
             self._record_bulk_public_rounds(3 * k, None)
             return answers
         if self._form is None:
@@ -674,18 +680,29 @@ def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np
     return signs(), signs()
 
 
+def _bilinear(a_signs, m: np.ndarray, b_signs) -> np.ndarray:
+    """a_l^T m b_l for each query l, in float64 products of QUERY_BLOCK
+    queries; exact for integer m, every partial sum an integer <= sum |m|."""
+    out = np.empty(len(a_signs))
+    for lo in range(0, len(out), QUERY_BLOCK):
+        a, b = a_signs[lo : lo + QUERY_BLOCK], b_signs[lo : lo + QUERY_BLOCK]
+        np.einsum("li,li->l", a.astype(np.float64) @ m, b, out=out[lo : lo + len(a)])
+    return out
+
+
 def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     """Whether the query set separates a candidate from the truth often
     enough: more than gamma^2 k / 32 queries move by over sqrt(gamma) n/2."""
-    m = np.asarray(m_diff, dtype=np.int64)
-    if not np.all(np.isin(m, (-1, 0, 1))):
+    # checked in float64, not after narrowing to int64, which truncates 0.5
+    # and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
+    m = np.asarray(m_diff, dtype=np.float64)
+    if not np.all((np.trunc(m) == m) & (np.abs(m) <= 1)):
         raise ValueError("difference entries must lie in {-1, 0, 1}")
     n = m.shape[0]
     a_signs = np.atleast_2d(_as_signs(a_signs))
     b_signs = np.atleast_2d(_as_signs(b_signs))
     k = a_signs.shape[0]
-    # float64 BLAS is exact here: every entry is an integer of size <= n
-    products = np.einsum("li,li->l", a_signs.astype(np.float64) @ m.astype(np.float64), b_signs)
+    products = _bilinear(a_signs, m, b_signs)
     separated = int(np.count_nonzero(np.abs(products) > math.sqrt(gamma) * n / 2.0))
     return separated > catch_threshold(k, gamma)
 
@@ -774,10 +791,19 @@ def _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed):
 
 
 def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
+    """y_ij = [sum_l answers_l a_li b_lj > k/2], decided exactly (module docstring)."""
     k, n = a_signs.shape
-    # a non-BLAS einsum: the sum order stays fixed, so corr near 0.5 cannot flip
-    corr = np.einsum("li,lj->ij", answers[:, None] * a_signs, b_signs.astype(np.float64)) / k
-    return (corr > 0.5).astype(np.uint8)
+    s = np.zeros((n, n))
+    for lo in range(0, k, QUERY_BLOCK):
+        hi = lo + QUERY_BLOCK
+        s += (answers[lo:hi, None] * a_signs[lo:hi]).T @ b_signs[lo:hi].astype(np.float64)
+    half = k / 2
+    y = (s > half).astype(np.uint8)
+    bound = 2.0 * k * 2.0**-52 * np.abs(answers).sum()
+    for i, j in zip(*np.nonzero(np.abs(s - half) <= bound)):
+        terms = answers * (a_signs[:, i] * b_signs[:, j])
+        y[i, j] = math.fsum([*terms.tolist(), -half]) > 0
+    return y
 
 
 def _sweep_dtype(k: int, n: int):
@@ -810,7 +836,6 @@ def _hillclimb_search(
     max_sweeps,
     min_improvement,
 ):
-    # start first, so its float temporaries are freed before the search's copies
     start_y = _correlation_start(answers, a_signs, b_signs)
     dtype = _sweep_dtype(len(answers), n)
     a, b = a_signs.astype(dtype), b_signs.astype(dtype)

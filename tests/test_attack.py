@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -579,6 +580,110 @@ def test_correlation_start_matches_three_operand_einsum():
         two = np.einsum("li,lj->ij", answers[:, None] * a, b.astype(np.float64))
         assert np.array_equal(two, three)
         assert np.array_equal(_correlation_start(answers, a, b), (three / k > 0.5).astype(np.uint8))
+
+
+def fraction_start(answers, a, b):
+    """The correlation start's decision in exact rational arithmetic."""
+    k, n = a.shape
+    fractions = [Fraction(float(v)) for v in answers]
+    s = [[sum(f * int(a[l, i]) * int(b[l, j]) for l, f in enumerate(fractions)) for j in range(n)] for i in range(n)]
+    return (np.array(s, dtype=object) > Fraction(k, 2)).astype(np.uint8)
+
+
+def test_correlation_start_settles_ties_exactly(monkeypatch):
+    # S_00 = 2^60 + 2 - 2^60 = k/2 exactly; float sums lose the 2 beside 2^60,
+    # so one ulp of the 2 either way is decided by the exact re-sum alone
+    a = np.array([[1, 1], [1, -1], [1, 1], [1, -1]], dtype=np.int8)
+    b = np.array([[1, 1], [1, 1], [1, 1], [1, -1]], dtype=np.int8)
+    fsums = []
+    monkeypatch.setattr(math, "fsum", lambda xs, fsum=math.fsum: fsums.append(1) or fsum(xs))
+    for two, want in ((2.0, 0), (math.nextafter(2.0, 3.0), 1), (math.nextafter(2.0, 1.0), 0)):
+        answers = np.array([2.0**60, two, -(2.0**60), 0.0])
+        before = len(fsums)
+        y = _correlation_start(answers, a, b)
+        assert len(fsums) > before
+        assert y[0, 0] == want
+        assert np.array_equal(y, fraction_start(answers, a, b))
+
+
+def test_correlation_start_matches_fraction_oracle():
+    gen = Streams(262).generator()
+    for trial in range(30):
+        k, n = int(gen.integers(1, 60)), int(gen.integers(1, 4))
+        a, b = sample_query_signs(n, k, Streams(263).child(trial))
+        # answers follow a_0 b_0, so S_00 sits near k/2 and often on it
+        answers = gen.integers(0, 3, size=k) / 2.0 * a[:, 0] * b[:, 0]
+        if trial % 3 == 1:
+            answers += gen.normal(0.0, 1e-3, size=k)
+        if trial % 3 == 2 and k > 2:
+            # rows 0 and k-1 cancel in every entry, but float sums taken
+            # between them lose the small terms and round across k/2
+            a[-1], b[-1] = a[0], b[0]
+            answers[0], answers[-1] = 2.0**60, -(2.0**60)
+        assert np.array_equal(_correlation_start(answers, a, b), fraction_start(answers, a, b))
+
+
+def test_correlation_start_independent_of_block(monkeypatch):
+    import ledplab.attack as attack
+
+    n, k = 5, 9000
+    a, b = sample_query_signs(n, k, Streams(264))
+    # S_00 = k/2 exactly: k/2 terms of 1, and on rows 3 and 6 a +-2^60 pair
+    # that cancels in every entry but swallows small terms in a float sum
+    a[6], b[6] = a[3], b[3]
+    c = (np.arange(k) < k // 2 + 2).astype(np.float64)
+    c[3], c[6] = 2.0**60, -(2.0**60)
+    tie = c * a[:, 0] * b[:, 0]
+    up, down = tie.copy(), tie.copy()
+    up[0], down[0] = np.nextafter(tie[0], 2 * tie[0]), np.nextafter(tie[0], 0.0)
+    cases = [tie, up, down, Streams(265).generator().normal(0.5, 40.0, size=k)]
+    want = [_correlation_start(answers, a, b).tobytes() for answers in cases]
+    for block in (1, 5, 4096):
+        monkeypatch.setattr(attack, "QUERY_BLOCK", block)
+        ys = [_correlation_start(answers, a, b) for answers in cases]
+        assert [y.tobytes() for y in ys] == want
+        assert [int(y[0, 0]) for y in ys[:3]] == [0, 1, 0]
+
+
+def test_sign_products_independent_of_block(monkeypatch):
+    import ledplab.attack as attack
+
+    gen = Streams(266).generator()
+    n, k, gamma = 6, 9000, 1.0 / 9.0
+    x = random_bits(n, gen)
+    m = gen.integers(-1, 2, size=(n, n))
+    box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(267))
+    a, b = sample_query_signs(n, k, Streams(268))
+
+    def unblocked(matrix):
+        return np.einsum("li,li->l", a.astype(np.float64) @ matrix.astype(np.float64), b)
+
+    separated = np.count_nonzero(np.abs(unblocked(m)) > math.sqrt(gamma) * n / 2.0)
+    for block in (1, 7, 1 << 12):
+        monkeypatch.setattr(attack, "QUERY_BLOCK", block)
+        assert np.array_equal(box.answer_outer_batch(a, b, Streams(269)), unblocked(x))
+        assert np.array_equal(attack._bilinear(a, m.astype(np.float64), b), unblocked(m))
+        assert catches(a, b, m, gamma) == (separated > catch_threshold(k, gamma))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.5, 1.9, 0], [0, 0, 0], [0, 0, -1.7]],
+        [[0.5, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[2, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, -2, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, np.iinfo(np.int64).max]],
+        [[np.iinfo(np.int64).min, 0, 0], [0, 0, 0], [0, 0, 0]],
+        np.full((3, 3), np.iinfo(np.uint64).max, dtype=np.uint64),
+        [[math.nan, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[math.inf, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ],
+)
+def test_catches_rejects_bad_differences(bad):
+    a, b = sample_query_signs(3, 100, Streams(270))
+    with pytest.raises(ValueError):
+        catches(a, b, bad, 1.0 / 9.0)
 
 
 def test_catches_zero_difference_never():
