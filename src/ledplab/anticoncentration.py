@@ -45,13 +45,14 @@ class DiffMatrix:
     __slots__ = ("n", "entries", "m")
 
     def __init__(self, entries: np.ndarray):
-        e = np.asarray(entries, dtype=np.int64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"entries must be square, got shape {e.shape}")
-        # as uint64, abs(-2^63), which wraps to itself, is out of range too
-        if not np.all(np.abs(e).view(np.uint64) <= 1):
+        # checked in float64, not after narrowing to int64, which truncates
+        # 0.5 and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
+        f = np.asarray(entries, dtype=np.float64)
+        if f.ndim != 2 or f.shape[0] != f.shape[1]:
+            raise ValueError(f"entries must be square, got shape {f.shape}")
+        if not np.all((np.trunc(f) == f) & (np.abs(f) <= 1)):
             raise ValueError("entries must lie in {-1, 0, 1}")
-        e = e.copy()
+        e = f.astype(np.int64)
         e.setflags(write=False)
         self.entries = e
         self.n = e.shape[0]

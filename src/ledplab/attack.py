@@ -65,13 +65,12 @@ count, block size or CPU.
 from __future__ import annotations
 
 import math
-import os
-import queue
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ledplab import parallel
 from ledplab.estimator import released_estimates, triangle_mix
 from ledplab.graphs import Graph, VertexPartition, count_dtype, count_triangles, graph_stats
 from ledplab.ledp import (
@@ -136,21 +135,6 @@ RESTARTS = 2
 # temporaries stay on the heap: freeing a larger mapped one raises the
 # allocator's mmap threshold, which added ~1.5 MB to an attack's peak RSS.
 SIGN_CHUNK = 1 << 16
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: the answer-block thread count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """Threads a BLAS product runs on, from the variables OpenBLAS reads;
-    all usable CPUs when neither is set or the value is malformed."""
-    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
-    return int(value) if value.isdecimal() and int(value) > 0 else _usable_cpus()
 
 
 def _as_bits(x) -> np.ndarray:
@@ -538,10 +522,11 @@ class GrayBox:
         from its graph's exact integer counts. Slots are answered SLOT_BLOCK
         at a time, the blocks in parallel on up to one thread a usable CPU
         per BLAS thread and no more threads than WORKSPACE_BYTES holds
-        workspaces, each running block in a workspace of its own. A block
-        writes only its own answers and its generator is derived before
-        the threads start, so the answers and the recorded public payload
-        depend on neither the block size nor the thread count.
+        workspaces, each running block in a workspace of its own
+        (`ledplab.parallel`). A block writes only its own answers and its
+        generator is derived on the calling thread, so the answers and the
+        recorded public payload depend on neither the block size nor the
+        thread count.
         """
         a_signs = np.atleast_2d(_as_signs(a_signs))
         b_signs = np.atleast_2d(_as_signs(b_signs))
@@ -572,23 +557,20 @@ class GrayBox:
         total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
         starts = range(0, total, block)
-        # generators are derived here, so the workers call nothing outside numpy
-        generators = [streams.generator(start * pairs) for start in starts]
-        # one workspace a running block, allocated here: the caller's heap
-        # then keeps its pages warm for the search that follows
-        first = self._form.workspace(min(block, total))
-        size = sum(buf.nbytes for buf in first.values())
-        # each block's product runs on the BLAS threads: share the CPUs out
-        cpus = max(1, _usable_cpus() // _blas_threads())
-        threads = min(cpus, len(starts), max(1, WORKSPACE_BYTES // size))
-        workspaces = queue.SimpleQueue()
-        workspaces.put(first)
-        for _ in range(threads - 1):
-            workspaces.put(self._form.workspace(min(block, total)))
+        # derived here, so the workers call nothing outside numpy
+        items = [(start, streams.generator(start * pairs)) for start in starts]
+        # one workspace a running block, allocated on this thread and held
+        # until the payload is joined: the caller's heap then keeps its pages
+        # warm for the search that follows (freed before the join, they cost a
+        # k/16 trial ~900 more page faults)
+        workspaces = [self._form.workspace(min(block, total))]
+        size = sum(buf.nbytes for buf in workspaces[0].values())
+        threads = min(parallel.cpus_per_blas_thread(), len(starts), max(1, WORKSPACE_BYTES // size))
+        workspaces += [self._form.workspace(min(block, total)) for _ in range(threads - 1)]
 
-        def answer_block(start, gen):
+        def answer_block(item, ws):
+            start, gen = item
             rows = min(block, total - start)
-            ws = workspaces.get()
             draw, w_bits, sw = ws["draw"][:rows], ws["bits"][:rows], ws["sw"][:, :rows]
             gen.random(out=draw)
             np.less(draw, p_flip, out=w_bits)
@@ -605,17 +587,9 @@ class GrayBox:
                     compare(a_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[:n])
                     compare(b_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[n:])
             answers[start : start + rows] = self._form.block_sums(ws, rows) / n
-            workspaces.put(ws)
             return packed
 
-        if threads == 1:
-            w_bit_blocks = list(map(answer_block, starts, generators))
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # ~8 ms to import: one-thread runs skip it
-
-            # numpy releases the GIL in the draw, the ufuncs and BLAS
-            with ThreadPoolExecutor(threads) as pool:
-                w_bit_blocks = list(pool.map(answer_block, starts, generators))
+        w_bit_blocks = parallel.parallel_map(answer_block, items, iter(workspaces).__next__, threads)
         self._record_bulk_public_rounds(total, w_bit_blocks)
         return answers
 
@@ -885,9 +859,14 @@ def attacker_reconstruct(
     Feasible means at most gamma^2 k / 64 answers are off by more than
     sqrt(gamma) n / 4. If no candidate within the search budget is
     feasible the attack fails; the best candidate found is still
-    reported so downstream diagnostics have an output to score.
+    reported so downstream diagnostics have an output to score. A NaN or
+    infinite answer raises ValueError: a NaN would read as accurate for
+    every candidate.
     """
     answers = np.asarray(answers, dtype=np.float64)
+    if not np.all(np.isfinite(answers)):
+        bad = int(np.count_nonzero(~np.isfinite(answers)))
+        raise ValueError(f"answers must be finite, got {bad} NaN or infinite")
     a_signs = np.atleast_2d(_as_signs(a_signs))
     b_signs = np.atleast_2d(_as_signs(b_signs))
     k = len(answers)

@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ledplab import parallel
 from ledplab.graphs import (
     Graph,
     codegree_pairs,
@@ -53,8 +54,20 @@ MIN_EPSILON = 1e-6
 
 ENUMERATION_MAX_PAIRS = 24
 
-# Bytes of one (trials, n, n) count_dtype(n) batch in sample_estimates_range.
+# Bytes of the (trials, n, n) count_dtype(n) counts of sample_estimates_range's
+# running blocks, split among its threads.
 BLOCK_BYTES = 32 << 20
+
+# Most trials a block: a block's generators, ~0.5 KB each, are all derived
+# before it runs, so this bounds them at about 2 MiB a block.
+BLOCK_TRIALS = 4096
+
+# Fewest vertices whose trial blocks run on threads. A trial holds the
+# interpreter lock ~3 us to derive and call its generator; below this its
+# (n, n) count product is too small beside that, and two threads took
+# 1.3x one thread's time at n = 8, 1.0x at n = 24 and 32 and 0.8x at 48
+# (one BLAS thread, 2 cores).
+THREAD_MIN_N = 40
 
 
 def rescale(x: float, epsilon: float) -> float:
@@ -135,8 +148,17 @@ def sample_estimates_range(
     g: Graph, epsilon: float, start: int, stop: int, streams: Streams
 ) -> np.ndarray:
     """Estimates for the trial indices [start, stop); slicing a run into
-    ranges and concatenating reproduces the full run bit for bit. Batches are
-    gathered through a pair-index map, at most BLOCK_BYTES at count_dtype(n)."""
+    ranges and concatenating reproduces the full run bit for bit.
+
+    Batches are gathered through a pair-index map and counted at
+    count_dtype(n), on up to one thread a usable CPU per BLAS thread
+    (`ledplab.parallel`) from THREAD_MIN_N vertices up: the range splits
+    evenly into the fewest blocks of at most BLOCK_TRIALS trials and
+    BLOCK_BYTES / threads of counts, and a run of one block stays on the
+    calling thread. Each running block fills a workspace of its own,
+    and every trial's generator is derived on the calling thread; a trial's
+    counts are exact integers, so its estimate depends on neither.
+    """
     _check_epsilon(epsilon)
     if not 0 <= start <= stop:
         raise ValueError(f"trial range [{start}, {stop}) needs 0 <= start <= stop")
@@ -146,15 +168,38 @@ def sample_estimates_range(
     true_bits = g.adjacency[iu]
     pair_index = np.full((n, n), k)  # the diagonal reads column k, left 0
     pair_index[iu] = pair_index[iu[::-1]] = np.arange(k)
-    block = max(1, BLOCK_BYTES // (np.dtype(count_dtype(n)).itemsize * n * n))
-    out = np.empty(stop - start, dtype=np.float64)
-    for lo_t in range(start, stop, block):
-        hi_t = min(lo_t + block, stop)
-        bits = np.zeros((hi_t - lo_t, k + 1), dtype=np.uint8)
-        gens = (streams.generator(t * k) for t in range(lo_t, hi_t))
+    dtype = count_dtype(n)
+    cpus = parallel.cpus_per_blas_thread() if n >= THREAD_MIN_N else 1
+    cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * np.dtype(dtype).itemsize * n * n)))
+    trials = stop - start
+    blocks = max(1, -(-trials // cap))
+    rows = max(1, -(-trials // blocks))
+    out = np.empty(trials, dtype=np.float64)
+
+    def make_workspace():
+        return {
+            "bits": np.zeros((rows, k + 1), dtype=np.uint8),
+            "released": np.empty((rows, n, n), dtype=np.uint8),
+            "counts": np.empty((rows, n, n), dtype=dtype),
+            "product": np.empty((rows, n, n), dtype=dtype),
+        }
+
+    def estimate_block(item, ws):
+        lo_t, gens = item
+        b = len(gens)
+        bits = ws["bits"][:b]
         randomized_rows(true_bits, epsilon, gens, bits[:, :k])
-        released = np.take(bits, pair_index, axis=1)
-        out[lo_t - start : hi_t - start] = released_estimates(released, epsilon)
+        released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
+        counts = ws["counts"][:b]
+        np.copyto(counts, released)
+        stats = graph_stats(counts, ws["product"][:b])
+        out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
+
+    items = (
+        (lo_t, [streams.generator(t * k) for t in range(lo_t, min(lo_t + rows, stop))])
+        for lo_t in range(start, stop, rows)
+    )
+    parallel.parallel_map(estimate_block, items, make_workspace, min(cpus, blocks))
     return out
 
 

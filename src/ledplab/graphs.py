@@ -121,15 +121,16 @@ def count_dtype(n: int):
     return np.float32 if n * (n - 1) * (n - 2) < 1 << 24 else np.float64
 
 
-def graph_stats(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def graph_stats(a, product=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 edges m, wedges W = sum_v C(d_v, 2) and triangles T of each
     symmetric 0/1 zero-diagonal matrix in a (..., n, n) stack. T is
-    trace(A^3)/6 by matmul at count_dtype(n), exact in any BLAS order."""
+    trace(A^3)/6 by matmul at count_dtype(n), exact in any BLAS order;
+    `product`, an array of a's shape at that dtype, receives A @ A."""
     a = np.asarray(a, dtype=count_dtype(np.shape(a)[-1]))
     deg = a.sum(axis=-1)
     m = deg.sum(axis=-1) / 2
     w = (deg * (deg - 1)).sum(axis=-1) / 2
-    t = np.einsum("...ij,...ij->...", a @ a, a) / 6
+    t = np.einsum("...ij,...ij->...", np.matmul(a, a, out=product), a) / 6
     return m.astype(np.int64), w.astype(np.int64), t.astype(np.int64)
 
 

@@ -1,15 +1,84 @@
-"""Serial map, kept in place of the retired worker pool.
+"""The one block pool: blocks of numpy work on threads, each in a workspace.
 
-Every run is one process and nothing in ledplab calls ``parallel_map``.
-It stays only because the span table in ``perfbench/spans.py`` names it,
-and goes with that row in the next change to the benchmark.
+The gray box's slot blocks and the estimator's trial blocks run through
+``parallel_map``. numpy releases the interpreter lock in its draws, its
+ufuncs and BLAS, so a few threads keep the usable CPUs busy. Callers size
+their blocks and pick the thread count with ``cpus_per_blas_thread``: each
+block's products already run on the BLAS threads.
+
+The items are drawn on the calling thread, in order, so everything that
+derives them (stream generators above all) runs there; a worker runs only
+``fn`` on an item and a workspace. Every workspace is made on the calling
+thread before any block starts, and a running block holds one of its own,
+so at most ``threads`` workspaces are ever live.
 """
 
 from __future__ import annotations
 
-__all__ = ["parallel_map"]
+import os
+import queue
+from collections import deque
+from collections.abc import Sized
+
+__all__ = ["parallel_map", "cpus_per_blas_thread"]
 
 
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """``[fn(item) for item in items]``; `workers` is ignored."""
-    return [fn(item) for item in items]
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads a BLAS product runs on, from the variables OpenBLAS reads;
+    all usable CPUs when neither is set or the value is malformed."""
+    value = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", ""))
+    return int(value) if value.isdecimal() and int(value) > 0 else _usable_cpus()
+
+
+def cpus_per_blas_thread() -> int:
+    """Block threads that keep the usable CPUs busy without oversubscribing
+    them: one a usable CPU per BLAS thread, at least one."""
+    return max(1, _usable_cpus() // _blas_threads())
+
+
+def parallel_map(fn, items, make_workspace, threads: int) -> list:
+    """``[fn(item, ws) for item in items]``, on up to `threads` threads.
+
+    ``make_workspace()`` is called `threads` times, here, and each running
+    call of `fn` has one of those workspaces to itself. With one thread
+    every item runs on the calling thread and no pool is started. Items
+    are drawn on the calling thread: a sized collection is handed to the
+    pool whole, and any other iterable at most two items a thread ahead
+    of the running blocks, so a lazy one stays lazy.
+    """
+    if threads <= 1:
+        ws = make_workspace()
+        return [fn(item, ws) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # ~8 ms to import: one-thread runs skip it
+
+    workspaces = queue.SimpleQueue()
+    for _ in range(threads):
+        workspaces.put(make_workspace())
+
+    def run(item):
+        ws = workspaces.get()
+        try:
+            return fn(item, ws)
+        finally:
+            workspaces.put(ws)
+
+    # a window refilled as blocks finish takes the interpreter lock from the
+    # workers (an rr attack trial took ~2.5% longer), so only a lazy
+    # iterable, whose items cost memory once drawn, gets one
+    ahead = len(items) if isinstance(items, Sized) else 2 * threads
+    results, pending = [], deque()
+    with ThreadPoolExecutor(threads) as pool:
+        for item in items:
+            if len(pending) == ahead:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(run, item))
+        results.extend(future.result() for future in pending)
+    return results

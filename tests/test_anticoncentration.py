@@ -54,6 +54,23 @@ def test_diff_matrix_rejects_out_of_range_entries():
     assert DiffMatrix(np.array([[1, -1], [0, 0]])).m == 2
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5]]),
+    np.array([[0.5, 1.9], [0, -1.7]]),  # once truncated to [[0, 1], [0, -1]]
+    np.array([[0, 2], [0, 0]]),
+    np.array([[0, -2], [0, 0]]),
+    np.array([[np.iinfo(np.int64).min, 0], [0, 0]]),
+    np.array([[0, 0], [0, np.iinfo(np.int64).max]]),
+    np.full((2, 2), np.iinfo(np.uint64).max, dtype=np.uint64),  # once read as all -1
+    np.array([[0, np.nan], [0, 0]]),
+    np.array([[np.inf, 0], [0, 0]]),
+    np.array([[0, 0], [-np.inf, 0]]),
+])
+def test_diff_matrix_rejects_entries_before_narrowing(bad):
+    with pytest.raises(ValueError, match="must lie in"):
+        DiffMatrix(bad)
+
+
 def test_mean_is_exactly_zero():
     gen = Streams(20).generator()
     for _ in range(25):

@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from ledplab import parallel
 from ledplab.attack import (
     GrayBox,
     _as_signs,
@@ -351,7 +352,7 @@ def test_rr_batch_independent_of_slot_block(monkeypatch, n):
     try:
         for block, threads in product((8, 24, 8192), (1, 2, 3)):
             monkeypatch.setattr(attack, "SLOT_BLOCK", block)
-            monkeypatch.setattr(attack, "_usable_cpus", lambda: threads)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: threads)
             box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(268).child(n))
             answers = box.answer_outer_batch(a_signs, b_signs, Streams(269).child(n))
             runs.append((answers, box.transcript.rounds[-1][0].payload))
@@ -369,7 +370,7 @@ def test_rr_batch_workers_derive_no_generators(monkeypatch):
     # and only the workers answer blocks
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
-    monkeypatch.setattr(attack, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     n, k = 4, 100  # 300 slots: 38 blocks
     box = GrayBox.prepare(random_bits(n, Streams(270).generator()), *mechanism_components("rr", 0.8), Streams(271))
     a_signs, b_signs = sample_query_signs(n, k, Streams(272))
@@ -399,7 +400,7 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
     # one workspace answers every block on the calling thread
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
-    monkeypatch.setattr(attack, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
     n, k = 4, 100
     box = GrayBox.prepare(random_bits(n, Streams(274).generator()), *mechanism_components("rr", 0.8), Streams(275))
     size = sum(buf.nbytes for buf in box._form.workspace(8).values())
@@ -442,7 +443,7 @@ def test_rr_batch_threads_share_cpus_with_blas(monkeypatch, env, expected):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
-    monkeypatch.setattr(attack, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
     n, k = 4, 100  # 38 blocks
     box = GrayBox.prepare(random_bits(n, Streams(278).generator()), *mechanism_components("rr", 0.8), Streams(279))
     a_signs, b_signs = sample_query_signs(n, k, Streams(280))
@@ -774,6 +775,20 @@ def test_reconstruction_fails_on_noise_answers():
             k, report.gamma
         )
     assert np.mean(hammings) >= 0.3 * n * n
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruct_rejects_non_finite_answers(bad):
+    # all-NaN answers once read as accurate for every candidate:
+    # feasible with no inaccurate answer at n = 5, k = 200
+    n, k = 5, 200
+    a, b = sample_query_signs(n, k, Streams(288))
+    answers = np.zeros(k)
+    answers[k // 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        attacker_reconstruct(answers, a, b, n)
+    with pytest.raises(ValueError, match="finite"):
+        attacker_reconstruct(np.full(k, bad), a, b, n)
 
 
 def test_attack_report_json():

@@ -448,10 +448,16 @@ def test_attack_n16_default_k_fits_in_2gb(workdir):
     assert maxrss <= 2 * 1024 * 1024  # KiB on Linux
 
 
-def test_estimate_n160_fits_in_600mb(workdir):
+@pytest.mark.parametrize("blas_threads", [None, "1"], ids=["blas-default", "blas-1"])
+def test_estimate_n160_fits_in_600mb(workdir, monkeypatch, blas_threads):
     # One (2048, 160, 160) float64 block alone would be 419 MB; the
     # estimator gathers trials in batches of at most BLOCK_BYTES, counted
-    # in float32 at this n.
+    # in float32 at this n, split among its threads: one with BLAS on
+    # every CPU, one a CPU with BLAS pinned to one thread.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     save_graph(erdos_renyi(160, 0.5, Streams(16).generator()), workdir / "er160.txt")
     code, maxrss, stderr = _run_cli_measured(
         workdir, "estimate", "--graph", "er160.txt", "--eps", "1", "--trials", "2048",

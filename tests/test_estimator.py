@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from ledplab import estimator, parallel
 from ledplab.estimator import (
     estimate_triangles,
     exact_expectation,
@@ -249,6 +252,106 @@ def test_gathered_batches_match_scatter_builder(n, monkeypatch):
         for start, stop in ((0, 10), (7, 20)):
             got = sample_estimates_range(g, eps, start, stop, streams)
             assert np.array_equal(got, estimates_by_scatter(g, eps, start, stop, streams))
+
+
+def test_sample_estimates_range_independent_of_blocks_and_threads(monkeypatch):
+    # blocks of 1 to 1000 trials a thread on 1 to 3 threads (more than
+    # this host's 2 cores), switching often: a shared write would show
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one block thread a CPU
+    n = 9
+    monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
+    g = erdos_renyi(n, 0.5, Streams(15).generator())
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trials, cpus in product((1, 3, 7, 1000), (1, 2, 3)):
+            monkeypatch.setattr(estimator, "BLOCK_BYTES", trials * 4 * n * n)
+            monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+            runs.append(sample_estimates_range(g, 1.0, 5, 105, Streams(16)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(runs[0], estimates_by_scatter(g, 1.0, 5, 105, Streams(16)))
+    for run in runs[1:]:
+        assert run.tobytes() == runs[0].tobytes()
+
+
+def test_trial_generators_derived_on_calling_thread(monkeypatch):
+    # one generator a trial, in trial order, all on the calling thread;
+    # with two threads only the workers run blocks
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    n = 6
+    k = n * (n - 1) // 2
+    monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
+    monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)  # 4 trials a block
+    g = erdos_renyi(n, 0.5, Streams(17).generator())
+    caller, derived, block_threads = threading.current_thread(), [], set()
+    generator, randomized_rows = Streams.generator, estimator.randomized_rows
+
+    def traced_generator(self, skip=0):
+        derived.append((threading.current_thread(), skip))
+        return generator(self, skip)
+
+    def traced_rows(*args):
+        block_threads.add(threading.current_thread())
+        return randomized_rows(*args)
+
+    monkeypatch.setattr(Streams, "generator", traced_generator)
+    monkeypatch.setattr(estimator, "randomized_rows", traced_rows)
+    sample_estimates_range(g, 1.0, 3, 40, Streams(18))
+    assert derived == [(caller, t * k) for t in range(3, 40)]
+    assert block_threads and caller not in block_threads and len(block_threads) <= 2
+
+
+@pytest.mark.parametrize("cpus, trials, block_trials, min_n, threads, rows", [
+    (2, 3, 4096, 6, 1, [3]),  # one block: the calling thread alone
+    (2, 4, 4096, 6, 1, [4]),
+    (2, 8, 4096, 6, 2, [4, 4]),
+    (2, 9, 4096, 6, 2, [3, 3, 3]),  # three blocks of at most 4, split evenly
+    (4, 3, 4096, 6, 2, [2, 1]),
+    (4, 40, 4096, 6, 4, [2] * 20),
+    (1, 20, 4096, 6, 1, [7, 7, 6]),
+    (1, 20, 5, 6, 1, [5] * 4),  # BLOCK_TRIALS binds before the bytes
+    (2, 10, 3, 6, 2, [3, 3, 3, 1]),
+    (4, 40, 4096, 7, 1, [8] * 5),  # below THREAD_MIN_N: one thread, all bytes
+])
+def test_pool_sizing(monkeypatch, cpus, trials, block_trials, min_n, threads, rows):
+    # blocks hold at most BLOCK_TRIALS trials and BLOCK_BYTES / threads of
+    # counts, 8 trials over the usable CPUs of a 6-vertex graph; at most
+    # one workspace a thread, made by the caller
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
+    n = 6
+    monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)
+    monkeypatch.setattr(estimator, "BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(estimator, "THREAD_MIN_N", min_n)
+    caller, calls, parallel_map = threading.current_thread(), [], parallel.parallel_map
+
+    def recording_map(fn, items, make_workspace, threads):
+        call = {"threads": threads, "made": [], "rows": [], "ran": set()}
+        calls.append(call)
+
+        def counted_workspace():
+            call["made"].append(threading.current_thread())
+            return make_workspace()
+
+        def traced(item, ws):
+            call["rows"].append(len(item[1]))
+            call["ran"].add(threading.current_thread())
+            return fn(item, ws)
+
+        return parallel_map(traced, items, counted_workspace, threads)
+
+    monkeypatch.setattr(parallel, "parallel_map", recording_map)
+    g = erdos_renyi(n, 0.5, Streams(19).generator())
+    got = sample_estimates_range(g, 1.0, 0, trials, Streams(20))
+    assert np.array_equal(got, estimates_by_scatter(g, 1.0, 0, trials, Streams(20)))
+    (call,) = calls
+    assert call["threads"] == threads
+    assert call["made"] == [caller] * threads
+    assert sorted(call["rows"]) == sorted(rows)
+    assert (call["ran"] == {caller}) == (threads == 1)
 
 
 def test_kernel_estimates_match_explicit_loop():
