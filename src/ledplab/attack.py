@@ -44,12 +44,16 @@ flip of bit ij moves residual r_l = a_l^T Y b_l - answer_l by
 a_li b_lj s_ij = +-1, s_ij = 1 - 2 y_ij. With P_l = [|r_l + 1| > tau] and
 M_l = [|r_l - 1| > tau], the inaccurate count after the flip is
 (sum P + sum M + s_ij (A^T diag(P - M) B)_ij) / 2, so one (n x k)(k x n)
-product scores all n^2 flips. Its entries and partial sums are integers
-of magnitude at most k, and those of the start residuals a_l^T Y b_l at
-most n^2, so BLAS computes both exactly in any order: in float32 while
-k and n^2 are below 2^24, in float64 above. And r_l +- 1.0 is the float
-operation a pattern matrix would do, so the counts match a pattern-matrix
-sweep bit for bit.
+product scores all n^2 flips. Only the queries with P_l != M_l, those a
+flip can carry across tau, have a nonzero weight, so only they enter it.
+Its entries and partial sums are integers of magnitude at most k, and
+those of the start residuals a_l^T Y b_l at most n^2, so BLAS computes
+both exactly in any order: in float32 while k and n^2 are below 2^24, in
+float64 above. Both products read the int8 signs QUERY_BLOCK queries at
+a time, cast to that float as each block is used, and sum their blocks;
+the search holds no (k, n) float copy of the signs. And r_l +- 1.0 is
+the float operation a pattern matrix would do, so the counts match a
+pattern-matrix sweep bit for bit.
 
 The hill-climb starts from y_ij = [S_ij > k/2], S = A^T diag(answers) B,
 decided exactly. Each term +-answer_l is exact in float64, so any
@@ -112,8 +116,9 @@ __all__ = [
 
 DEFAULT_GAMMA = 1.0 / 9.0
 
-# Queries per float64 product of the per-query sign forms (identity
-# answers, catches, the correlation start): a block's operands stay in cache.
+# Queries per product of the per-query sign forms (identity answers,
+# catches, the correlation start, the hill-climb): a block's operands stay
+# in cache.
 QUERY_BLOCK = 1 << 12
 
 # Randomized-response slots answered per block, one reused workspace. A
@@ -147,9 +152,15 @@ def _as_bits(x) -> np.ndarray:
 
 
 def _as_signs(v) -> np.ndarray:
-    # validate before narrowing, so 257 cannot wrap to 1; int8 input is not copied
+    # validate before narrowing, so 257 cannot wrap to 1; int8 input is not
+    # copied, and integer input is checked by its range and zero count, with
+    # no temporary of its size
     v = np.asarray(v)
-    if not np.all(np.abs(v) == 1):
+    if v.dtype.kind in "iu" and v.size:
+        valid = v.min() >= -1 and v.max() <= 1 and np.count_nonzero(v) == v.size
+    else:
+        valid = np.all(np.abs(v) == 1)
+    if not valid:
         raise ValueError("sign vector entries must be -1 or 1")
     return v.astype(np.int8, copy=False)
 
@@ -654,13 +665,18 @@ def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np
     return signs(), signs()
 
 
-def _bilinear(a_signs, m: np.ndarray, b_signs) -> np.ndarray:
-    """a_l^T m b_l for each query l, in float64 products of QUERY_BLOCK
-    queries; exact for integer m, every partial sum an integer <= sum |m|."""
+def _bilinear(a_signs, m: np.ndarray, b_signs, dtype=np.float64) -> np.ndarray:
+    """a_l^T m b_l for each query l as float64, from products of QUERY_BLOCK
+    queries in dtype; exact for integer m while every partial sum, an
+    integer <= sum |m|, is exact in dtype."""
     out = np.empty(len(a_signs))
+    m = m.astype(dtype, copy=False)
+    ones = np.ones(m.shape[1], dtype)
     for lo in range(0, len(out), QUERY_BLOCK):
-        a, b = a_signs[lo : lo + QUERY_BLOCK], b_signs[lo : lo + QUERY_BLOCK]
-        np.einsum("li,li->l", a.astype(np.float64) @ m, b, out=out[lo : lo + len(a)])
+        hi = lo + QUERY_BLOCK
+        prod = a_signs[lo:hi].astype(dtype) @ m
+        prod *= b_signs[lo:hi]
+        out[lo:hi] = prod @ ones
     return out
 
 
@@ -787,12 +803,19 @@ def _sweep_dtype(k: int, n: int):
     return np.float32 if max(k, n * n) < 1 << 24 else np.float64
 
 
-def _flip_counts(diff, a, b, flat, tau) -> np.ndarray:
+def _flip_counts(diff, a_signs, b_signs, flat, tau, dtype) -> np.ndarray:
     """Inaccurate count after flipping each bit of flat, from residuals diff
-    and signs a, b as floats of _sweep_dtype (module docstring)."""
+    and int8 signs, gathering the queries that enter the product QUERY_BLOCK
+    at a time as floats of dtype (module docstring)."""
     up = np.abs(diff + 1.0) > tau
     down = np.abs(diff - 1.0) > tau
-    cross = a.T @ ((up.astype(a.dtype) - down)[:, None] * b)
+    moved = np.flatnonzero(up != down)  # P_l - M_l = +-1, the only nonzero terms
+    cross = np.zeros((a_signs.shape[1],) * 2, dtype)
+    for lo in range(0, len(moved), QUERY_BLOCK):
+        rows = moved[lo : lo + QUERY_BLOCK]
+        weight = up[rows].astype(dtype) - down[rows]
+        a = np.take(a_signs, rows, axis=0).astype(dtype)
+        cross += a.T @ (weight[:, None] * np.take(b_signs, rows, axis=0))
     signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
     both = np.count_nonzero(up) + np.count_nonzero(down)
     return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
@@ -812,7 +835,6 @@ def _hillclimb_search(
 ):
     start_y = _correlation_start(answers, a_signs, b_signs)
     dtype = _sweep_dtype(len(answers), n)
-    a, b = a_signs.astype(dtype), b_signs.astype(dtype)
     best_y = None
     best_count = None
     for restart in range(restarts):
@@ -822,12 +844,12 @@ def _hillclimb_search(
             gen = streams.child("restart", restart).generator()
             y = (gen.random((n, n)) < 0.5).astype(np.uint8)
         flat = y.reshape(-1).astype(np.float64)
-        diff = np.einsum("li,li->l", a @ flat.reshape(n, n).astype(a.dtype), b) - answers
+        diff = _bilinear(a_signs, flat.reshape(n, n), b_signs, dtype) - answers
         count = int(np.count_nonzero(np.abs(diff) > tau))
         for _ in range(max_sweeps):
             if count <= allowed:
                 break
-            flip_counts = _flip_counts(diff, a, b, flat, tau)
+            flip_counts = _flip_counts(diff, a_signs, b_signs, flat, tau, dtype)
             best_flip = int(np.argmin(flip_counts))
             if count - int(flip_counts[best_flip]) < min_improvement:
                 break

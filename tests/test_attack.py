@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -549,10 +550,19 @@ def test_sample_query_signs_are_int8_with_unchanged_draws(monkeypatch):
     assert _as_signs(a) is a
 
 
-@pytest.mark.parametrize("bad", [0, 2, 257, -255])
+@pytest.mark.parametrize(
+    "bad",
+    [0, 2, 257, -255, 0.5, -1.5]
+    + [
+        pytest.param(np.dtype(t).type(v), id=f"{t}-{v}")
+        for t, v in (("int16", 257), ("int16", -255), ("uint8", 255), ("int8", 0), ("int8", -128))
+    ],
+)
 def test_invalid_signs_rejected_before_narrowing(bad):
+    # b holds signs in bad's dtype but for bad, which narrowing to int8 would
+    # wrap (257 -> 1, uint8 255 -> -1) or truncate (0.5 -> 0, -1.5 -> -1)
     a = np.array([[1, -1, 1], [-1, 1, 1]])
-    b = a.copy()
+    b = np.ones_like(a, dtype=np.asarray(bad).dtype)
     b[1, 2] = bad
     with pytest.raises(ValueError):
         OuterProductQuery(a[0], b[1])
@@ -775,6 +785,27 @@ def test_reconstruction_fails_on_noise_answers():
             k, report.gamma
         )
     assert np.mean(hammings) >= 0.3 * n * n
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.0])
+def test_reconstruct_peak_below_one_float_copy_of_the_signs(noise):
+    # the search reads the int8 signs in blocks, so its traced peak stays
+    # below one float32 (k, n) copy of a sign array; with noise no dataset
+    # is feasible, so both restarts sweep
+    n, k = 16, 1 << 17
+    gen = Streams(289).generator()
+    x = random_bits(n, gen)
+    a, b = sample_query_signs(n, k, Streams(290))
+    answers = exact_outer_answers(x, a, b) + noise * gen.standard_normal(k)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = attacker_reconstruct(answers, a, b, n, streams=Streams(291), x_true=x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.search == "hillclimb" and report.feasible == (noise == 0.0)
+    assert peak < 4 * k * n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -10,6 +10,7 @@ chosen flip and every returned dataset must match exactly.
 import numpy as np
 import pytest
 
+from ledplab import attack
 from ledplab.attack import (
     GrayBox,
     _flip_counts,
@@ -91,7 +92,7 @@ def test_flip_counts_match_pattern_oracle_at_threshold_edges(n):
         want = pattern_flip_counts(diff, patterns, flat, tau, chunk=701)
         # the search's float32 signs (k < 2^24) and the float64 ones above
         for dtype in (np.float32, np.float64):
-            got = _flip_counts(diff, a.astype(dtype), b.astype(dtype), flat, tau)
+            got = _flip_counts(diff, a, b, flat, tau, dtype)
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
@@ -138,6 +139,29 @@ def test_hillclimb_matches_pattern_oracle(mechanism, epsilon, n):
     # so the first sweep mostly stops the search; its counts are still compared.
     if epsilon != 0.05:
         assert flips > 0  # the comparison covered accepted flips, not just start points
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 12])
+def test_blocked_sweeps_match_pattern_oracle_at_any_block_size(block, monkeypatch):
+    # the search reads the int8 signs QUERY_BLOCK queries at a time; a block
+    # of 1, one that divides no k below and the default give the same counts
+    monkeypatch.setattr(attack, "QUERY_BLOCK", block)
+    n, k = 5, 3001
+    gen = Streams(340).child(block).generator()
+    tau = accuracy_threshold(n, GAMMA)
+    a, b = sample_query_signs(n, k, Streams(341))
+    diff = gen.uniform(-3 * tau, 3 * tau, size=k)
+    flat = (gen.random(n * n) < 0.5).astype(np.float64)
+    want = pattern_flip_counts(diff, query_patterns(a, b), flat, tau)
+    for dtype in (np.float32, np.float64):
+        assert np.array_equal(_flip_counts(diff, a, b, flat, tau, dtype), want)
+    for mechanism, epsilon, k in (("identity", None, 2 * n * n), ("rr", 2.0, 700)):
+        answers, a, b = _answers(mechanism, epsilon, n, k, 342)
+        args = (answers, a, b, n, tau, disagreement_budget(k, GAMMA), Streams(343), 2, 4 * n * n, 1)
+        y, count = _hillclimb_search(*args)
+        want_y, want_count, taken = pattern_hillclimb(*args)
+        assert np.array_equal(y, want_y) and count == want_count
+        assert taken > 0
 
 
 @pytest.mark.parametrize("n, k", [(2, 1000), (3, 1300)])
