@@ -76,7 +76,7 @@ import numpy as np
 
 from ledplab import parallel
 from ledplab.estimator import released_estimates, triangle_mix
-from ledplab.graphs import Graph, VertexPartition, count_dtype, count_triangles, graph_stats
+from ledplab.graphs import Graph, VertexPartition, count_dtype, graph_stats
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
@@ -292,8 +292,6 @@ class TrianglePost:
     """The estimator's postprocessing: rescale released bits, sum triple
     products."""
 
-    name = "triangle-estimate"
-
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
 
@@ -304,29 +302,19 @@ class TrianglePost:
 class ExactCountPost:
     """Zero-error triangle counting on the assembled released graph."""
 
-    name = "exact-count"
-
-    def __init__(self, method: str = "fast"):
-        if method not in ("fast", "enumerate"):
-            raise ValueError(f"method must be 'fast' or 'enumerate', got {method!r}")
-        self.method = method
-
     def __call__(self, released: np.ndarray) -> float:
-        if self.method == "enumerate":
-            return float(count_triangles(Graph(released)))
         return float(graph_stats(released)[2])
 
 
 def mechanism_components(mechanism: str, epsilon: Optional[float] = None):
-    """(randomizer family, postprocessor) pair for a named mechanism."""
+    """(randomizer family, postprocessor) pair for a named mechanism;
+    "oracle" is another name for "identity"."""
     if mechanism == "rr":
         if epsilon is None:
             raise ValueError("mechanism 'rr' needs epsilon")
         return RandomizedResponse(epsilon), TrianglePost(epsilon)
-    if mechanism == "identity":
-        return IdentityRelease(), ExactCountPost("fast")
-    if mechanism == "oracle":
-        return IdentityRelease(), ExactCountPost("enumerate")
+    if mechanism in ("identity", "oracle"):
+        return IdentityRelease(), ExactCountPost()
     raise ValueError(f"unknown mechanism {mechanism!r}")
 
 
@@ -539,11 +527,8 @@ class GrayBox:
         recorded public payload depend on neither the block size nor the
         thread count.
         """
-        a_signs = np.atleast_2d(_as_signs(a_signs))
-        b_signs = np.atleast_2d(_as_signs(b_signs))
-        k, n = a_signs.shape
-        if n != self.n:
-            raise ValueError(f"query length {n} does not match prepared n={self.n}")
+        a_signs, b_signs = _sign_pair(a_signs, b_signs, self.n, "n")
+        k = len(a_signs)
         if isinstance(self.family, IdentityRelease) and isinstance(self.post, ExactCountPost):
             # Identity releases make every selected released bit exact, so
             # the split recombines to a^T R b with R the stored block;
@@ -680,17 +665,30 @@ def _bilinear(a_signs, m: np.ndarray, b_signs, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _sign_pair(a_signs, b_signs, n: int, field: str):
+    """Both sign arrays as (k, n) int8; a shape that does not fit raises
+    ValueError naming b_signs, or `field`, the name of the side n."""
+    a_signs = np.atleast_2d(_as_signs(a_signs))
+    b_signs = np.atleast_2d(_as_signs(b_signs))
+    if b_signs.shape != a_signs.shape:
+        raise ValueError(f"b_signs: shape {b_signs.shape} does not match a_signs shape {a_signs.shape}")
+    if a_signs.ndim != 2 or a_signs.shape[1] != n:
+        raise ValueError(f"{field}: side {n} does not match the sign arrays' shape {a_signs.shape}")
+    return a_signs, b_signs
+
+
 def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     """Whether the query set separates a candidate from the truth often
     enough: more than gamma^2 k / 32 queries move by over sqrt(gamma) n/2."""
     # checked in float64, not after narrowing to int64, which truncates 0.5
     # and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
     m = np.asarray(m_diff, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"m_diff: must be a square matrix, got shape {m.shape}")
     if not np.all((np.trunc(m) == m) & (np.abs(m) <= 1)):
         raise ValueError("difference entries must lie in {-1, 0, 1}")
     n = m.shape[0]
-    a_signs = np.atleast_2d(_as_signs(a_signs))
-    b_signs = np.atleast_2d(_as_signs(b_signs))
+    a_signs, b_signs = _sign_pair(a_signs, b_signs, n, "m_diff")
     k = a_signs.shape[0]
     products = _bilinear(a_signs, m, b_signs)
     separated = int(np.count_nonzero(np.abs(products) > math.sqrt(gamma) * n / 2.0))
@@ -889,11 +887,14 @@ def attacker_reconstruct(
     if not np.all(np.isfinite(answers)):
         bad = int(np.count_nonzero(~np.isfinite(answers)))
         raise ValueError(f"answers must be finite, got {bad} NaN or infinite")
-    a_signs = np.atleast_2d(_as_signs(a_signs))
-    b_signs = np.atleast_2d(_as_signs(b_signs))
-    k = len(answers)
-    if k != len(a_signs) or k != len(b_signs):
-        raise ValueError("answers and queries must align")
+    a_signs, b_signs = _sign_pair(a_signs, b_signs, n, "n")
+    k = len(a_signs)
+    if answers.shape != (k,):
+        raise ValueError(f"answers: shape {answers.shape} does not match {k} queries")
+    if x_true is not None:
+        if np.shape(x_true) != (n, n):
+            raise ValueError(f"x_true: shape {np.shape(x_true)} does not match n = {n}")
+        x_true = _as_bits(x_true)
     tau = accuracy_threshold(n, gamma)
     allowed = disagreement_budget(k, gamma)
     if streams is None:
@@ -930,7 +931,6 @@ def attacker_reconstruct(
     if feasible:
         report.y_star = best_y
     if x_true is not None:
-        x_true = _as_bits(x_true)
         report.best_hamming = int(np.count_nonzero(best_y != x_true))
         if feasible:
             report.hamming = report.best_hamming

@@ -8,7 +8,10 @@ subcommand calls one library driver in-process, and one shared step
 writes its JSON or CSV output, so the same config and seed give
 byte-identical output files. ``--workers`` and ``$LEDPLAB_WORKERS`` are
 still accepted and validated, but have no effect: every run is one
-process.
+process. ``selftest`` is one table: each row runs a fast path the other
+subcommands print from and its enumeration oracle on the same small
+seeded inputs. ``attack --mechanism oracle`` is another name for
+``identity``.
 """
 
 from __future__ import annotations
@@ -440,148 +443,65 @@ def run_sum_scaling(cfg, given):
 
 
 # --------------------------------------------------------------------------
-# selftest battery
+# selftest: each fast path against its enumeration oracle
 
 
-def _selftest_checks(seed: int):
-    from itertools import product as iproduct
-
+def _selftest_rows(seed: int):
+    """(name, inputs, fast path, oracle, relative tolerance) rows; a side maps an input to numbers."""
     from ledplab import anticoncentration as ac
     from ledplab import attack, estimator, gadget, graphs, ledp
 
-    def triangles_known():
-        assert graphs.count_triangles(graphs.complete_graph(4)) == 4
-        assert graphs.count_triangles(graphs.complete_graph(5)) == 10
-        assert graphs.count_triangles(graphs.path_graph(3)) == 0
+    node = Streams(seed).child("selftest")
+    gen = node.generator()
+    gs = [graphs.erdos_renyi(n, gen.random(), gen) for n in (3, 4, 5, 6, 9, 12)]
+    small = [(g, float(gen.uniform(0.4, 2.0))) for g in gs[:4]]  # at most 15 pairs to enumerate
+    ms = [ac.random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen) for n in (1, 2, 4, 6, 7)]
+    n, eps, x = 4, 1.0, (gen.random((4, 4)) < 0.5).astype(np.uint8)
+    qs = [attack.SubmatrixQuery(*(gen.random((2, n)) < 0.5)) for _ in range(8)]
+    bit_vectors = [v for r in range(1, 5) for v in (np.arange(1 << r)[:, None] >> np.arange(r)) & 1]
+    a, b = attack.sample_query_signs(n, 6, node.child("queries"))
+    boxes = [attack.GrayBox.prepare(x, *attack.mechanism_components(m, eps), node.child(m))
+             for m in ("identity", "rr")]
+    tri = lambda g: int(graphs.graph_stats(g.adjacency)[2])
 
-    def triangles_trace_agree():
-        gen = Streams(seed).child("st-trace").generator()
-        for _ in range(20):
-            g = graphs.erdos_renyi(int(gen.integers(3, 11)), gen.random(), gen)
-            a = g.adjacency.astype(np.int64)
-            assert graphs.count_triangles(g) == int(np.trace(a @ a @ a)) // 6
-
-    def four_cycles_known():
-        assert graphs.count_four_cycles(graphs.complete_graph(4)) == 3
-        assert graphs.count_four_cycles(graphs.cycle_graph(4)) == 1
-        assert graphs.count_four_cycles(graphs.complete_bipartite(3, 3)) == 9
-
-    def randomizer_arithmetic():
-        assert abs(ledp.flip_probability(math.log(3)) - 0.25) < 1e-12
-        assert abs(estimator.rescale(1, math.log(3)) - 1.5) < 1e-12
-        assert abs(estimator.rescale(0, math.log(3)) + 0.5) < 1e-12
-
-    def ledger_compose():
-        p = ledp.PrivacyParams(0.5, 0.01)
-        assert ledp.compose_ledger([p, p]) == ledp.PrivacyParams(1.0, 0.02)
-        assert ledp.compose_ledger([]) == ledp.PrivacyParams(0.0, 0.0)
-
-    def variance_routes_agree():
-        gen = Streams(seed).child("st-var").generator()
-        for _ in range(5):
-            g = graphs.erdos_renyi(int(gen.integers(3, 6)), gen.random(), gen)
-            eps = float(gen.uniform(0.4, 2.0))
-            dec = estimator.exact_variance(g, eps)
-            enum = estimator.variance_by_enumeration(g, eps)
-            assert abs(dec - enum) <= 1e-9 * max(1.0, abs(enum))
-
-    def split_identity():
-        gen = Streams(seed).child("st-split").generator()
-        for _ in range(20):
-            n = int(gen.integers(2, 8))
-            x = (gen.random((n, n)) < 0.5).astype(np.uint8)
-            q = attack.OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
-            q1, q2, q3, combine = attack.split_outer_product(q)
-            got = combine(
-                attack.submatrix_answer(x, q1),
-                attack.submatrix_answer(x, q2),
-                attack.submatrix_answer(x, q3),
-            )
-            assert got == attack.outer_product_answer(x, q)
-
-    def query_graph_identity():
-        gen = Streams(seed).child("st-query").generator()
-        for _ in range(20):
-            n = int(gen.integers(2, 6))
-            x = (gen.random((n, n)) < 0.5).astype(np.uint8)
-            q = attack.SubmatrixQuery(
-                (gen.random(n) < 0.5).astype(np.uint8),
-                (gen.random(n) < 0.5).astype(np.uint8),
-            )
-            g = attack.build_query_graph(x, q)
-            assert graphs.count_triangles(g) == n * attack.submatrix_answer(x, q)
-
-    def gadget_identity():
-        for n in (1, 2, 3, 4):
-            for bits in iproduct((0, 1), repeat=n):
-                x = np.array(bits, dtype=np.uint8)
-                g, _ = gadget.build_sum_gadget(x)
-                assert graphs.count_triangles(g) == int(x.sum()) * n
-
-    def moment_identities():
-        gen = Streams(seed).child("st-moments").generator()
-        for _ in range(20):
-            n = int(gen.integers(1, 6))
-            m = ac.random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen)
-            mean, second, fourth = ac.moments_exhaustive(m)
-            assert mean == 0
-            assert second == m.m
-            assert fourth <= 9 * n**4
-
-    def graybox_exactness():
-        gen = Streams(seed).child("st-graybox").generator()
-        for trial in range(5):
-            n = int(gen.integers(2, 5))
-            x = (gen.random((n, n)) < 0.5).astype(np.uint8)
-            family, post = attack.mechanism_components("identity")
-            box = attack.GrayBox.prepare(x, family, post, Streams(seed).child("st-gb", trial))
-            q = attack.SubmatrixQuery(
-                (gen.random(n) < 0.5).astype(np.uint8),
-                (gen.random(n) < 0.5).astype(np.uint8),
-            )
-            got = box.answer_submatrix(q, Streams(seed).child("st-gb-ans", trial))
-            assert got == attack.submatrix_answer(x, q)
-        # rr slots from integer counts equal direct assembly, bit for bit
-        n = 3
-        x = (gen.random((n, n)) < 0.5).astype(np.uint8)
-        family, post = attack.mechanism_components("rr", 0.5)
-        box = attack.GrayBox.prepare(x, family, post, Streams(seed).child("st-gb-rr"))
-        sel = (gen.random((8, 2 * n)) < 0.5).astype(np.uint8)
-        w_bits = (gen.random((8, n * (n - 1) // 2)) < 0.5).astype(np.uint8)
-        got = box._form.triple_sums(sel, w_bits) / n
-        for t, w in enumerate(w_bits):
-            payloads = [w[:2], w[2:], w[3:]]  # public rows own pairs (0, 1), (0, 2) | (1, 2) | none
-            assert got[t] == box.post(box._assemble(sel[t], payloads)) / n
+    def rr_slots(box):  # slot j's 6 public-pair bits are words [6j, 6j + 6) of the answer stream
+        w = node.child("answers").generator().random((3 * len(a), 6)) < ledp.flip_probability(eps)
+        for l, query in enumerate(map(attack.OuterProductQuery, a, b)):
+            *parts, combine = attack.split_outer_product(query)  # public vertices own 3, 2, 1, 0 pairs
+            yield combine(*(box.post(box._assemble(box._selection_bits(q), np.split(w[3 * l + t], [3, 5, 6])))
+                            / n for t, q in enumerate(parts)))
 
     return [
-        ("triangle-counts-known", triangles_known),
-        ("triangle-counts-trace-agreement", triangles_trace_agree),
-        ("four-cycle-counts-known", four_cycles_known),
-        ("randomizer-arithmetic", randomizer_arithmetic),
-        ("ledger-composition", ledger_compose),
-        ("variance-oracle-vs-enumeration", variance_routes_agree),
-        ("outer-product-split-identity", split_identity),
-        ("query-graph-triangle-identity", query_graph_identity),
-        ("sum-gadget-identity", gadget_identity),
-        ("sign-statistic-moment-identities", moment_identities),
-        ("graybox-exact-answers", graybox_exactness),
+        ("graph-stats", gs, tri, graphs.count_triangles, 0),
+        ("codegree-pairs", gs, lambda g: graphs.codegree_pairs(g.adjacency),
+         lambda g: 2 * graphs.count_four_cycles(g), 0),
+        ("exact-variance", small, lambda c: estimator.exact_variance(*c),
+         lambda c: estimator.variance_by_enumeration(*c), 1e-9),
+        ("estimator-mean", small, lambda c: tri(c[0]), lambda c: estimator._enumeration_moments(*c)[0], 1e-9),
+        ("fourth-moment", ms, ac.fourth_moment, lambda m: ac.moments_exhaustive(m)[2], 0),
+        ("half-enumeration-tail", ms, lambda m: ac.tail_probability_exhaustive(m, math.sqrt(m.m) / 2),
+         lambda m: np.count_nonzero(abs(ac._all_products(m)) > math.sqrt(m.m) / 2) / 4**m.n, 0),
+        ("query-graph-identity", qs, lambda q: n * attack.submatrix_answer(x, q),
+         lambda q: graphs.count_triangles(attack.build_query_graph(x, q)), 0),
+        ("sum-gadget-identity", bit_vectors, lambda v: int(v.sum()) * len(v),
+         lambda v: graphs.count_triangles(gadget.build_sum_gadget(v)[0]), 0),
+        ("batch-answers", boxes, lambda box: box.answer_outer_batch(a, b, node.child("answers")),
+         lambda box: [*rr_slots(box)] if box._form else np.einsum("li,ij,lj->l", a, x.astype(int), b), 0),
     ]
 
 
 def run_selftest(cfg, given):
     results = []
-    for name, fn in _selftest_checks(cfg["seed"]):
-        try:
-            fn()
-            results.append({"name": name, "passed": True, "detail": ""})
-            print(f"ok {name}")
-        except AssertionError as exc:
-            results.append({"name": name, "passed": False, "detail": str(exc)})
-            print(f"FAIL {name}: {exc}")
+    for name, inputs, fast, oracle, rel in _selftest_rows(cfg["seed"]):
+        got, want = ([v for c in inputs for v in np.ravel(side(c)).tolist()] for side in (fast, oracle))
+        bad = [i for i, (f, o) in enumerate(zip(got, want)) if not abs(f - o) <= rel * max(1, abs(o))]
+        detail = (f"{len(got)} fast entries, {len(want)} oracle" if len(got) != len(want) else
+                  f"entry {bad[0]}: fast {got[bad[0]]!r}, oracle {want[bad[0]]!r}" if bad else "")
+        results.append({"name": name, "passed": not detail, "detail": detail})
+        print(f"FAIL {name}: {detail}" if detail else f"ok {name}")
     passed = all(r["passed"] for r in results)
-    payload = {"seed": cfg["seed"], "checks": results, "passed": passed}
-    status = EXIT_OK if passed else 1
-    return status, payload, None, f"selftest: {sum(r['passed'] for r in results)}/{len(results)} checks passed"
+    return EXIT_OK if passed else 1, {"seed": cfg["seed"], "checks": results, "passed": passed}, None, (
+        f"selftest: {sum(r['passed'] for r in results)}/{len(results)} checks passed")
 
 
 # --------------------------------------------------------------------------
@@ -612,7 +532,7 @@ COMMANDS = {spec.name: spec for spec in (
         Opt("k", ("--k",), int, None,
             f"query count, default ceil(128 n^2 / gamma^2); k * n at most {SIGNS_MAX}", low=1),
         Opt("epsilon", ("--epsilon", "--eps"), float, None, "mechanism privacy parameter (rr only)"),
-        Opt("mechanism", ("--mechanism",), str, "rr", "mechanism under attack",
+        Opt("mechanism", ("--mechanism",), str, "rr", "mechanism under attack (oracle: identity)",
             choices=("rr", "identity", "oracle")),
         Opt("search", ("--search",), str, "auto", "search strategy",
             choices=("auto", "exhaustive", "hillclimb")),
@@ -648,7 +568,7 @@ COMMANDS = {spec.name: spec for spec in (
         "n", "epsilon", "trials",
         "mean_abs_error_baseline", "mean_abs_error_via_triangles", "fitted_exponent",
     )),
-    Command("selftest", "run the built-in invariant battery", run_selftest, ()),
+    Command("selftest", "check each fast kernel against its enumeration oracle", run_selftest, ()),
 )}
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "estimate_triangles",
     "sample_estimates",
     "sample_estimates_range",
-    "exact_expectation",
     "exact_variance",
     "variance_by_enumeration",
     "sweep_cell",
@@ -244,32 +243,6 @@ def _enumeration_moments(g: Graph, epsilon: float, chunk: int = 1 << 16):
         e1 += float(weights @ t_hat)
         e2 += float(weights @ (t_hat * t_hat))
     return e1, e2
-
-
-def exact_expectation(g: Graph, epsilon: float, method: str = "auto") -> float:
-    """E[T_hat], which equals the true triangle count.
-
-    method="linearity" reads the count directly; "enumerate" sums over
-    all flip patterns (small graphs only); "auto" does both when
-    feasible and asserts they agree.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    by_linearity = float(graph_stats(g.adjacency)[2])
-    n_pairs = g.n * (g.n - 1) // 2
-    if method == "linearity":
-        return by_linearity
-    if method not in ("auto", "enumerate"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and n_pairs > ENUMERATION_MAX_PAIRS:
-        return by_linearity
-    by_enumeration, _ = _enumeration_moments(g, epsilon)
-    scale = max(1.0, abs(by_linearity))
-    if abs(by_enumeration - by_linearity) > 1e-9 * scale:
-        raise AssertionError(
-            f"expectation routes disagree: {by_enumeration} vs {by_linearity}"
-        )
-    return by_linearity
 
 
 def exact_variance(g: Graph, epsilon: float) -> float:

@@ -132,7 +132,8 @@ class RandomizerOutput:
     exactly those bits. `public` marks invocations whose inputs hold no
     secret data (their release is post-processing and charges nothing).
     `count` lets one record stand for a block of identical-shape
-    invocations of the same vertex on public data.
+    invocations of the same vertex on public data; such a record (count
+    > 1) holds their payloads already packed, as np.packbits output.
     """
 
     vertex: int
@@ -183,6 +184,7 @@ class Transcript:
         rows = []
         for r, rnd in enumerate(self.rounds):
             for out in rnd:
+                packed = out.payload if out.count > 1 else np.packbits(out.payload.astype(np.uint8))
                 rows.append(
                     {
                         "round": r,
@@ -190,7 +192,7 @@ class Transcript:
                         "randomizer": out.randomizer,
                         "epsilon": out.params.epsilon,
                         "delta": out.params.delta,
-                        "payload_hex": np.packbits(out.payload.astype(np.uint8)).tobytes().hex(),
+                        "payload_hex": packed.tobytes().hex(),
                     }
                 )
         total = self.ledger()

@@ -253,6 +253,18 @@ def test_oracle_graybox_matches_exact_answers():
     assert box.answer_submatrix(q, Streams(217)) == submatrix_answer(x, q)
 
 
+def test_oracle_is_identity_under_another_name():
+    assert [type(part) for part in mechanism_components("oracle")] == [
+        type(part) for part in mechanism_components("identity")
+    ]
+    x = random_bits(8, Streams(291).generator())
+    reports = [
+        run_attack(x, m, Streams(292), k=3000, search="hillclimb").to_dict() for m in ("oracle", "identity")
+    ]
+    assert [r.pop("mechanism") for r in reports] == ["oracle", "identity"]
+    assert reports[0] == reports[1]
+
+
 def test_identity_batch_matches_exact_answers():
     gen = Streams(218).generator()
     for n in (6, 8, 32):
@@ -320,6 +332,23 @@ def check_batch_against_direct_assembly(n, eps, k, seed):
         ]
         assert answers[q] == combine(*parts)
     return box
+
+
+def test_bulk_public_round_dumps_its_packed_bytes():
+    # the bulk record stores np.packbits output; the dump emits those bytes once
+    n, k, eps = 4, 3, 1.0
+    x = random_bits(n, Streams(293).generator())
+    box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(294))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(295))
+    box.answer_outer_batch(a_signs, b_signs, Streams(296))
+    w_bits = Streams(296).generator().random((3 * k, n * (n - 1) // 2)) < flip_probability(eps)
+    bulk = box.transcript.dump()["invocations"][-1]
+    assert bulk["vertex"] == -1
+    assert bulk["payload_hex"] == np.packbits(w_bits).tobytes().hex()
+    assert len(bulk["payload_hex"]) == 2 * 7  # 54 bits
+    box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(294))
+    box.answer_outer_batch(a_signs, b_signs, Streams(296))
+    assert box.transcript.dump()["invocations"][-1]["payload_hex"] == ""
 
 
 def test_rr_batch_blocks_match_direct_assembly(monkeypatch):
@@ -820,6 +849,36 @@ def test_reconstruct_rejects_non_finite_answers(bad):
         attacker_reconstruct(answers, a, b, n)
     with pytest.raises(ValueError, match="finite"):
         attacker_reconstruct(np.full(k, bad), a, b, n)
+
+
+def test_mismatched_shapes_rejected_before_any_work(monkeypatch):
+    import ledplab.attack as attack
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the shapes were checked")
+
+    monkeypatch.setattr(attack, "_exhaustive_search", no_search)
+    monkeypatch.setattr(attack, "_hillclimb_search", no_search)
+    monkeypatch.setattr(attack, "_bilinear", no_search)
+    a, b = sample_query_signs(4, 50, Streams(297))
+    answers = np.zeros(50)
+    x = random_bits(4, Streams(298).generator())
+    boxes = [GrayBox.prepare(x, *mechanism_components(m, 1.0), Streams(299)) for m in ("identity", "rr")]
+    cases = [
+        ("n", lambda: attacker_reconstruct(answers, a, b, 3)),
+        ("b_signs", lambda: attacker_reconstruct(answers, a, b[:, :3], 4)),
+        ("b_signs", lambda: attacker_reconstruct(answers, a, b[:49], 4)),
+        ("answers", lambda: attacker_reconstruct(answers[:49], a, b, 4)),
+        ("x_true", lambda: attacker_reconstruct(answers, a, b, 4, x_true=np.zeros((3, 3)))),
+        ("m_diff", lambda: catches(a, b, np.zeros((3, 3)), 1 / 9)),
+        ("m_diff", lambda: catches(a, b, np.zeros((4, 3)), 1 / 9)),
+        ("b_signs", lambda: catches(a, b[:, :3], np.zeros((4, 4)), 1 / 9)),
+        *[("b_signs", lambda box=box: box.answer_outer_batch(a, b[:49], Streams(300))) for box in boxes],
+        *[("n", lambda box=box: box.answer_outer_batch(a[:, :3], b[:, :3], Streams(300))) for box in boxes],
+    ]
+    for field, call in cases:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            call()
 
 
 def test_attack_report_json():

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ledplab
+from ledplab import anticoncentration, attack, estimator, graphs
 from ledplab.anticoncentration import tail_report
 from ledplab.cli import _jsonable, main
 from ledplab.estimator import sample_estimates, variance_sweep
@@ -125,9 +127,35 @@ def test_sum_scaling_subcommand(workdir):
 def test_selftest_passes(workdir, capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
-    assert "11/11 checks passed" in out
+    assert "9/9 checks passed" in out
     payload = json.loads((workdir / "selftest.json").read_text())
     assert payload["passed"] is True
+    assert [c["name"] for c in payload["checks"]] == [
+        "graph-stats", "codegree-pairs", "exact-variance", "estimator-mean", "fourth-moment",
+        "half-enumeration-tail", "query-graph-identity", "sum-gadget-identity", "batch-answers",
+    ]
+    assert all(c["passed"] and c["detail"] == "" for c in payload["checks"])
+
+
+@pytest.mark.parametrize("owner, name, shift, failing", [
+    # graph_stats T is the fast side of both the triangle row and the estimator-mean row
+    (graphs, "graph_stats", lambda s: (s[0], s[1], s[2] + 1), {"graph-stats", "estimator-mean"}),
+    (graphs, "codegree_pairs", lambda p: p + 1, {"codegree-pairs"}),
+    (estimator, "exact_variance", lambda v: v * (1 + 1e-6), {"exact-variance"}),
+    (anticoncentration, "fourth_moment", lambda f: f + 1, {"fourth-moment"}),
+    (anticoncentration, "tail_probability_exhaustive", lambda p: p + Fraction(1, 1 << 14),
+     {"half-enumeration-tail"}),
+    (attack, "_bilinear", lambda answers: answers + 1, {"batch-answers"}),  # identity answers
+    (attack._SlotForm, "block_sums", lambda sums: sums * (1 + 1e-12), {"batch-answers"}),  # rr slots
+])
+def test_selftest_catches_a_broken_kernel(workdir, monkeypatch, owner, name, shift, failing):
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: shift(original(*args, **kwargs)))
+    assert run_cli("selftest") == 1
+    payload = json.loads((workdir / "selftest.json").read_text())
+    assert payload["passed"] is False
+    assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
+    assert all(c["detail"].startswith("entry ") for c in payload["checks"] if not c["passed"])
 
 
 def test_usage_errors_name_the_field(workdir, capsys):

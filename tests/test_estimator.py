@@ -9,7 +9,6 @@ import pytest
 from ledplab import estimator, parallel
 from ledplab.estimator import (
     estimate_triangles,
-    exact_expectation,
     exact_variance,
     rescale,
     rescaled_atoms,
@@ -25,6 +24,7 @@ from ledplab.graphs import (
     cycle_graph,
     empty_graph,
     erdos_renyi,
+    graph_stats,
     path_graph,
     star_graph,
 )
@@ -116,13 +116,14 @@ def test_expectation_k3_by_direct_enumeration():
 
 
 def test_exact_expectation_routes_agree():
-    assert exact_expectation(complete_graph(4), 1.7) == 4.0
-    assert exact_expectation(complete_graph(3), math.log(2), method="enumerate") == 1.0
-    assert exact_expectation(empty_graph(4), 0.5) == 0.0
-    # beyond the enumeration cap the linearity route still answers
-    assert exact_expectation(complete_graph(12), 1.0) == 220.0
+    # the flip-pattern enumeration's mean of T_hat is the kernel's triangle count
+    for g, eps in ((complete_graph(4), 1.7), (complete_graph(3), math.log(2)), (empty_graph(4), 0.5)):
+        t = int(graph_stats(g.adjacency)[2])
+        assert abs(estimator._enumeration_moments(g, eps)[0] - t) <= 1e-9 * max(1, t)
+    # beyond the enumeration cap only the kernel answers
+    assert graph_stats(complete_graph(12).adjacency)[2] == 220
     with pytest.raises(ValueError):
-        exact_expectation(complete_graph(12), 1.0, method="enumerate")
+        estimator._enumeration_moments(complete_graph(12), 1.0)
 
 
 def test_no_triples_gives_zero():
@@ -215,7 +216,7 @@ def test_unbiasedness_statistical():
     ]
     trials = 20000
     for g, eps in cases:
-        t = exact_expectation(g, eps, method="linearity")
+        t = int(graph_stats(g.adjacency)[2])
         est = sample_estimates(g, eps, trials, Streams(8).child("unbiased", g.n))
         tol = 4.0 * math.sqrt(exact_variance(g, eps) / trials)
         assert abs(est.mean() - t) <= tol
