@@ -83,9 +83,11 @@ from ledplab.ledp import (
     RandomizedResponse,
     RandomizerOutput,
     Transcript,
+    bernoulli_rows,
     compose_ledger,
     flip_probability,
     release_runs,
+    unit_words,
 )
 from ledplab.rng import Streams
 
@@ -368,15 +370,15 @@ class _SlotForm:
         return cls(n, epsilon, coef.astype(dtype))
 
     def workspace(self, rows: int) -> dict:
-        """Buffers for blocks of up to `rows` slots, one column a slot: the
-        public noise draw and its bits, the selections and bits as uint8,
-        the operand x with its constant row set, the product coef @ x,
-        d - 1, and one run of public pairs."""
+        """Buffers for blocks of up to `rows` slots: the public bits, one row
+        a slot as `ledplab.ledp.bernoulli_rows` fills them; then one column
+        a slot, the selections and bits as uint8, the operand x with its
+        constant row set, the product coef @ x, d - 1, and one run of public
+        pairs."""
         pairs = self.n * (self.n - 1) // 2
         x = np.empty((self.coef.shape[1], rows), dtype=self.coef.dtype)
         x[0] = 1
         return {
-            "draw": np.empty((rows, pairs)),
             "bits": np.empty((rows, pairs), dtype=bool),
             "sw": np.empty((2 * self.n + pairs, rows), dtype=np.uint8),
             "x": x,
@@ -454,14 +456,13 @@ class GrayBox:
     def prepare(cls, x, family, post, streams: Streams) -> "GrayBox":
         """Run each secret vertex's randomizer once per round, round 0 on
         the bare secret graph and round 1 with the public block attached,
-        all 4n payloads drawn in round then vertex order from the one
-        stream of `streams`."""
+        round u unit u of the node `streams`, its 2n runs in vertex order
+        (stream layout 4, `ledplab.rng`)."""
         x = _as_bits(x)
-        gen = streams.generator()
         transcript = Transcript()
         stored = []
-        for rows in secret_input_rows(x):
-            outputs, released = release_runs(family, rows, gen)
+        for unit, rows in enumerate(secret_input_rows(x)):
+            outputs, released = release_runs(family, rows, streams, unit)
             transcript.append_round(outputs)
             stored.append(released)
         # every secret pair is covered once per round
@@ -492,10 +493,9 @@ class GrayBox:
         graph using stored secret-vertex outputs, divide by n."""
         sel = self._selection_bits(q)
         n = self.n
-        # each public vertex releases its run of zeros, drawn in vertex order from one stream
-        outputs, _ = release_runs(
-            self.family, np.zeros((n, 3 * n), dtype=np.uint8), streams.generator(), first=2 * n, public=True
-        )
+        # the public vertices' runs of zeros, in vertex order, are unit 0 of streams
+        zeros = np.zeros((n, 3 * n), dtype=np.uint8)
+        outputs, _ = release_runs(self.family, zeros, streams, first=2 * n, public=True)
         self.transcript.append_round(outputs)
         released = self._assemble(sel, [out.payload for out in outputs])
         return self.post(released) / n
@@ -515,17 +515,18 @@ class GrayBox:
         """Answers to k sign-vector queries, vectorized.
 
         Equivalent to answer_outer per query. Slot 3l + t is part t of
-        query l's three-part split. Slot j's public-pair bits come from the
-        words [j P, (j + 1) P) of the one stream of `streams`, P = n(n-1)/2
-        (stream layout 3, `ledplab.rng`), and each slot's estimate is mixed
-        from its graph's exact integer counts. Slots are answered SLOT_BLOCK
-        at a time, the blocks in parallel on up to one thread a usable CPU
-        per BLAS thread and no more threads than WORKSPACE_BYTES holds
+        query l's three-part split. Slot j's P = n(n-1)/2 public-pair bits
+        are unit j of the node `streams` (stream layout 4, `ledplab.rng`):
+        they read the words [j W, (j + 1) W), W = ceil(P/4), and a tie, if
+        any, the node's "ties" child. Each slot's estimate is mixed from its
+        graph's exact integer counts. Slots are answered SLOT_BLOCK at a
+        time, the blocks in parallel on up to one thread a usable CPU per
+        BLAS thread and no more threads than WORKSPACE_BYTES holds
         workspaces, each running block in a workspace of its own
-        (`ledplab.parallel`). A block writes only its own answers and its
-        generator is derived on the calling thread, so the answers and the
-        recorded public payload depend on neither the block size nor the
-        thread count.
+        (`ledplab.parallel`). A block writes only its own answers, and its
+        generator is derived on the calling thread (a tie generator by the
+        block that holds the tie), so the answers and the recorded public
+        payload depend on neither the block size nor the thread count.
         """
         a_signs, b_signs = _sign_pair(a_signs, b_signs, self.n, "n")
         k = len(a_signs)
@@ -548,13 +549,14 @@ class GrayBox:
     def _noisy_slot_answers(self, a_signs, b_signs, streams) -> np.ndarray:
         n, block = self.n, SLOT_BLOCK
         assert block % 8 == 0, f"SLOT_BLOCK must be a multiple of 8, got {block}"
-        pairs = n * (n - 1) // 2
+        words = unit_words(n * (n - 1) // 2)
         p_flip = flip_probability(self.family.epsilon)
+        ties = streams.child("ties")
         total = 3 * len(a_signs)
         answers = np.empty(total, dtype=np.float64)
         starts = range(0, total, block)
-        # derived here, so the workers call nothing outside numpy
-        items = [(start, streams.generator(start * pairs)) for start in starts]
+        # derived here, so a worker derives a generator only for a tie
+        items = [(start, streams.generator(start * words)) for start in starts]
         # one workspace a running block, allocated on this thread and held
         # until the payload is joined: the caller's heap then keeps its pages
         # warm for the search that follows (freed before the join, they cost a
@@ -567,9 +569,8 @@ class GrayBox:
         def answer_block(item, ws):
             start, gen = item
             rows = min(block, total - start)
-            draw, w_bits, sw = ws["draw"][:rows], ws["bits"][:rows], ws["sw"][:, :rows]
-            gen.random(out=draw)
-            np.less(draw, p_flip, out=w_bits)
+            w_bits, sw = ws["bits"][:rows], ws["sw"][:, :rows]
+            bernoulli_rows(p_flip, gen, ties, start, w_bits)
             packed = np.packbits(w_bits, axis=None)
             sw[2 * n :] = w_bits.T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
@@ -650,12 +651,14 @@ def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np
     return signs(), signs()
 
 
-def _bilinear(a_signs, m: np.ndarray, b_signs, dtype=np.float64) -> np.ndarray:
+def _bilinear(a_signs, m: np.ndarray, b_signs) -> np.ndarray:
     """a_l^T m b_l for each query l as float64, from products of QUERY_BLOCK
-    queries in dtype; exact for integer m while every partial sum, an
-    integer <= sum |m|, is exact in dtype."""
+    queries in float32 while sum |m| < 2^24, else in float64; exact for
+    integer m, whose every partial sum is an integer <= sum |m|, while that
+    is below 2^53."""
     out = np.empty(len(a_signs))
-    m = m.astype(dtype, copy=False)
+    dtype = np.float32 if np.abs(m).sum() < 1 << 24 else np.float64
+    m = m.astype(dtype)
     ones = np.ones(m.shape[1], dtype)
     for lo in range(0, len(out), QUERY_BLOCK):
         hi = lo + QUERY_BLOCK
@@ -782,12 +785,14 @@ def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
     """y_ij = [sum_l answers_l a_li b_lj > k/2], decided exactly (module docstring)."""
     k, n = a_signs.shape
     s = np.zeros((n, n))
+    magnitude = 0.0
     for lo in range(0, k, QUERY_BLOCK):
         hi = lo + QUERY_BLOCK
         s += (answers[lo:hi, None] * a_signs[lo:hi]).T @ b_signs[lo:hi].astype(np.float64)
+        magnitude += np.abs(answers[lo:hi]).sum()
     half = k / 2
     y = (s > half).astype(np.uint8)
-    bound = 2.0 * k * 2.0**-52 * np.abs(answers).sum()
+    bound = 2.0 * k * 2.0**-52 * magnitude
     for i, j in zip(*np.nonzero(np.abs(s - half) <= bound)):
         terms = answers * (a_signs[:, i] * b_signs[:, j])
         y[i, j] = math.fsum([*terms.tolist(), -half]) > 0
@@ -801,21 +806,30 @@ def _sweep_dtype(k: int, n: int):
     return np.float32 if max(k, n * n) < 1 << 24 else np.float64
 
 
+def _inaccurate(diff, tau) -> int:
+    """How many residuals exceed tau in size, counted QUERY_BLOCK at a time."""
+    blocks = range(0, len(diff), QUERY_BLOCK)
+    return sum(int(np.count_nonzero(np.abs(diff[lo : lo + QUERY_BLOCK]) > tau)) for lo in blocks)
+
+
 def _flip_counts(diff, a_signs, b_signs, flat, tau, dtype) -> np.ndarray:
     """Inaccurate count after flipping each bit of flat, from residuals diff
-    and int8 signs, gathering the queries that enter the product QUERY_BLOCK
-    at a time as floats of dtype (module docstring)."""
-    up = np.abs(diff + 1.0) > tau
-    down = np.abs(diff - 1.0) > tau
-    moved = np.flatnonzero(up != down)  # P_l - M_l = +-1, the only nonzero terms
+    and int8 signs, QUERY_BLOCK queries at a time: of each block, only the
+    queries that enter the product are gathered, as floats of dtype (module
+    docstring)."""
     cross = np.zeros((a_signs.shape[1],) * 2, dtype)
-    for lo in range(0, len(moved), QUERY_BLOCK):
-        rows = moved[lo : lo + QUERY_BLOCK]
-        weight = up[rows].astype(dtype) - down[rows]
-        a = np.take(a_signs, rows, axis=0).astype(dtype)
-        cross += a.T @ (weight[:, None] * np.take(b_signs, rows, axis=0))
+    both = 0
+    for lo in range(0, len(diff), QUERY_BLOCK):
+        block = diff[lo : lo + QUERY_BLOCK]
+        up = np.abs(block + 1.0) > tau
+        down = np.abs(block - 1.0) > tau
+        both += np.count_nonzero(up) + np.count_nonzero(down)
+        moved = np.flatnonzero(up != down)  # P_l - M_l = +-1, the only nonzero terms
+        weight = up[moved].astype(dtype) - down[moved]
+        moved += lo
+        a = np.take(a_signs, moved, axis=0).astype(dtype)
+        cross += a.T @ (weight[:, None] * np.take(b_signs, moved, axis=0))
     signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
-    both = np.count_nonzero(up) + np.count_nonzero(down)
     return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
 
 
@@ -842,8 +856,9 @@ def _hillclimb_search(
             gen = streams.child("restart", restart).generator()
             y = (gen.random((n, n)) < 0.5).astype(np.uint8)
         flat = y.reshape(-1).astype(np.float64)
-        diff = _bilinear(a_signs, flat.reshape(n, n), b_signs, dtype) - answers
-        count = int(np.count_nonzero(np.abs(diff) > tau))
+        diff = _bilinear(a_signs, flat.reshape(n, n), b_signs)
+        diff -= answers
+        count = _inaccurate(diff, tau)
         for _ in range(max_sweeps):
             if count <= allowed:
                 break
@@ -852,9 +867,13 @@ def _hillclimb_search(
             if count - int(flip_counts[best_flip]) < min_improvement:
                 break
             i, j = divmod(best_flip, n)
-            diff += a_signs[:, i] * b_signs[:, j] * (1.0 - 2.0 * flat[best_flip])
+            step = 1.0 - 2.0 * flat[best_flip]
+            for lo in range(0, len(diff), QUERY_BLOCK):
+                hi = lo + QUERY_BLOCK
+                diff[lo:hi] += a_signs[lo:hi, i] * b_signs[lo:hi, j] * step
             flat[best_flip] = 1.0 - flat[best_flip]
             count = int(flip_counts[best_flip])
+        del diff  # freed before the next restart's residuals are allocated
         if best_count is None or count < best_count:
             best_count = count
             best_y = flat.astype(np.uint8).reshape(n, n)

@@ -464,8 +464,12 @@ def _selftest_rows(seed: int):
              for m in ("identity", "rr")]
     tri = lambda g: int(graphs.graph_stats(g.adjacency)[2])
 
-    def rr_slots(box):  # slot j's 6 public-pair bits are words [6j, 6j + 6) of the answer stream
-        w = node.child("answers").generator().random((3 * len(a), 6)) < ledp.flip_probability(eps)
+    def rr_slots(box):  # slot j's 6 public-pair bits, 53 bits each: 6 uint16s of its 2 words, 6 tie words
+        answers, slots = node.child("answers"), 3 * len(a)
+        h = answers.generator().bit_generator.random_raw(2 * slots).astype("<u8").view("<u2").reshape(slots, 8)
+        ties = answers.child("ties").generator().bit_generator.random_raw(6 * slots).reshape(slots, 6) >> 27
+        draws = [[(int(hi) << 37) + int(lo) for hi, lo in zip(*pair)] for pair in zip(h[:, :6], ties)]
+        w = np.array(draws) < math.ceil(ledp.flip_probability(eps) * 2**53)
         for l, query in enumerate(map(attack.OuterProductQuery, a, b)):
             *parts, combine = attack.split_outer_product(query)  # public vertices own 3, 2, 1, 0 pairs
             yield combine(*(box.post(box._assemble(box._selection_bits(q), np.split(w[3 * l + t], [3, 5, 6])))

@@ -28,7 +28,14 @@ from ledplab.graphs import (
     erdos_renyi,
     graph_stats,
 )
-from ledplab.ledp import RandomizedResponse, Transcript, flip_probability, randomized_rows, release_runs
+from ledplab.ledp import (
+    RandomizedResponse,
+    Transcript,
+    flip_probability,
+    randomized_rows,
+    release_runs,
+    unit_words,
+)
 from ledplab.rng import Streams
 
 __all__ = [
@@ -125,7 +132,7 @@ def estimate_triangles(g: Graph, epsilon: float, streams: Streams) -> tuple[floa
     (T_hat, the one-round Transcript).
     """
     _check_epsilon(epsilon)
-    outputs, released = release_runs(RandomizedResponse(epsilon), g.adjacency, streams.generator())
+    outputs, released = release_runs(RandomizedResponse(epsilon), g.adjacency, streams)
     transcript = Transcript()
     transcript.append_round(outputs)
     return float(released_estimates(released | released.T, epsilon)), transcript
@@ -134,9 +141,10 @@ def estimate_triangles(g: Graph, epsilon: float, streams: Streams) -> tuple[floa
 def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
     """Monte Carlo estimates for `trials` independent protocol runs.
 
-    All trials draw from the one stream of `streams`, trial t from its
-    words [t C(n,2), (t + 1) C(n,2)) through its own generator (stream
-    layout 3, `ledplab.rng`), so results are identical however trials are
+    Trial t is unit t of the node `streams` (stream layout 4,
+    `ledplab.rng`): its C(n,2) bits read the words [t W, (t + 1) W),
+    W = ceil(C(n,2)/4), through its own generator, and a tie, if any, the
+    node's "ties" child, so results are identical however trials are
     scheduled. This bulk path skips transcripts; estimate_triangles records
     trial 0.
     """
@@ -155,8 +163,9 @@ def sample_estimates_range(
     evenly into the fewest blocks of at most BLOCK_TRIALS trials and
     BLOCK_BYTES / threads of counts, and a run of one block stays on the
     calling thread. Each running block fills a workspace of its own,
-    and every trial's generator is derived on the calling thread; a trial's
-    counts are exact integers, so its estimate depends on neither.
+    and every trial's generator is derived on the calling thread (a tie
+    generator is derived by the block that holds the tie); a trial's counts
+    are exact integers, so its estimate depends on neither.
     """
     _check_epsilon(epsilon)
     if not 0 <= start <= stop:
@@ -164,6 +173,8 @@ def sample_estimates_range(
     n = g.n
     iu = np.triu_indices(n, k=1)
     k = len(iu[0])
+    words = unit_words(k)
+    ties = streams.child("ties")
     true_bits = g.adjacency[iu]
     pair_index = np.full((n, n), k)  # the diagonal reads column k, left 0
     pair_index[iu] = pair_index[iu[::-1]] = np.arange(k)
@@ -187,7 +198,7 @@ def sample_estimates_range(
         lo_t, gens = item
         b = len(gens)
         bits = ws["bits"][:b]
-        randomized_rows(true_bits, epsilon, gens, bits[:, :k])
+        randomized_rows(true_bits, epsilon, gens, ties, lo_t, bits[:, :k])
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
         np.copyto(counts, released)
@@ -195,7 +206,7 @@ def sample_estimates_range(
         out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
 
     items = (
-        (lo_t, [streams.generator(t * k) for t in range(lo_t, min(lo_t + rows, stop))])
+        (lo_t, [streams.generator(t * words) for t in range(lo_t, min(lo_t + rows, stop))])
         for lo_t in range(start, stop, rows)
     )
     parallel.parallel_map(estimate_block, items, make_workspace, min(cpus, blocks))

@@ -9,8 +9,6 @@ the baseline whose error grows like sqrt(n) at fixed epsilon.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from ledplab.estimator import rescaled_atoms, sample_estimates
@@ -77,15 +75,14 @@ def ldp_sum_baseline(x, epsilon: float, streams: Streams) -> float:
 
 
 def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
-    """Baseline estimates over independent trials, trial t from words
-    [t n, (t + 1) n) of the one stream of `streams` (stream layout 3,
-    `ledplab.rng`), drawn in order through one generator; the released
-    bits take trials * n bytes."""
+    """Baseline estimates over independent trials, trial t unit t of the
+    node `streams` (stream layout 4, `ledplab.rng`), all drawn in order
+    through one generator; the released bits take trials * n bytes."""
     x = _as_bit_vector(x)
     n = len(x)
     lo, hi = rescaled_atoms(epsilon)
-    gens = itertools.repeat(streams.generator(), trials)
-    ones = randomized_rows(x, epsilon, gens, np.empty((trials, n), np.uint8)).sum(axis=1)
+    released = np.empty((trials, n), np.uint8)
+    ones = randomized_rows(x, epsilon, streams.generator(), streams.child("ties"), 0, released).sum(axis=1)
     return ones * hi + (n - ones) * lo
 
 

@@ -6,7 +6,9 @@ parameters charged, and a ledger derives per-bit and global (epsilon,
 delta) totals by plain composition arithmetic.
 
 Vertex v releases only its run, the bits of pairs (v, j) for v < j < end,
-so one round of `release_runs` charges each potential edge once.
+so one round of `release_runs` charges each potential edge once. Every
+randomized-response bit, here, in the estimator and in the gray box, is
+drawn by `bernoulli_rows` (stream layout 4, `ledplab.rng`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "IdentityRelease",
     "flip_probability",
     "randomized_response",
+    "bernoulli_rows",
+    "unit_words",
     "randomized_rows",
     "release_runs",
     "compose_ledger",
@@ -64,32 +68,85 @@ def flip_probability(epsilon: float) -> float:
     return 1.0 / (math.exp(epsilon) + 1.0)
 
 
-def randomized_response(bits: np.ndarray, epsilon: float, gen: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability 1/(e^eps + 1)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = np.empty((1, bits.size), dtype=np.uint8)
-    return randomized_rows(bits.ravel(), epsilon, [gen], out).reshape(bits.shape)
+def randomized_response(bits: np.ndarray, epsilon: float, streams) -> np.ndarray:
+    """Flip each bit independently with probability 1/(e^eps + 1): the bits
+    in C order, drawn as unit 0 of the node `streams`."""
+    return RandomizedResponse(epsilon).release(bits, streams)
 
 
-# Bytes of the double buffer randomized_rows draws through.
+# Bytes of raw stream words and tie mask that bernoulli_rows holds at once.
 DRAW_BYTES = 1 << 20
 
+# A unit's uint16 draw h decides its bit alone unless h equals the top
+# 16 of the 53 bits of the threshold; the other 37 come from a tie word.
+TIE_BITS = 37
 
-def randomized_rows(bits: np.ndarray, epsilon: float, gens, out: np.ndarray) -> np.ndarray:
-    """Fill the (rows, len(bits)) uint8 array out with randomized-response
-    copies of bits, row r flipped by the next len(bits) doubles of the r-th
-    generator of gens, drawn through one reused buffer of at most
-    DRAW_BYTES (or one row, if longer)."""
-    p_flip = flip_probability(epsilon)
-    gens = iter(gens)
+
+def unit_words(bits: int) -> int:
+    """Stream words a unit of `bits` randomized-response bits reads, four
+    16-bit draws a word (stream layout 4)."""
+    return -(-bits // 4)
+
+
+def bernoulli_rows(p: float, gens, ties, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (rows, P) bool or uint8 array out with the Bernoulli(p) bits
+    of units first, first + 1, ... of a node (stream layout 4, `ledplab.rng`),
+    for p at most 1/2, as every flip probability is.
+
+    Row r reads W = ceil(P/4) words as little-endian uint16s h_0 .. h_(P-1):
+    from `gens`, one generator at unit first's words read for every row in
+    turn, or a list of one generator a row, each at its unit's words. With
+    c = ceil(p 2^53) = c_hi 2^37 + c_lo, bit i is 1 iff h_i < c_hi, or
+    h_i = c_hi and the top 37 bits of word (first + r) P + i of `ties`, the
+    node's "ties" child, are below c_lo: exactly the 53-bit draw
+    [h_i 2^37 + top37 < c] of probability c / 2^53. A tie generator is
+    derived only for a chunk of rows that holds a tie; a chunk's words and
+    tie mask take at most DRAW_BYTES, or one row's, if more.
+    """
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"p must lie in [0, 1/2], got {p}")
     rows, width = out.shape
-    step = max(1, DRAW_BYTES // (8 * max(width, 1)))
-    draw = np.empty((min(step, rows), width))
+    words = unit_words(width)
+    c = math.ceil(p * 2.0**53)
+    c_hi, c_lo = c >> TIE_BITS, c & ((1 << TIE_BITS) - 1)
+    step = max(1, DRAW_BYTES // max(8 * words + width, 1))
+    single = isinstance(gens, np.random.Generator)
+    if not single:
+        buffer = np.empty((min(step, rows), words), dtype=np.uint64)
     for lo in range(0, rows, step):
-        chunk = draw[: min(step, rows - lo)]
-        for row, gen in zip(chunk, gens):
-            gen.random(out=row)
-        np.less(chunk, p_flip, out=out[lo : lo + len(chunk)])
+        hi = min(lo + step, rows)
+        if single:
+            raw = gens.bit_generator.random_raw((hi - lo) * words)
+        else:
+            raw = buffer[: hi - lo]
+            for row, gen in zip(raw, gens[lo:hi]):
+                row[...] = gen.bit_generator.random_raw(words)
+        h = raw.astype("<u8", copy=False).view("<u2").reshape(hi - lo, 4 * words)[:, :width]
+        chunk = out[lo:hi]
+        np.less(h, c_hi, out=chunk)
+        if c_lo:
+            tied = np.flatnonzero(h == c_hi)  # flat: a 2-d nonzero costs more than the draw
+            if len(tied):
+                chunk[np.divmod(tied, width)] = _tie_bits(ties, (first + lo) * width + tied, c_lo)
+    return out
+
+
+def _tie_bits(ties, words: np.ndarray, c_lo: int) -> np.ndarray:
+    """[top 37 bits of word w of ties < c_lo] for the ascending word indices
+    words, all read through one generator."""
+    bit_gen, at = ties.generator().bit_generator, 0
+    raw = np.empty(len(words), dtype=np.uint64)
+    for i, w in enumerate(words.tolist()):
+        raw[i] = bit_gen.advance(w - at).random_raw()
+        at = w + 1
+    return (raw >> np.uint64(64 - TIE_BITS)) < c_lo
+
+
+def randomized_rows(bits: np.ndarray, epsilon: float, gens, ties, first: int, out: np.ndarray) -> np.ndarray:
+    """Fill the (rows, len(bits)) uint8 array out with randomized-response
+    copies of bits: row r is bits XOR the Bernoulli(1/(e^eps + 1)) bits of
+    unit first + r, drawn by bernoulli_rows from gens and ties."""
+    bernoulli_rows(flip_probability(epsilon), gens, ties, first, out)
     out ^= bits
     return out
 
@@ -106,8 +163,14 @@ class RandomizedResponse:
         self.epsilon = epsilon
         self.params = PrivacyParams(epsilon, 0.0)
 
-    def release(self, bits: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-        return randomized_response(bits, self.epsilon, gen)
+    def release(self, bits: np.ndarray, streams, unit: int = 0) -> np.ndarray:
+        """A randomized-response copy of bits, in C order unit `unit` of the
+        node `streams` (stream layout 4, `ledplab.rng`)."""
+        bits = np.asarray(bits, dtype=np.uint8)
+        out = np.empty((1, bits.size), dtype=np.uint8)
+        gen = streams.generator(unit * unit_words(bits.size))
+        randomized_rows(bits.ravel(), self.epsilon, gen, streams.child("ties"), unit, out)
+        return out.reshape(bits.shape)
 
 
 class IdentityRelease:
@@ -119,7 +182,7 @@ class IdentityRelease:
     def __init__(self):
         self.params = PrivacyParams(math.inf, 0.0)
 
-    def release(self, bits: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def release(self, bits: np.ndarray, streams, unit: int = 0) -> np.ndarray:
         return np.asarray(bits, dtype=np.uint8).copy()
 
 
@@ -205,16 +268,19 @@ class Transcript:
         return json.dumps(self.dump(), sort_keys=True, separators=(",", ":"))
 
 
-def release_runs(randomizer, rows: np.ndarray, gen: np.random.Generator, first: int = 0, public: bool = False):
+def release_runs(randomizer, rows: np.ndarray, streams, unit: int = 0, first: int = 0, public: bool = False):
     """One round in which vertex v = first + i releases its run of rows[i],
-    the bits of pairs (v, j) for v < j < rows.shape[1], all drawn from gen in
-    vertex order. Returns the round's outputs and a zero array the shape of
-    rows holding each released run in place."""
+    the bits of pairs (v, j) for v < j < rows.shape[1]; the round's runs, in
+    vertex order, are released as unit `unit` of the node `streams`.
+    Returns the round's outputs and a zero array the shape of rows holding
+    each released run in place."""
     end = rows.shape[1]
+    vertices = range(first, first + len(rows))
+    runs = np.arange(end) > np.array(vertices)[:, None]
     released = np.zeros(rows.shape, dtype=np.uint8)
-    outputs = []
-    for v, row in enumerate(rows, start=first):
-        payload = randomizer.release(row[v + 1 :], gen)
-        released[v - first, v + 1 :] = payload
-        outputs.append(RandomizerOutput(v, randomizer.name, randomizer.params, payload, end, public))
+    released[runs] = randomizer.release(rows[runs], streams, unit)
+    outputs = [
+        RandomizerOutput(v, randomizer.name, randomizer.params, released[i, v + 1 :].copy(), end, public)
+        for i, v in enumerate(vertices)
+    ]
     return outputs, released

@@ -8,9 +8,12 @@ block's products already run on the BLAS threads.
 
 The items are drawn on the calling thread, in order, so everything that
 derives them (stream generators above all) runs there; a worker runs only
-``fn`` on an item and a workspace. Every workspace is made on the calling
-thread before any block starts, and a running block holds one of its own,
-so at most ``threads`` workspaces are ever live.
+``fn`` on an item and a workspace. The one generator a worker may derive
+is a randomized-response tie generator, for a block whose draws turn out
+to hold a tie (`ledplab.ledp.bernoulli_rows`): what it reads is fixed by
+the tie's place in the stream, not by the thread. Every workspace is made
+on the calling thread before any block starts, and a running block holds
+one of its own, so at most ``threads`` workspaces are ever live.
 """
 
 from __future__ import annotations

@@ -5,19 +5,25 @@ tree of named child streams. Two runs with the same seed and the same
 stream paths produce identical draws regardless of execution order or
 worker count.
 
-Stream layout 3 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
-PCG64 stream, and trial t reads the fixed slice [t P, (t + 1) P) of its
-64-bit words, for P words a trial (a double or a raw word takes one
-word), through its own ``generator(skip=t * P)``. A trial's draws do not
-depend on which other trials run, so slicing a run into ranges reproduces
-it bit for bit. A node hashes its SeedSequence once, so deriving a
-generator costs about 2 us, not 20. Layout 1 gave each trial a child node
-of its own. Layout 2 sliced Monte Carlo runs and query signs this way,
-but a gray box's prepared payloads, its blocks of public answer bits and
-the recorded estimator run still drew from child nodes of their own;
-layout 3 slices those too, and draws Monte Carlo tail signs as query
-signs, so rr attack outputs, recorded estimator runs and Monte Carlo tail
-rows differ from layout 2's.
+Stream layout 4 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
+PCG64 stream, and unit u (a trial, a gray-box slot, a prepare round) reads
+the fixed slice [u W, (u + 1) W) of its 64-bit words through a generator
+skipped to it, ``generator(skip=u * W)``, for W words a unit. A unit's
+draws do not depend on which other units run, so slicing a run into
+ranges reproduces it bit for bit. A node hashes its SeedSequence once, so
+deriving a generator costs about 2 us, not 20, and may be done on any
+thread.
+
+A randomized-response unit of P bits reads W = ceil(P/4) words as P
+little-endian uint16s, one a bit, and settles the bits whose uint16 ties
+the threshold's top 16 bits from the node's "ties" child, word u P + i for
+bit i (`ledplab.ledp.bernoulli_rows`). Layout 3 spent one word, a 53-bit
+double, on each such bit. The law of each bit is the same, but the bits
+differ, so rr attack, estimate, variance-sweep, gadget and sum-scaling
+outputs differ from layout 3's. Query signs, Monte Carlo tail signs,
+graphs and datasets draw as they did in layout 3, which sliced the last
+per-vertex and per-block child streams (layout 2 had given up a child
+node a trial).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ __all__ = ["Streams", "DEFAULT_SEED", "STREAM_LAYOUT"]
 DEFAULT_SEED = 20240601
 
 # Version of the mapping from (seed, path, trial) to draws; see the module docstring.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
 
 
 def _step_to_int(step) -> int:
@@ -69,7 +75,7 @@ class Streams:
         # advance wraps modulo 2^128, so a negative skip would silently alias
         if skip < 0:
             raise ValueError(f"stream skip must be nonnegative, got {skip}")
-        if self._words is None:
+        if self._words is None:  # two threads may both build the words; they are equal
             from ledplab.seeding import SeedWords
 
             self._words = SeedWords(self.seed, self.path)

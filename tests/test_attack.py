@@ -36,6 +36,7 @@ from ledplab.attack import (
 from ledplab.graphs import count_dtype, count_triangles
 from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
+from stream_reference import reference_bits, tie_count
 
 
 def random_bits(n, gen):
@@ -203,12 +204,13 @@ def test_prepare_stores_two_outputs_per_secret_vertex():
     for tag, store in ((0, box.r0), (1, box.r1)):
         for inv in box.transcript.rounds[tag]:
             assert np.array_equal(store[inv.vertex, inv.vertex + 1 :], inv.payload)
-    # all 4n payloads flip their inputs by consecutive doubles of the
-    # node's one stream, round 0 then round 1, each in vertex order
-    inputs = np.concatenate([rows[v, v + 1 :] for rows in secret_input_rows(x) for v in range(2 * n)])
-    flips = Streams(208).generator().random(len(inputs)) < flip_probability(1.0)
-    payloads = np.concatenate([inv.payload for inv in box.transcript.invocations()])
-    assert np.array_equal(payloads, inputs ^ flips)
+    # round u's 2n payloads flip their inputs, in vertex order, by the
+    # bits of unit u of the node
+    for unit, rows in enumerate(secret_input_rows(x)):
+        inputs = np.concatenate([rows[v, v + 1 :] for v in range(2 * n)])
+        flips = reference_bits(flip_probability(1.0), Streams(208), unit, 1, len(inputs))[0]
+        payloads = np.concatenate([inv.payload for inv in box.transcript.rounds[unit]])
+        assert np.array_equal(payloads, inputs ^ flips)
 
 
 def test_single_bit_changes_two_vertex_inputs():
@@ -312,15 +314,14 @@ def test_rr_batch_matches_single_query_postprocessing():
 
 def check_batch_against_direct_assembly(n, eps, k, seed):
     """answer_outer_batch against per-slot assembly on the same public bits:
-    slot j's bits are gen.random(n(n-1)/2) < p_flip on the words after
-    slot j - 1's, all from one generator of the answer node."""
+    slot j's n(n-1)/2 bits are unit j of the answer node."""
     gen = Streams(seed).generator()
     x = random_bits(n, gen)
     box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(seed).child("prepare"))
     a_signs, b_signs = sample_query_signs(n, k, Streams(seed).child("queries"))
     streams = Streams(seed).child("answers")
     answers = box.answer_outer_batch(a_signs, b_signs, streams)
-    w_bits = streams.generator().random((3 * k, n * (n - 1) // 2)) < flip_probability(eps)
+    w_bits = reference_bits(flip_probability(eps), streams, 0, 3 * k, n * (n - 1) // 2)
     public = box.transcript.rounds[-1][0]
     assert public.count == 3 * k * n
     assert np.array_equal(public.payload, np.packbits(w_bits, axis=None))
@@ -341,7 +342,7 @@ def test_bulk_public_round_dumps_its_packed_bytes():
     box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(294))
     a_signs, b_signs = sample_query_signs(n, k, Streams(295))
     box.answer_outer_batch(a_signs, b_signs, Streams(296))
-    w_bits = Streams(296).generator().random((3 * k, n * (n - 1) // 2)) < flip_probability(eps)
+    w_bits = reference_bits(flip_probability(eps), Streams(296), 0, 3 * k, n * (n - 1) // 2)
     bulk = box.transcript.dump()["invocations"][-1]
     assert bulk["vertex"] == -1
     assert bulk["payload_hex"] == np.packbits(w_bits).tobytes().hex()
@@ -367,15 +368,16 @@ def test_rr_batch_large_n_matches_direct_assembly():
         assert box._form.coef.dtype == count_dtype(3 * n)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_rr_batch_independent_of_slot_block(monkeypatch, n):
+def check_batch_over_blocks_and_threads(monkeypatch, n, seed):
+    """Answers and public payload of one rr batch, 3003 slots, the same
+    for every slot block and thread count; returns the payload."""
     import ledplab.attack as attack
 
-    # 3k = 3003 slots: blocks of 8 and 24 end mid-query, and 8192 is one
-    # block; 3 threads is more than this host's 2 cores
+    # blocks of 8 and 24 end mid-query, and 8192 is one block; 3 threads is
+    # more than this host's 2 cores
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
-    x = random_bits(n, Streams(266).child(n).generator())
-    a_signs, b_signs = sample_query_signs(n, 1001, Streams(267).child(n))
+    x = random_bits(n, Streams(seed).child(n).generator())
+    a_signs, b_signs = sample_query_signs(n, 1001, Streams(seed + 1).child(n))
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would show
@@ -383,27 +385,45 @@ def test_rr_batch_independent_of_slot_block(monkeypatch, n):
         for block, threads in product((8, 24, 8192), (1, 2, 3)):
             monkeypatch.setattr(attack, "SLOT_BLOCK", block)
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: threads)
-            box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(268).child(n))
-            answers = box.answer_outer_batch(a_signs, b_signs, Streams(269).child(n))
+            box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(seed + 2).child(n))
+            answers = box.answer_outer_batch(a_signs, b_signs, Streams(seed + 3).child(n))
             runs.append((answers, box.transcript.rounds[-1][0].payload))
     finally:
         sys.setswitchinterval(interval)
     for answers, payload in runs[1:]:
         assert answers.tobytes() == runs[0][0].tobytes()
         assert payload.tobytes() == runs[0][1].tobytes()
+    return runs[0][1]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_rr_batch_independent_of_slot_block(monkeypatch, n):
+    check_batch_over_blocks_and_threads(monkeypatch, n, 266)
+
+
+def test_rr_batch_with_ties_independent_of_slot_block(monkeypatch):
+    # 3 of the 84,084 public bits are ties, which the blocks that hold them
+    # settle from tie generators of their own, on the workers
+    n, seed, p = 8, 300, flip_probability(0.8)
+    node = Streams(seed + 3).child(n)
+    assert tie_count(p, node, 0, 3003, 28) == 3
+    payload = check_batch_over_blocks_and_threads(monkeypatch, n, seed)
+    assert payload.tobytes() == np.packbits(reference_bits(p, node, 0, 3003, 28)).tobytes()
 
 
 def test_rr_batch_workers_derive_no_generators(monkeypatch):
     import ledplab.attack as attack
 
     # every block generator comes from the calling thread, once a block,
-    # and only the workers answer blocks
+    # and only the workers answer blocks; no slot holds a tie, so no worker
+    # derives a tie generator
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     n, k = 4, 100  # 300 slots: 38 blocks
     box = GrayBox.prepare(random_bits(n, Streams(270).generator()), *mechanism_components("rr", 0.8), Streams(271))
     a_signs, b_signs = sample_query_signs(n, k, Streams(272))
+    assert tie_count(flip_probability(0.8), Streams(273), 0, 3 * k, 6) == 0
     caller, generator_threads, block_threads = threading.current_thread(), [], set()
     generator, block_sums = Streams.generator, attack._SlotForm.block_sums
 
@@ -706,6 +726,23 @@ def test_sign_products_independent_of_block(monkeypatch):
         assert catches(a, b, m, gamma) == (separated > catch_threshold(k, gamma))
 
 
+@pytest.mark.parametrize("total", [2**24 - 1, 2**24, 2**24 + 1])
+def test_bilinear_matches_fraction_oracle_at_float32_switch(total):
+    # sum |m| = total: float32 products below 2^24, float64 from it; in
+    # float32 the all-ones query's 2^24 + 1 would round to 2^24
+    import ledplab.attack as attack
+
+    m = np.array([[2**23 + 1, 2**22 + 3], [2**22 - 5, total - 2**24 + 1]], dtype=np.float64)
+    assert np.abs(m).sum() == total
+    a, b = sample_query_signs(2, 64, Streams(302))
+    a[0] = b[0] = 1
+    want = [sum(Fraction(int(a[l, i]) * int(b[l, j])) * Fraction(m[i, j]) for i in range(2) for j in range(2))
+            for l in range(64)]
+    got = attack._bilinear(a, m, b)
+    assert got[0] == total
+    assert [Fraction(v) for v in got] == want
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -835,6 +872,30 @@ def test_reconstruct_peak_below_one_float_copy_of_the_signs(noise):
         tracemalloc.stop()
     assert report.search == "hillclimb" and report.feasible == (noise == 0.0)
     assert peak < 4 * k * n
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.0])
+def test_reconstruct_holds_one_whole_length_float_array(noise):
+    # the residuals are the one (k,) float64 array the search holds: their
+    # sizes, counts and steps, and the start's magnitude, are taken
+    # QUERY_BLOCK queries at a time, and a restart frees the last
+    # restart's residuals first; the rest is a few blocks of float64 signs
+    import ledplab.attack as attack
+
+    n, k = 8, 1 << 18
+    gen = Streams(299).generator()
+    x = random_bits(n, gen)
+    a, b = sample_query_signs(n, k, Streams(300))
+    answers = exact_outer_answers(x, a, b) + noise * gen.standard_normal(k)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = attacker_reconstruct(answers, a, b, n, streams=Streams(301), x_true=x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.search == "hillclimb" and report.feasible == (noise == 0.0)
+    assert peak < 8 * k + 3 * 8 * attack.QUERY_BLOCK * n
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

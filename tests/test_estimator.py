@@ -30,6 +30,7 @@ from ledplab.graphs import (
 )
 from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
+from stream_reference import reference_bits, tie_count, unit_words
 
 
 def expectation_by_direct_enumeration(g, epsilon):
@@ -55,15 +56,13 @@ def expectation_by_direct_enumeration(g, epsilon):
 def estimates_by_scatter(g, epsilon, start, stop, streams):
     """Test-local oracle: the scatter-plus-float64 batch builder that the
     pair-index gather replaced, with its float64 counts, in one block.
-    Trial t flips on the slice [t k, (t + 1) k) of one long draw."""
+    Trial t flips by the bits of unit t of the node."""
     n = g.n
     iu = np.triu_indices(n, k=1)
     true_bits = g.adjacency[iu].astype(np.uint8)
     k = len(true_bits)
-    p_flip = flip_probability(epsilon)
     b = stop - start
-    long_draw = streams.generator().random(stop * k)
-    flips = long_draw[start * k :].reshape(b, k) < p_flip
+    flips = reference_bits(flip_probability(epsilon), streams, start, b, k)
     noisy = np.zeros((b, n, n), dtype=np.float64)
     noisy[:, iu[0], iu[1]] = true_bits[None, :] ^ flips
     noisy += noisy.transpose(0, 2, 1)
@@ -246,7 +245,7 @@ def test_gathered_batches_match_scatter_builder(n, monkeypatch):
     # three trials a block, so every range below spans several blocks, and
     # two trials a draw chunk, so every block spans two chunks
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 3 * 4 * n * n)
-    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * 8 * n * (n - 1) // 2)
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * (8 * unit_words(n * (n - 1) // 2) + n * (n - 1) // 2))
     g = erdos_renyi(n, 0.5, Streams(13).child("gather", n).generator())
     streams = Streams(14).child("gather")
     for eps in (0.05, 1.0, 3.0):
@@ -255,13 +254,13 @@ def test_gathered_batches_match_scatter_builder(n, monkeypatch):
             assert np.array_equal(got, estimates_by_scatter(g, eps, start, stop, streams))
 
 
-def test_sample_estimates_range_independent_of_blocks_and_threads(monkeypatch):
+def check_range_over_blocks_and_threads(monkeypatch, n, g, streams):
+    """Trials [5, 105) the same for every block size and thread count, and
+    equal to the scatter builder's."""
     # blocks of 1 to 1000 trials a thread on 1 to 3 threads (more than
     # this host's 2 cores), switching often: a shared write would show
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one block thread a CPU
-    n = 9
     monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
-    g = erdos_renyi(n, 0.5, Streams(15).generator())
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -269,17 +268,32 @@ def test_sample_estimates_range_independent_of_blocks_and_threads(monkeypatch):
         for trials, cpus in product((1, 3, 7, 1000), (1, 2, 3)):
             monkeypatch.setattr(estimator, "BLOCK_BYTES", trials * 4 * n * n)
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
-            runs.append(sample_estimates_range(g, 1.0, 5, 105, Streams(16)))
+            runs.append(sample_estimates_range(g, 1.0, 5, 105, streams))
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(runs[0], estimates_by_scatter(g, 1.0, 5, 105, Streams(16)))
+    assert np.array_equal(runs[0], estimates_by_scatter(g, 1.0, 5, 105, streams))
     for run in runs[1:]:
         assert run.tobytes() == runs[0].tobytes()
 
 
+def test_sample_estimates_range_independent_of_blocks_and_threads(monkeypatch):
+    g = erdos_renyi(9, 0.5, Streams(15).generator())
+    check_range_over_blocks_and_threads(monkeypatch, 9, g, Streams(16))
+
+
+def test_sample_estimates_range_with_ties_independent_of_blocks_and_threads(monkeypatch):
+    # 3 of the 78,000 bits of trials [5, 105) at n = 40 are ties, settled
+    # by tie generators of the blocks that hold them, on the workers
+    n, streams = 40, Streams(24).child("trials")
+    assert tie_count(flip_probability(1.0), streams, 5, 100, n * (n - 1) // 2) == 3
+    g = erdos_renyi(n, 0.5, Streams(24).generator())
+    check_range_over_blocks_and_threads(monkeypatch, n, g, streams)
+
+
 def test_trial_generators_derived_on_calling_thread(monkeypatch):
     # one generator a trial, in trial order, all on the calling thread;
-    # with two threads only the workers run blocks
+    # with two threads only the workers run blocks; no trial holds a tie,
+    # so no block derives a tie generator
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     n = 6
@@ -287,6 +301,7 @@ def test_trial_generators_derived_on_calling_thread(monkeypatch):
     monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)  # 4 trials a block
     g = erdos_renyi(n, 0.5, Streams(17).generator())
+    assert tie_count(flip_probability(1.0), Streams(18), 3, 37, k) == 0
     caller, derived, block_threads = threading.current_thread(), [], set()
     generator, randomized_rows = Streams.generator, estimator.randomized_rows
 
@@ -301,7 +316,7 @@ def test_trial_generators_derived_on_calling_thread(monkeypatch):
     monkeypatch.setattr(Streams, "generator", traced_generator)
     monkeypatch.setattr(estimator, "randomized_rows", traced_rows)
     sample_estimates_range(g, 1.0, 3, 40, Streams(18))
-    assert derived == [(caller, t * k) for t in range(3, 40)]
+    assert derived == [(caller, t * unit_words(k)) for t in range(3, 40)]
     assert block_threads and caller not in block_threads and len(block_threads) <= 2
 
 

@@ -18,6 +18,7 @@ from ledplab.gadget import (
 from ledplab.graphs import count_triangles
 from ledplab.ledp import flip_probability
 from ledplab.rng import Streams
+from stream_reference import reference_bits, unit_words
 
 
 def triangles_per_triple(g):
@@ -154,13 +155,12 @@ def test_sample_sum_baseline_trials_are_stream_slices(monkeypatch):
     streams = Streams(48).child("mc")
     full = sample_sum_baseline(x, eps, trials, streams)
     assert full[0] == ldp_sum_baseline(x, eps, streams)
-    # trial t reads words [t n, (t + 1) n) of one stream
-    long_draw = streams.generator().random(trials * n).reshape(trials, n)
+    # trial t is unit t of the node
     lo, hi = rescaled_atoms(eps)
-    ones = (x ^ (long_draw < flip_probability(eps))).sum(axis=1)
+    ones = (x ^ reference_bits(flip_probability(eps), streams, 0, trials, n)).sum(axis=1)
     assert np.array_equal(full, ones * hi + (n - ones) * lo)
     # drawn 2 rows at a time, the chunks concatenate bit for bit
-    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * 8 * n)
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * (8 * unit_words(n) + n))
     assert np.array_equal(sample_sum_baseline(x, eps, trials, streams), full)
 
 

@@ -13,12 +13,14 @@ from ledplab.ledp import (
     PrivacyParams,
     RandomizedResponse,
     Transcript,
+    bernoulli_rows,
     compose_ledger,
     flip_probability,
     randomized_response,
     release_runs,
 )
 from ledplab.rng import Streams
+from stream_reference import draws, reference_bits, threshold, unit_words
 
 
 def test_flip_probability_values():
@@ -35,9 +37,8 @@ def test_flip_probability_rejects_nonpositive():
 
 
 def test_randomized_response_empirical_flip_rate():
-    gen = Streams(100).child("rr").generator()
     bits = np.zeros(10**6, dtype=np.uint8)
-    out = randomized_response(bits, math.log(3), gen)
+    out = randomized_response(bits, math.log(3), Streams(100).child("rr"))
     rate = out.mean()
     assert abs(rate - 0.25) < 0.005
 
@@ -49,19 +50,17 @@ def test_randomized_response_marginal_within_4_se():
         p_keep = 1.0 - flip_probability(eps)
         se = math.sqrt(p_keep * (1 - p_keep) / n)
         for b in (0, 1):
-            gen = Streams(101).child("marginal", b).generator()
             bits = np.full(n, b, dtype=np.uint8)
-            out = randomized_response(bits, eps, gen)
+            out = randomized_response(bits, eps, Streams(101).child("marginal", b))
             kept = (out == b).mean()
             assert abs(kept - p_keep) <= 4 * se
 
 
 def test_randomized_response_flips_uncorrelated_across_positions():
     # Flip indicators at distinct positions should be independent.
-    gen = Streams(102).generator()
     trials, width = 200000, 4
     bits = np.zeros((trials, width), dtype=np.uint8)
-    out = randomized_response(bits, math.log(3), gen)
+    out = randomized_response(bits, math.log(3), Streams(102))
     flips = out.astype(np.float64)
     p = 0.25
     se = math.sqrt(((p * (1 - p)) ** 2) / trials) / (p * (1 - p))  # corr SE ~ 1/sqrt(N)
@@ -71,18 +70,64 @@ def test_randomized_response_flips_uncorrelated_across_positions():
 
 
 def test_randomized_response_empty_and_deterministic():
-    out = randomized_response(np.zeros(0, dtype=np.uint8), 1.0, Streams(5).generator())
+    out = randomized_response(np.zeros(0, dtype=np.uint8), 1.0, Streams(5))
     assert out.shape == (0,)
-    a = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6).generator())
-    b = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6).generator())
+    a = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6))
+    b = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6))
     assert np.array_equal(a, b)
 
 
 def test_randomized_response_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        randomized_response(np.zeros(3, dtype=np.uint8), 0.0, Streams(7).generator())
+        randomized_response(np.zeros(3, dtype=np.uint8), 0.0, Streams(7))
     with pytest.raises(ValueError):
         RandomizedResponse(-1.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 2.0])
+def test_bernoulli_rows_match_53_bit_reference(epsilon):
+    # 37,450 units of 28 bits (2^20 and more): every bit equals its whole
+    # 53-bit draw, read through one generator; the ties' tie words decide
+    # both ways
+    p, width, units, first = flip_probability(epsilon), 28, 37_450, 3
+    node = Streams(103).child("kernel", str(epsilon))
+    out = np.empty((units, width), dtype=bool)
+    bernoulli_rows(p, node.generator(first * unit_words(width)), node.child("ties"), first, out)
+    assert units * width >= 1 << 20
+    assert np.array_equal(out, reference_bits(p, node, first, units, width))
+    h, _ = draws(node, first, units, width)
+    tied = out[h == threshold(p) >> 37]
+    assert 0 < np.count_nonzero(tied) < len(tied)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 4, 6, 28])
+def test_bernoulli_rows_ranges_match_full_run(width, monkeypatch):
+    import ledplab.ledp as ledp
+
+    # widths of n = 1, 2, 3, 8 among them; any range of units, through one
+    # generator or one a row, and in draw chunks of three rows, equals the
+    # same rows of the full run
+    p, units = flip_probability(0.3), 600
+    node = Streams(105).child("ranges", width)
+    words = unit_words(width)
+    full = np.empty((units, width), dtype=bool)
+    bernoulli_rows(p, node.generator(), node.child("ties"), 0, full)
+    assert np.array_equal(full, reference_bits(p, node, 0, units, width))
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 3 * (8 * words + width))
+    for lo, hi in ((0, 1), (5, 17), (17, 600), (599, 600), (3, 3)):
+        one = np.empty((hi - lo, width), dtype=bool)
+        bernoulli_rows(p, node.generator(lo * words), node.child("ties"), lo, one)
+        each = np.empty((hi - lo, width), dtype=np.uint8)
+        bernoulli_rows(p, [node.generator(u * words) for u in range(lo, hi)], node.child("ties"), lo, each)
+        assert np.array_equal(one, full[lo:hi])
+        assert np.array_equal(each, full[lo:hi])
+
+
+def test_bernoulli_rows_rejects_p_above_half():
+    out = np.empty((1, 4), dtype=bool)
+    for p in (0.5 + 2.0**-53, 1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="p must lie"):
+            bernoulli_rows(p, Streams(106).generator(), Streams(106).child("ties"), 0, out)
 
 
 def test_run_noninteractive_released_bit_counts():
@@ -117,16 +162,16 @@ def test_run_noninteractive_ledger_totals():
     assert not per_bit[1].any()
     # rounds of different charges and lengths, one public: each covered
     # entry is its pair's sum, in invocation order, and the rest are 0
-    gen = Streams(9).child("rounds").generator()
+    node = Streams(9).child("rounds")
     rows = np.ones((6, 6), dtype=np.uint8)
     t = Transcript()
-    for family, first, public in (
+    for unit, (family, first, public) in enumerate((
         (RandomizedResponse(0.3), 0, False),
         (RandomizedResponse(0.1), 2, False),
         (RandomizedResponse(5.0), 3, True),
-    ):
-        t.append_round(release_runs(family, rows[first:], gen, first=first, public=public)[0])
-    t.append_round(release_runs(RandomizedResponse(0.2), rows[:4, :4], gen)[0])
+    )):
+        t.append_round(release_runs(family, rows[first:], node, unit, first=first, public=public)[0])
+    t.append_round(release_runs(RandomizedResponse(0.2), rows[:4, :4], node, 3)[0])
     per_bit = t.per_bit_ledger()
     want = reference_per_bit_ledger(t)
     for (v, j), (e, d) in want.items():
@@ -139,7 +184,7 @@ def test_run_noninteractive_ledger_totals():
 
 
 def test_identity_release_infinite_charge():
-    outputs, _ = release_runs(IdentityRelease(), complete_graph(3).adjacency, Streams(10).generator())
+    outputs, _ = release_runs(IdentityRelease(), complete_graph(3).adjacency, Streams(10))
     t = Transcript()
     t.append_round(outputs)
     assert t.ledger().epsilon == math.inf
@@ -147,12 +192,12 @@ def test_identity_release_infinite_charge():
 
 def test_transcript_records_all_released_values():
     # each payload is its vertex's contiguous run of the trial's
-    # triu-ordered bits, flipped by the run's doubles of the node's stream
+    # triu-ordered bits, flipped by the run's bits of unit 0 of the node
     n, eps = 7, 1.0
     g = erdos_renyi(n, 0.5, Streams(11).child("g").generator())
     _, t = estimate_triangles(g, eps, Streams(11))
     iu = np.triu_indices(n, k=1)
-    flips = Streams(11).generator().random(len(iu[0])) < flip_probability(eps)
+    flips = reference_bits(flip_probability(eps), Streams(11), 0, 1, len(iu[0]))[0]
     bits = g.adjacency[iu] ^ flips
     runs = np.split(bits, np.cumsum(np.arange(n - 1, 0, -1)))
     outputs = list(t.invocations())
@@ -224,7 +269,7 @@ def test_privacy_params_validation():
 def test_assemble_upper_round_trip():
     # identity runs reassemble to the adjacency
     g = erdos_renyi(7, 0.5, Streams(13).generator())
-    outputs, released = release_runs(IdentityRelease(), g.adjacency, Streams(13).generator())
+    outputs, released = release_runs(IdentityRelease(), g.adjacency, Streams(13))
     assert np.array_equal(released | released.T, g.adjacency)
     for out in outputs:
         assert np.array_equal(released[out.vertex, out.vertex + 1 :], out.payload)
