@@ -123,6 +123,10 @@ DEFAULT_GAMMA = 1.0 / 9.0
 # in cache.
 QUERY_BLOCK = 1 << 12
 
+# QUERY_BLOCKs a hill-climb sweep sizes and counts residuals over at once
+# (`_flip_counts`): fewer numpy calls a sweep, in a buffer that stays in cache.
+SPAN_BLOCKS = 4
+
 # Randomized-response slots answered per block, one reused workspace. A
 # multiple of 8, so each full block packs its public bits into whole bytes
 # and the recorded payload does not depend on the block size.
@@ -814,21 +818,27 @@ def _inaccurate(diff, tau) -> int:
 
 def _flip_counts(diff, a_signs, b_signs, flat, tau, dtype) -> np.ndarray:
     """Inaccurate count after flipping each bit of flat, from residuals diff
-    and int8 signs, QUERY_BLOCK queries at a time: of each block, only the
-    queries that enter the product are gathered, as floats of dtype (module
-    docstring)."""
+    and int8 signs (module docstring). The sizes |r +- 1|, their counts and
+    the queries that enter the product are taken SPAN_BLOCKS * QUERY_BLOCK
+    residuals at a time in one reused buffer; the moved queries are gathered,
+    as floats of dtype, and multiplied QUERY_BLOCK at a time."""
     cross = np.zeros((a_signs.shape[1],) * 2, dtype)
     both = 0
-    for lo in range(0, len(diff), QUERY_BLOCK):
-        block = diff[lo : lo + QUERY_BLOCK]
-        up = np.abs(block + 1.0) > tau
-        down = np.abs(block - 1.0) > tau
+    span = SPAN_BLOCKS * QUERY_BLOCK
+    size = np.empty(min(len(diff), span))
+    for lo in range(0, len(diff), span):
+        block = diff[lo : lo + span]
+        t = size[: len(block)]
+        up = np.abs(np.add(block, 1.0, out=t), out=t) > tau
+        down = np.abs(np.subtract(block, 1.0, out=t), out=t) > tau
         both += np.count_nonzero(up) + np.count_nonzero(down)
         moved = np.flatnonzero(up != down)  # P_l - M_l = +-1, the only nonzero terms
         weight = up[moved].astype(dtype) - down[moved]
         moved += lo
-        a = np.take(a_signs, moved, axis=0).astype(dtype)
-        cross += a.T @ (weight[:, None] * np.take(b_signs, moved, axis=0))
+        for part in range(0, len(moved), QUERY_BLOCK):
+            rows = moved[part : part + QUERY_BLOCK]
+            a = np.take(a_signs, rows, axis=0).astype(dtype)
+            cross += a.T @ (weight[part : part + QUERY_BLOCK, None] * np.take(b_signs, rows, axis=0))
     signs = 1.0 - 2.0 * flat  # +1 to set the bit, -1 to clear it
     return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
 

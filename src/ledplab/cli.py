@@ -458,11 +458,16 @@ def _selftest_rows(seed: int):
     ms = [ac.random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen) for n in (1, 2, 4, 6, 7)]
     n, eps, x = 4, 1.0, (gen.random((4, 4)) < 0.5).astype(np.uint8)
     qs = [attack.SubmatrixQuery(*(gen.random((2, n)) < 0.5)) for _ in range(8)]
+    split = graphs.erdos_renyi((graphs.SPLIT_MIN_N + 1) | 1, gen.random(), gen)  # odd: a padded block
     bit_vectors = [v for r in range(1, 5) for v in (np.arange(1 << r)[:, None] >> np.arange(r)) & 1]
     a, b = attack.sample_query_signs(n, 6, node.child("queries"))
     boxes = [attack.GrayBox.prepare(x, *attack.mechanism_components(m, eps), node.child(m))
              for m in ("identity", "rr")]
     tri = lambda g: int(graphs.graph_stats(g.adjacency)[2])
+
+    def block_tri(g):  # g's pair bits, zero column last, gathered as the estimator gathers a trial
+        bits = np.append(g.adjacency[np.triu_indices(g.n, k=1)], 0)
+        return int(graphs.gathered_stats(bits[graphs.gather_map(g.n)][None], g.n)[2][0])
 
     def rr_slots(box):  # slot j's 6 public-pair bits, 53 bits each: 6 uint16s of its 2 words, 6 tie words
         answers, slots = node.child("answers"), 3 * len(a)
@@ -477,6 +482,7 @@ def _selftest_rows(seed: int):
 
     return [
         ("graph-stats", gs, tri, graphs.count_triangles, 0),
+        ("block-stats", [split], block_tri, graphs.count_triangles, 0),
         ("codegree-pairs", gs, lambda g: graphs.codegree_pairs(g.adjacency),
          lambda g: 2 * graphs.count_four_cycles(g), 0),
         ("exact-variance", small, lambda c: estimator.exact_variance(*c),

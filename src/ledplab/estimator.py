@@ -5,10 +5,17 @@ and hi for a 1, and T_hat sums the rescaled products over all triples:
 T_hat = lo^3 t0 + lo^2 hi t1 + lo hi^2 t2 + hi^3 t3, t_j counting the
 triples with j released edges. From the released edges m, wedges
 W = sum_v C(d_v, 2) and triangles T: t3 = T, t2 = W - 3T,
-t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. `graph_stats` counts
-them by float32 (n <= 257) or float64 matmul on 0/1 entries, whose partial
-sums stay integers below the mantissa bound, exact in any BLAS order. The
-closed-form variance is checked against a full flip-pattern enumeration.
+t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. They are counted by
+float32 (n <= 257) or float64 matmul on 0/1 entries, whose partial sums
+stay integers below the mantissa bound, exact in any BLAS order. A Monte
+Carlo batch is gathered through `graphs.gather_map(n)` and counted by
+`graphs.gathered_stats`: as (n, n) matrices below `graphs.SPLIT_MIN_N`
+(84) vertices, and from it up as three (h, h) blocks of each graph, padded
+to 2h = 2 ceil(n/2) vertices, whose four products do half the multiplies
+(the `ledplab.graphs` docstring has the identity, its exactness bound
+and the crossover table). Both give the same integers, so an estimate
+does not depend on the layout. The closed-form variance is checked
+against a full flip-pattern enumeration.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from ledplab.graphs import (
     count_dtype,
     empty_graph,
     erdos_renyi,
+    gather_map,
+    gathered_stats,
     graph_stats,
 )
 from ledplab.ledp import (
@@ -60,8 +69,12 @@ MIN_EPSILON = 1e-6
 
 ENUMERATION_MAX_PAIRS = 24
 
-# Bytes of the (trials, n, n) count_dtype(n) counts of sample_estimates_range's
-# running blocks, split among its threads.
+# Bytes of (trials, n, n) count_dtype(n) counts that sample_estimates_range's
+# running blocks may hold, split among its threads. It sizes the blocks
+# for both layouts of graphs.gather_map, so a run's blocks and threads do
+# not depend on the layout; from graphs.SPLIT_MIN_N up a trial's gathered
+# counts are the (3, h, h) blocks, 3 ceil(n/2)^2 entries (about 0.75 n^2),
+# and its product workspace h^2, so the blocks hold less.
 BLOCK_BYTES = 32 << 20
 
 # Most trials a block: a block's generators, ~0.5 KB each, are all derived
@@ -157,15 +170,16 @@ def sample_estimates_range(
     """Estimates for the trial indices [start, stop); slicing a run into
     ranges and concatenating reproduces the full run bit for bit.
 
-    Batches are gathered through a pair-index map and counted at
-    count_dtype(n), on up to one thread a usable CPU per BLAS thread
-    (`ledplab.parallel`) from THREAD_MIN_N vertices up: the range splits
-    evenly into the fewest blocks of at most BLOCK_TRIALS trials and
-    BLOCK_BYTES / threads of counts, and a run of one block stays on the
-    calling thread. Each running block fills a workspace of its own,
-    and every trial's generator is derived on the calling thread (a tie
-    generator is derived by the block that holds the tie); a trial's counts
-    are exact integers, so its estimate depends on neither.
+    Batches are gathered through graphs.gather_map(n) and counted at
+    count_dtype(n) by graphs.gathered_stats, on up to one thread a usable
+    CPU per BLAS thread (`ledplab.parallel`) from THREAD_MIN_N vertices
+    up: the range splits evenly into the fewest blocks of at most
+    BLOCK_TRIALS trials and BLOCK_BYTES / threads of (n, n) counts, and a
+    run of one block stays on the calling thread. Each running block fills
+    a workspace of its own, and every trial's generator is derived on the
+    calling thread (a tie generator is derived by the block that holds the
+    tie); a trial's counts are exact integers, so its estimate depends on
+    neither.
     """
     _check_epsilon(epsilon)
     if not 0 <= start <= stop:
@@ -176,8 +190,7 @@ def sample_estimates_range(
     words = unit_words(k)
     ties = streams.child("ties")
     true_bits = g.adjacency[iu]
-    pair_index = np.full((n, n), k)  # the diagonal reads column k, left 0
-    pair_index[iu] = pair_index[iu[::-1]] = np.arange(k)
+    pair_index = gather_map(n)
     dtype = count_dtype(n)
     cpus = parallel.cpus_per_blas_thread() if n >= THREAD_MIN_N else 1
     cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * np.dtype(dtype).itemsize * n * n)))
@@ -189,9 +202,9 @@ def sample_estimates_range(
     def make_workspace():
         return {
             "bits": np.zeros((rows, k + 1), dtype=np.uint8),
-            "released": np.empty((rows, n, n), dtype=np.uint8),
-            "counts": np.empty((rows, n, n), dtype=dtype),
-            "product": np.empty((rows, n, n), dtype=dtype),
+            "released": np.empty((rows, *pair_index.shape), dtype=np.uint8),
+            "counts": np.empty((rows, *pair_index.shape), dtype=dtype),
+            "product": np.empty((rows, *pair_index.shape[-2:]), dtype=dtype),
         }
 
     def estimate_block(item, ws):
@@ -202,7 +215,7 @@ def sample_estimates_range(
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
         np.copyto(counts, released)
-        stats = graph_stats(counts, ws["product"][:b])
+        stats = gathered_stats(counts, n, ws["product"][:b])
         out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
 
     items = (

@@ -127,11 +127,11 @@ def test_sum_scaling_subcommand(workdir):
 def test_selftest_passes(workdir, capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
-    assert "9/9 checks passed" in out
+    assert "10/10 checks passed" in out
     payload = json.loads((workdir / "selftest.json").read_text())
     assert payload["passed"] is True
     assert [c["name"] for c in payload["checks"]] == [
-        "graph-stats", "codegree-pairs", "exact-variance", "estimator-mean", "fourth-moment",
+        "graph-stats", "block-stats", "codegree-pairs", "exact-variance", "estimator-mean", "fourth-moment",
         "half-enumeration-tail", "query-graph-identity", "sum-gadget-identity", "batch-answers",
     ]
     assert all(c["passed"] and c["detail"] == "" for c in payload["checks"])
@@ -147,6 +147,8 @@ def test_selftest_passes(workdir, capsys):
      {"half-enumeration-tail"}),
     (attack, "_bilinear", lambda answers: answers + 1, {"batch-answers"}),  # identity answers
     (attack._SlotForm, "block_sums", lambda sums: sums * (1 + 1e-12), {"batch-answers"}),  # rr slots
+    # the split batch layout is the fast side of the block row alone
+    (graphs, "gathered_stats", lambda s: (s[0], s[1], s[2] + 1), {"block-stats"}),
 ])
 def test_selftest_catches_a_broken_kernel(workdir, monkeypatch, owner, name, shift, failing):
     original = getattr(owner, name)

@@ -19,6 +19,7 @@ from ledplab.estimator import (
     variance_sweep,
 )
 from ledplab.graphs import (
+    SPLIT_MIN_N,
     complete_graph,
     count_four_cycles,
     cycle_graph,
@@ -288,6 +289,13 @@ def test_sample_estimates_range_with_ties_independent_of_blocks_and_threads(monk
     assert tie_count(flip_probability(1.0), streams, 5, 100, n * (n - 1) // 2) == 3
     g = erdos_renyi(n, 0.5, Streams(24).generator())
     check_range_over_blocks_and_threads(monkeypatch, n, g, streams)
+
+
+def test_sample_estimates_range_split_layout_independent_of_blocks_and_threads(monkeypatch):
+    # an odd n counted from the padded (3, h, h) blocks
+    n = (SPLIT_MIN_N + 1) | 1
+    g = erdos_renyi(n, 0.5, Streams(25).generator())
+    check_range_over_blocks_and_threads(monkeypatch, n, g, Streams(26))
 
 
 def test_trial_generators_derived_on_calling_thread(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledplab.graphs import (
+    SPLIT_MIN_N,
     Graph,
     GraphFormatError,
     codegree_pairs,
@@ -18,6 +19,8 @@ from ledplab.graphs import (
     cycle_graph,
     empty_graph,
     erdos_renyi,
+    gather_map,
+    gathered_stats,
     graph_from_text,
     graph_stats,
     graph_to_text,
@@ -116,6 +119,43 @@ def test_counting_kernel_exact_at_dtype_boundary(n, dtype):
     assert int(w) == int((deg * (deg - 1) // 2).sum())
     assert int(t) == count_triangles(g)
     assert codegree_pairs(g.adjacency) == 2 * count_four_cycles(g)
+
+
+def gathered_counts(g: Graph) -> tuple[int, int, int]:
+    """gathered_stats of one graph, its triu pair bits gathered as the
+    estimator gathers a released row, with the zero column after them."""
+    bits = np.append(g.adjacency[np.triu_indices(g.n, k=1)], 0)
+    m, w, t = gathered_stats(bits[gather_map(g.n)][None].astype(count_dtype(g.n)), g.n)
+    return int(m[0]), int(w[0]), int(t[0])
+
+
+@pytest.mark.parametrize("n", [SPLIT_MIN_N - 1, SPLIT_MIN_N, (SPLIT_MIN_N + 1) | 1, 257, 258])
+def test_gathered_counts_match_oracles_on_both_layouts(n):
+    # below SPLIT_MIN_N the (n, n) layout, from it up the (3, h, h) blocks,
+    # padded with a zero vertex at odd n, as at the third size; 257 and 258
+    # are the last float32 and the first float64 sizes
+    h = -(-n // 2)
+    assert gather_map(n).shape == ((n, n) if n < SPLIT_MIN_N else (3, h, h))
+    for g in (complete_graph(n), erdos_renyi(n, 0.9, Streams(19).child("dense", n).generator())):
+        m, w, _ = graph_stats(g.adjacency)
+        assert gathered_counts(g) == (int(m), int(w), count_triangles(g))
+    assert gathered_counts(complete_graph(n)) == (comb(n, 2), n * comb(n - 1, 2), comb(n, 3))
+
+
+def test_gathered_batches_match_graph_stats_per_graph():
+    # a batch of split graphs of every density counts each graph on its own
+    n = SPLIT_MIN_N + 3
+    gen = Streams(20).child("batch").generator()
+    graphs = [erdos_renyi(n, p, gen) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+    iu = np.triu_indices(n, k=1)
+    bits = np.zeros((len(graphs), len(iu[0]) + 1), dtype=np.uint8)
+    bits[:, :-1] = [g.adjacency[iu] for g in graphs]
+    gathered = np.take(bits, gather_map(n), axis=1).astype(count_dtype(n))
+    product = np.empty((len(graphs), *gather_map(n).shape[-2:]), dtype=count_dtype(n))
+    got = gathered_stats(gathered, n, product)
+    want = graph_stats(np.stack([g.adjacency for g in graphs]))
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
 
 
 def test_erdos_renyi_extremes_and_determinism():
