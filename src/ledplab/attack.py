@@ -139,6 +139,9 @@ SLOT_BLOCK = 8192
 # one at a time.
 WORKSPACE_BYTES = 64 << 20
 
+# Most dataset bits n^2 the exhaustive search enumerates: 2^20 candidates.
+EXHAUSTIVE_MAX_BITS = 20
+
 # Hill-climb starts: the correlation start, then one uniform random dataset.
 RESTARTS = 2
 
@@ -766,8 +769,8 @@ def _inaccurate_counts_for_candidates(
 
 def _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed):
     n_bits = n * n
-    if n_bits > 20:
-        raise ValueError(f"exhaustive search infeasible for n^2 = {n_bits} > 20")
+    if n_bits > EXHAUSTIVE_MAX_BITS:
+        raise ValueError(f"exhaustive search infeasible for n^2 = {n_bits} > {EXHAUSTIVE_MAX_BITS}")
     idx = np.arange(1 << n_bits, dtype=np.int64)
     candidates = ((idx[:, None] >> np.arange(n_bits)[None, :]) & 1).astype(np.uint8)
     counts = _inaccurate_counts_for_candidates(
@@ -929,7 +932,7 @@ def attacker_reconstruct(
     if streams is None:
         streams = Streams(0)
     if search == "auto":
-        search = "exhaustive" if n * n <= 20 else "hillclimb"
+        search = "exhaustive" if n * n <= EXHAUSTIVE_MAX_BITS else "hillclimb"
     if search == "exhaustive":
         best_y, best_count = _exhaustive_search(answers, a_signs, b_signs, n, tau, allowed)
     elif search == "hillclimb":

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from ledplab import __version__
-from ledplab.attack import DEFAULT_GAMMA, default_query_count
+from ledplab.attack import DEFAULT_GAMMA, EXHAUSTIVE_MAX_BITS, default_query_count
 from ledplab.estimator import MIN_EPSILON
 from ledplab.rng import DEFAULT_SEED, Streams
 
@@ -44,6 +44,7 @@ SIGNS_MAX = 1 << 27  # attack k * n: one (k, n) int64 sign draw, 1 GiB
 MATRIX_MAX = 1 << 10  # with MC_SAMPLES_MAX, (samples, n) float32 signs and products: 410 MB each
 MC_SAMPLES_MAX = 10**5
 MATRICES_MAX = 10**6
+EPS_MAX = 700  # e^eps stays finite (math.exp overflows past 709.78)
 
 
 class UsageError(Exception):
@@ -340,6 +341,8 @@ def run_attack_cmd(cfg, given):
         raise UsageError(f"gamma: must be in (0, 1/2), got {gamma}")
     if mechanism == "rr":
         _require(cfg, "epsilon", " for mechanism rr")
+    if cfg["search"] == "exhaustive" and n * n > EXHAUSTIVE_MAX_BITS:
+        raise UsageError(f"search: exhaustive needs n^2 at most {EXHAUSTIVE_MAX_BITS}, got n = {n}")
     queries = default_query_count(n, gamma) if k is None else k
     if queries * n > SIGNS_MAX:
         shown = k if k is not None else f"the default ceil(128 n^2 / gamma^2) = {queries}"
@@ -458,7 +461,6 @@ def _selftest_rows(seed: int):
     ms = [ac.random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen) for n in (1, 2, 4, 6, 7)]
     n, eps, x = 4, 1.0, (gen.random((4, 4)) < 0.5).astype(np.uint8)
     qs = [attack.SubmatrixQuery(*(gen.random((2, n)) < 0.5)) for _ in range(8)]
-    split = graphs.erdos_renyi((graphs.SPLIT_MIN_N + 1) | 1, gen.random(), gen)  # odd: a padded block
     bit_vectors = [v for r in range(1, 5) for v in (np.arange(1 << r)[:, None] >> np.arange(r)) & 1]
     a, b = attack.sample_query_signs(n, 6, node.child("queries"))
     boxes = [attack.GrayBox.prepare(x, *attack.mechanism_components(m, eps), node.child(m))
@@ -482,7 +484,7 @@ def _selftest_rows(seed: int):
 
     return [
         ("graph-stats", gs, tri, graphs.count_triangles, 0),
-        ("block-stats", [split], block_tri, graphs.count_triangles, 0),
+        ("block-stats", gs, block_tri, graphs.count_triangles, 0),  # odd n: padded blocks
         ("codegree-pairs", gs, lambda g: graphs.codegree_pairs(g.adjacency),
          lambda g: 2 * graphs.count_four_cycles(g), 0),
         ("exact-variance", small, lambda c: estimator.exact_variance(*c),
@@ -521,7 +523,7 @@ def run_selftest(cfg, given):
 COMMANDS = {spec.name: spec for spec in (
     Command("estimate", "noisy triangle estimate on a graph file", run_estimate, (
         Opt("graph", ("--graph",), str, None, "graph file (first line n, then 'i j' edges)"),
-        Opt("eps", ("--eps",), float, None, "privacy parameter", low=MIN_EPSILON),
+        Opt("eps", ("--eps",), float, None, "privacy parameter", low=MIN_EPSILON, high=EPS_MAX),
         Opt("trials", ("--trials",), int, 1, "number of independent runs", low=1, high=TRIALS_MAX),
         Opt("exact", ("--exact",), bool, False, "include the exact count"),
         Opt("transcript", ("--transcript",), bool, False, "include the transcript dump (trials=1 only)"),
@@ -529,7 +531,8 @@ COMMANDS = {spec.name: spec for spec in (
     Command("variance-sweep", "empirical vs oracle estimator variance", run_variance_sweep, (
         Opt("ns", ("--ns",), [int], "8,12", "comma-separated graph sizes",
             low=3, high=SIZE_MAX, each="graph sizes"),
-        Opt("eps_grid", ("--eps-grid",), [float], "0.5,1,2", "comma-separated epsilons", low=MIN_EPSILON),
+        Opt("eps_grid", ("--eps-grid",), [float], "0.5,1,2", "comma-separated epsilons",
+            low=MIN_EPSILON, high=EPS_MAX),
         Opt("family", ("--family",), str, "er05", "graph family", choices=("er05", "empty", "complete")),
         Opt("trials", ("--trials",), int, 10000, "trials per cell", low=1000, high=TRIALS_MAX),
     ), ("csv", "json"), (
@@ -541,7 +544,8 @@ COMMANDS = {spec.name: spec for spec in (
         Opt("gamma", ("--gamma",), float, DEFAULT_GAMMA, "reconstruction parameter, below 1/2"),
         Opt("k", ("--k",), int, None,
             f"query count, default ceil(128 n^2 / gamma^2); k * n at most {SIGNS_MAX}", low=1),
-        Opt("epsilon", ("--epsilon", "--eps"), float, None, "mechanism privacy parameter (rr only)"),
+        Opt("epsilon", ("--epsilon", "--eps"), float, None, "mechanism privacy parameter (rr only)",
+            low=MIN_EPSILON, high=EPS_MAX),
         Opt("mechanism", ("--mechanism",), str, "rr", "mechanism under attack (oracle: identity)",
             choices=("rr", "identity", "oracle")),
         Opt("search", ("--search",), str, "auto", "search strategy",
@@ -561,7 +565,8 @@ COMMANDS = {spec.name: spec for spec in (
     )),
     Command("gadget", "summation gadget: exact identity and noisy estimates", run_gadget, (
         Opt("bits", ("--bits",), str, None, f"input bits, e.g. 101; at most {GADGET_BITS_MAX} of them"),
-        Opt("eps", ("--eps",), float, None, f"privacy parameter for estimates, at least {MIN_EPSILON}"),
+        Opt("eps", ("--eps",), float, None, f"privacy parameter for estimates, at least {MIN_EPSILON}",
+            high=EPS_MAX),
         Opt("trials", ("--trials",), int, 0, "estimate trials (0: skip)", low=0, high=TRIALS_MAX),
         Opt("exact", ("--exact",), bool, False, "report exact triangle count and the S*n identity"),
     )),
@@ -570,7 +575,7 @@ COMMANDS = {spec.name: spec for spec in (
             f"comma-separated input lengths, at most {GADGET_BITS_MAX} with --triangle-trials",
             low=1, high=SIZE_MAX, each="input lengths"),
         Opt("eps", ("--eps",), float, 1.0,
-            f"privacy parameter, at least {MIN_EPSILON} with --triangle-trials"),
+            f"privacy parameter, at least {MIN_EPSILON} with --triangle-trials", high=EPS_MAX),
         Opt("trials", ("--trials",), int, 10000, "baseline trials per length", low=1, high=TRIALS_MAX),
         Opt("triangle_trials", ("--triangle-trials",), int, 0, "gadget-route trials per length (0: skip)",
             low=0, high=TRIALS_MAX),

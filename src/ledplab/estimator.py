@@ -8,14 +8,13 @@ W = sum_v C(d_v, 2) and triangles T: t3 = T, t2 = W - 3T,
 t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. They are counted by
 float32 (n <= 257) or float64 matmul on 0/1 entries, whose partial sums
 stay integers below the mantissa bound, exact in any BLAS order. A Monte
-Carlo batch is gathered through `graphs.gather_map(n)` and counted by
-`graphs.gathered_stats`: as (n, n) matrices below `graphs.SPLIT_MIN_N`
-(84) vertices, and from it up as three (h, h) blocks of each graph, padded
-to 2h = 2 ceil(n/2) vertices, whose four products do half the multiplies
-(the `ledplab.graphs` docstring has the identity, its exactness bound
-and the crossover table). Both give the same integers, so an estimate
-does not depend on the layout. The closed-form variance is checked
-against a full flip-pattern enumeration.
+Carlo batch is gathered through `graphs.gather_map(n)` as three (h, h)
+blocks of each graph, padded to 2h = 2 ceil(n/2) vertices, and counted
+by `graphs.gathered_stats` from four block products with half the
+multiplies of one (n, n) product and the same integers (the
+`ledplab.graphs` docstring has the identity and its exactness bound).
+The closed-form variance is checked against a full flip-pattern
+enumeration.
 """
 
 from __future__ import annotations
@@ -70,11 +69,10 @@ MIN_EPSILON = 1e-6
 ENUMERATION_MAX_PAIRS = 24
 
 # Bytes of (trials, n, n) count_dtype(n) counts that sample_estimates_range's
-# running blocks may hold, split among its threads. It sizes the blocks
-# for both layouts of graphs.gather_map, so a run's blocks and threads do
-# not depend on the layout; from graphs.SPLIT_MIN_N up a trial's gathered
-# counts are the (3, h, h) blocks, 3 ceil(n/2)^2 entries (about 0.75 n^2),
-# and its product workspace h^2, so the blocks hold less.
+# running blocks may hold, split among its threads. A trial's gathered
+# counts are the (3, h, h) blocks of graphs.gather_map and its product
+# workspace one (h, h) block more, h = ceil(n/2): n^2 entries at even n,
+# (n + 1)^2 at odd n.
 BLOCK_BYTES = 32 << 20
 
 # Most trials a block: a block's generators, ~0.5 KB each, are all derived
@@ -83,9 +81,9 @@ BLOCK_TRIALS = 4096
 
 # Fewest vertices whose trial blocks run on threads. A trial holds the
 # interpreter lock ~3 us to derive and call its generator; below this its
-# (n, n) count product is too small beside that, and two threads took
-# 1.3x one thread's time at n = 8, 1.0x at n = 24 and 32 and 0.8x at 48
-# (one BLAS thread, 2 cores).
+# count products are too small beside that: on 8,192 trials two threads
+# took 1.27x one thread's time at n = 4, 1.17x at 12, 1.05x at 24, 1.04x
+# at 32 and 0.86x at 40 (one BLAS thread, 2 cores).
 THREAD_MIN_N = 40
 
 

@@ -8,14 +8,12 @@ symmetric 0/1 matrix with zero diagonal. `graph_stats` and
 Batches of graphs given as rows of C(n,2) triu-ordered pair bits, each
 row followed by a zero column k = C(n,2), are gathered through
 `gather_map(n)` and counted by `gathered_stats`; graphs owns that
-layout and the size at which it changes. Below SPLIT_MIN_N vertices the
-map is the (n, n) adjacency, its diagonal reading column k, counted by
-`graph_stats`. From SPLIT_MIN_N up it lays each graph, padded to
-2h = 2 ceil(n/2) vertices by a zero vertex (column k) when n is odd, out
-as three contiguous (h, h) blocks A11, A12 and A22 of
-A = [[A11, A12], [A12^T, A22]]. One (n, n) product does every multiply
-twice, since A is symmetric; four (h, h) products, half its multiplies,
-give the triangles, with tr(A11 A12 A12^T) = sum(A12 o A11 A12) and
+layout. It lays each graph, padded to 2h = 2 ceil(n/2) vertices by a
+zero vertex (column k) when n is odd, out as three contiguous (h, h)
+blocks A11, A12 and A22 of A = [[A11, A12], [A12^T, A22]]. One (n, n)
+product does every multiply twice, since A is symmetric; four (h, h)
+products, half its multiplies, give the triangles, with
+tr(A11 A12 A12^T) = sum(A12 o A11 A12) and
 tr(A22 A12^T A12) = sum(A12 o A12 A22) so that no operand is transposed:
 
     6T = tr(A11^3) + tr(A22^3) + 3 sum(A11 o A12 A12^T) + 3 sum(A22 o A12^T A12)
@@ -23,17 +21,8 @@ tr(A22 A12^T A12) = sum(A12 o A12 A22) so that no operand is transposed:
 The degrees are the blocks' row sums and A12's column sums. Every term
 is a non-negative integer, so every partial sum of 6T, 2m and
 2W = sum d(d - 1) is an integer at most n(n-1)(n-2), exact at
-count_dtype(n) in any BLAS order, and both layouts give the same int64
-m, W and T. sample_estimates_range's time for 512 trials, one BLAS
-thread, 2-vCPU host, medians of 21 alternating runs:
-
-    n               64    72    77    80    84    88    96   104   128   192   256
-    (n, n), ms     7.3   9.0  10.6  10.8  11.9  13.4  14.8  19.8  32.2  72.2   153
-    blocks, ms     7.0   8.6  10.3  10.4  11.1  12.2  13.2  16.2  18.5  47.3   104
-
-Below 84 the two agree within the spread of repeated passes (others read
-the blocks 2-5% slower at 75, 77 and 78); from 84 up every pass read
-them at least 7% faster, so SPLIT_MIN_N = 84.
+count_dtype(n) in any BLAS order, and the blocks give the same int64 m,
+W and T as graph_stats of the (n, n) adjacency.
 """
 
 from __future__ import annotations
@@ -50,7 +39,6 @@ __all__ = [
     "graph_stats",
     "gather_map",
     "gathered_stats",
-    "SPLIT_MIN_N",
     "codegree_pairs",
     "count_triangles",
     "count_four_cycles",
@@ -148,52 +136,40 @@ class VertexPartition:
         return self.parts[self.labels.index(label)]
 
 
-# Fewest vertices whose gathered batches are split into (h, h) blocks: the
-# crossover in the module docstring's table.
-SPLIT_MIN_N = 84
-
-
 def count_dtype(n: int):
     """float32 while n(n-1)(n-2) < 2^24 (n <= 257), else float64: the
     narrowest float that holds every partial sum of graph_stats exactly."""
     return np.float32 if n * (n - 1) * (n - 2) < 1 << 24 else np.float64
 
 
-def graph_stats(a, product=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def graph_stats(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 edges m, wedges W = sum_v C(d_v, 2) and triangles T of each
     symmetric 0/1 zero-diagonal matrix in a (..., n, n) stack. T is
-    trace(A^3)/6 by matmul at count_dtype(n), exact in any BLAS order;
-    `product`, an array of a's shape at that dtype, receives A @ A."""
+    trace(A^3)/6 by matmul at count_dtype(n), exact in any BLAS order."""
     a = np.asarray(a, dtype=count_dtype(np.shape(a)[-1]))
     deg = a.sum(axis=-1)
     m = deg.sum(axis=-1) / 2
     w = (deg * (deg - 1)).sum(axis=-1) / 2
-    t = np.einsum("...ij,...ij->...", np.matmul(a, a, out=product), a) / 6
+    t = np.einsum("...ij,...ij->...", a @ a, a) / 6
     return m.astype(np.int64), w.astype(np.int64), t.astype(np.int64)
 
 
 def gather_map(n: int) -> np.ndarray:
     """Column of a pair-bit row (module docstring) that each entry of the
-    gathered layout reads: the (n, n) adjacency below SPLIT_MIN_N, the
-    (3, h, h) blocks A11, A12, A22 of the padded graph from it up."""
+    gathered layout reads: the (3, h, h) blocks A11, A12, A22 of the
+    graph padded to 2h vertices."""
     iu = np.triu_indices(n, k=1)
     k = len(iu[0])
-    split = n >= SPLIT_MIN_N
-    side = 2 * -(-n // 2) if split else n
-    index = np.full((side, side), k)  # the diagonal and the padding read column k, left 0
+    h = -(-n // 2)
+    index = np.full((2 * h, 2 * h), k)  # the diagonal and the padding read column k, left 0
     index[iu] = index[iu[::-1]] = np.arange(k)
-    if not split:
-        return index
-    h = side // 2
     return np.stack([index[:h, :h], index[:h, h:], index[h:, h:]])
 
 
 def gathered_stats(gathered, n: int, product=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """graph_stats of a (b, *gather_map(n).shape) stack at count_dtype(n),
-    for n-vertex graphs; `product`, (b, *gather_map(n).shape[-2:]) at the
-    same dtype, is the products' workspace."""
-    if n < SPLIT_MIN_N:
-        return graph_stats(gathered, product)
+    """graph_stats of a (b, 3, h, h) stack of gather_map(n) blocks at
+    count_dtype(n), for n-vertex graphs; `product`, (b, h, h) at the same
+    dtype, is the products' workspace."""
     gathered = np.asarray(gathered, dtype=count_dtype(n))
     b, _, h, _ = gathered.shape
     rows = (gathered.reshape(-1, h) @ np.ones(h, gathered.dtype)).reshape(b, 3, h)  # one BLAS call

@@ -10,7 +10,7 @@ import pytest
 import ledplab
 from ledplab import anticoncentration, attack, estimator, graphs
 from ledplab.anticoncentration import tail_report
-from ledplab.cli import _jsonable, main
+from ledplab.cli import EPS_MAX, _jsonable, main
 from ledplab.estimator import sample_estimates, variance_sweep
 from ledplab.gadget import sum_error_scaling
 from ledplab.graphs import complete_graph, erdos_renyi, load_graph, save_graph
@@ -147,7 +147,7 @@ def test_selftest_passes(workdir, capsys):
      {"half-enumeration-tail"}),
     (attack, "_bilinear", lambda answers: answers + 1, {"batch-answers"}),  # identity answers
     (attack._SlotForm, "block_sums", lambda sums: sums * (1 + 1e-12), {"batch-answers"}),  # rr slots
-    # the split batch layout is the fast side of the block row alone
+    # the estimator's batch layout is the fast side of the block row alone
     (graphs, "gathered_stats", lambda s: (s[0], s[1], s[2] + 1), {"block-stats"}),
 ])
 def test_selftest_catches_a_broken_kernel(workdir, monkeypatch, owner, name, shift, failing):
@@ -208,6 +208,31 @@ def test_variance_sweep_rejects_zero_epsilon(workdir, capsys):
 def test_float_flags_must_be_finite(workdir, capsys, argv, field):
     assert run_cli(*argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: must be finite")
+
+
+# Unbounded, each ended in an OverflowError from math.exp(eps) with exit 1.
+@pytest.mark.parametrize("argv, field", [
+    (["estimate", "--graph", "k4.txt", "--eps", "710"], "eps"),
+    (["variance-sweep", "--eps-grid", "800"], "eps_grid"),
+    (["gadget", "--eps", "1000", "--trials", "5"], "eps"),
+    (["sum-scaling", "--eps", "1000"], "eps"),
+    (["attack", "--mechanism", "rr", "--epsilon", "1000"], "epsilon"),
+])
+def test_epsilon_is_bounded_above(workdir, capsys, argv, field):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be at most {EPS_MAX}")
+
+
+def test_attack_epsilon_has_the_estimator_minimum(workdir, capsys):
+    # rr answers are the estimator's triangle mix, whose lo^3 overflowed here
+    assert run_cli("attack", "--mechanism", "rr", "--epsilon", "1e-110") == 2
+    assert capsys.readouterr().err.startswith("error: epsilon: must be at least 1e-06")
+
+
+def test_exhaustive_search_is_bounded(workdir, capsys):
+    assert run_cli("attack", "--mechanism", "identity", "--n", "5", "--search", "exhaustive") == 2
+    cap = attack.EXHAUSTIVE_MAX_BITS
+    assert capsys.readouterr().err.startswith(f"error: search: exhaustive needs n^2 at most {cap}, got n = 5")
 
 
 @pytest.mark.parametrize("ns", ["0", "-5", "64,0"])

@@ -19,7 +19,6 @@ from ledplab.estimator import (
     variance_sweep,
 )
 from ledplab.graphs import (
-    SPLIT_MIN_N,
     complete_graph,
     count_four_cycles,
     cycle_graph,
@@ -292,8 +291,8 @@ def test_sample_estimates_range_with_ties_independent_of_blocks_and_threads(monk
 
 
 def test_sample_estimates_range_split_layout_independent_of_blocks_and_threads(monkeypatch):
-    # an odd n counted from the padded (3, h, h) blocks
-    n = (SPLIT_MIN_N + 1) | 1
+    # a large odd n, counted from (43, 43) blocks padded with a zero vertex
+    n = 85
     g = erdos_renyi(n, 0.5, Streams(25).generator())
     check_range_over_blocks_and_threads(monkeypatch, n, g, Streams(26))
 

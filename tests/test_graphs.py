@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ledplab.graphs import (
-    SPLIT_MIN_N,
     Graph,
     GraphFormatError,
     codegree_pairs,
@@ -129,13 +128,12 @@ def gathered_counts(g: Graph) -> tuple[int, int, int]:
     return int(m[0]), int(w[0]), int(t[0])
 
 
-@pytest.mark.parametrize("n", [SPLIT_MIN_N - 1, SPLIT_MIN_N, (SPLIT_MIN_N + 1) | 1, 257, 258])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 85, 257, 258])
 def test_gathered_counts_match_oracles_on_both_layouts(n):
-    # below SPLIT_MIN_N the (n, n) layout, from it up the (3, h, h) blocks,
-    # padded with a zero vertex at odd n, as at the third size; 257 and 258
-    # are the last float32 and the first float64 sizes
+    # the (3, h, h) blocks at every n, padded with a zero vertex at odd n;
+    # 257 and 258 are the last float32 and the first float64 sizes
     h = -(-n // 2)
-    assert gather_map(n).shape == ((n, n) if n < SPLIT_MIN_N else (3, h, h))
+    assert gather_map(n).shape == (3, h, h)
     for g in (complete_graph(n), erdos_renyi(n, 0.9, Streams(19).child("dense", n).generator())):
         m, w, _ = graph_stats(g.adjacency)
         assert gathered_counts(g) == (int(m), int(w), count_triangles(g))
@@ -143,8 +141,8 @@ def test_gathered_counts_match_oracles_on_both_layouts(n):
 
 
 def test_gathered_batches_match_graph_stats_per_graph():
-    # a batch of split graphs of every density counts each graph on its own
-    n = SPLIT_MIN_N + 3
+    # a batch of graphs of every density counts each graph on its own
+    n = 87
     gen = Streams(20).child("batch").generator()
     graphs = [erdos_renyi(n, p, gen) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
     iu = np.triu_indices(n, k=1)
