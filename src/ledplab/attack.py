@@ -477,15 +477,10 @@ class GrayBox:
         assert charge == compose_ledger([family.params, family.params]), charge
         return cls(x.shape[0], family, post, *stored, transcript, charge)
 
-    # -- single-query paths (fully recorded) ---------------------------
-
-    def _selection_bits(self, q: SubmatrixQuery) -> np.ndarray:
-        if len(q.q1) != self.n:
-            raise ValueError(f"query length {len(q.q1)} does not match prepared n={self.n}")
-        return np.concatenate([q.q1, q.q2]).astype(np.uint8)
-
     def _assemble(self, sel: np.ndarray, w_payloads: list[np.ndarray]) -> np.ndarray:
-        """Symmetric released-bit matrix from stored and fresh payloads."""
+        """Symmetric released-bit matrix of one slot from the stored payloads
+        its 0/1 selection sel picks and the public vertices' fresh runs; with
+        post, the oracle of each answer_outer_batch slot."""
         n, nv = self.n, 3 * self.n
         m = np.zeros((nv, nv), dtype=np.uint8)
         for v in range(2 * n):
@@ -495,38 +490,18 @@ class GrayBox:
             m[w, w + 1 :] = w_payloads[idx]
         return m | m.T
 
-    def answer_submatrix(self, q: SubmatrixQuery, streams: Streams) -> float:
-        """Answer one bit-vector query: simulate the mechanism on the query
-        graph using stored secret-vertex outputs, divide by n."""
-        sel = self._selection_bits(q)
-        n = self.n
-        # the public vertices' runs of zeros, in vertex order, are unit 0 of streams
-        zeros = np.zeros((n, 3 * n), dtype=np.uint8)
-        outputs, _ = release_runs(self.family, zeros, streams, first=2 * n, public=True)
-        self.transcript.append_round(outputs)
-        released = self._assemble(sel, [out.payload for out in outputs])
-        return self.post(released) / n
-
-    def answer_outer(self, q: OuterProductQuery, streams: Streams) -> float:
-        """Answer one sign-vector query through its three-part split."""
-        q1, q2, q3, combine = split_outer_product(q)
-        answers = [
-            self.answer_submatrix(part, streams.child(t))
-            for t, part in enumerate((q1, q2, q3))
-        ]
-        return combine(*answers)
-
-    # -- batched path ---------------------------------------------------
+    # -- answering ------------------------------------------------------
 
     def answer_outer_batch(self, a_signs: np.ndarray, b_signs: np.ndarray, streams: Streams) -> np.ndarray:
         """Answers to k sign-vector queries, vectorized.
 
-        Equivalent to answer_outer per query. Slot 3l + t is part t of
-        query l's three-part split. Slot j's P = n(n-1)/2 public-pair bits
-        are unit j of the node `streams` (stream layout 4, `ledplab.rng`):
-        they read the words [j W, (j + 1) W), W = ceil(P/4), and a tie, if
-        any, the node's "ties" child. Each slot's estimate is mixed from its
-        graph's exact integer counts. Slots are answered SLOT_BLOCK at a
+        Slot 3l + t is part t of query l's three-part split; its answer
+        equals post of _assemble on its selection and the same public bits,
+        divided by n. Slot j's P = n(n-1)/2 public-pair bits are unit j of
+        the node `streams` (stream layout 4, `ledplab.rng`): they read the
+        words [j W, (j + 1) W), W = ceil(P/4), and a tie, if any, the node's
+        "ties" child. Each slot's estimate is mixed from its graph's exact
+        integer counts. Slots are answered SLOT_BLOCK at a
         time, the blocks in parallel on up to one thread a usable CPU per
         BLAS thread and no more threads than WORKSPACE_BYTES holds
         workspaces, each running block in a workspace of its own

@@ -479,7 +479,7 @@ def _selftest_rows(seed: int):
         w = np.array(draws) < math.ceil(ledp.flip_probability(eps) * 2**53)
         for l, query in enumerate(map(attack.OuterProductQuery, a, b)):
             *parts, combine = attack.split_outer_product(query)  # public vertices own 3, 2, 1, 0 pairs
-            yield combine(*(box.post(box._assemble(box._selection_bits(q), np.split(w[3 * l + t], [3, 5, 6])))
+            yield combine(*(box.post(box._assemble(np.concatenate([q.q1, q.q2]), np.split(w[3 * l + t], [3, 5, 6])))
                             / n for t, q in enumerate(parts)))
 
     return [

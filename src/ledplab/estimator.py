@@ -107,10 +107,14 @@ def rescaled_atoms(epsilon: float) -> tuple[float, float]:
 
 
 def edge_noise_variance(epsilon: float) -> float:
-    """Variance of one rescaled bit: e^eps/(e^eps - 1)^2."""
+    """Variance of one rescaled bit: e^eps/(e^eps - 1)^2, or past eps ~ 355,
+    where (e^eps - 1)^2 overflows, the same value as
+    e^-eps/(1 - e^-eps)^2."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     m = math.expm1(epsilon)
+    if math.isinf(m * m):
+        return math.exp(-epsilon) / math.expm1(-epsilon) ** 2
     return math.exp(epsilon) / (m * m)
 
 

@@ -18,10 +18,7 @@ from ledplab.rng import Streams
 
 __all__ = [
     "build_sum_gadget",
-    "triangles_to_sum",
-    "ldp_sum_baseline",
     "sample_sum_baseline",
-    "end_to_end_sum_via_triangles",
     "sample_sum_via_triangles",
     "sum_error_row",
     "sum_error_scaling",
@@ -61,23 +58,12 @@ def build_sum_gadget(x) -> tuple[Graph, VertexPartition]:
     return Graph(a), partition
 
 
-def triangles_to_sum(t_hat: float, n: int) -> float:
-    """Convert a gadget triangle estimate to a sum estimate."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return t_hat / n
-
-
-def ldp_sum_baseline(x, epsilon: float, streams: Streams) -> float:
-    """Unbiased local-model sum estimate: randomize each party's bit,
-    debias, add. Variance is n * e^eps/(e^eps - 1)^2."""
-    return float(sample_sum_baseline(x, epsilon, 1, streams)[0])
-
-
 def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
-    """Baseline estimates over independent trials, trial t unit t of the
-    node `streams` (stream layout 4, `ledplab.rng`), all drawn in order
-    through one generator; the released bits take trials * n bytes."""
+    """Unbiased local-model sum estimates over independent trials: each
+    party's bit randomized, debiased and added, of variance
+    n e^eps/(e^eps - 1)^2. Trial t is unit t of the node `streams` (stream
+    layout 4, `ledplab.rng`), all drawn in order through one generator;
+    the released bits take trials * n bytes."""
     x = _as_bit_vector(x)
     n = len(x)
     lo, hi = rescaled_atoms(epsilon)
@@ -86,27 +72,23 @@ def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.
     return ones * hi + (n - ones) * lo
 
 
-def end_to_end_sum_via_triangles(x, epsilon: float, streams: Streams) -> float:
-    """Build the gadget, run the triangle estimator, divide by n: trial 0
-    of sample_sum_via_triangles."""
-    return float(sample_sum_via_triangles(x, epsilon, 1, streams)[0])
-
-
 def sample_sum_via_triangles(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
-    """Gadget-route estimates over independent trials."""
+    """Gadget-route estimates over independent trials: the triangle
+    estimates of the gadget, divided by n."""
     x = _as_bit_vector(x)
     n = len(x)
     g, _ = build_sum_gadget(x)
     assert graph_stats(g.adjacency)[2] == int(x.sum()) * n
-    return triangles_to_sum(sample_estimates(g, epsilon, trials, streams), n)
+    return sample_estimates(g, epsilon, trials, streams) / n
 
 
 def fit_log_log_exponent(ns, errors) -> float:
-    """Least-squares slope of log(error) against log(n)."""
-    logs_n = np.log(np.asarray(ns, dtype=np.float64))
-    logs_e = np.log(np.asarray(errors, dtype=np.float64))
-    slope = np.polyfit(logs_n, logs_e, 1)[0]
-    return float(slope)
+    """Least-squares slope of log(error) against log(n); NaN when an error
+    is not positive, so has no log."""
+    errors = np.asarray(errors, dtype=np.float64)
+    if not np.all(errors > 0):
+        return float("nan")
+    return float(np.polyfit(np.log(np.asarray(ns, dtype=np.float64)), np.log(errors), 1)[0])
 
 
 def sum_error_row(

@@ -27,7 +27,6 @@ __all__ = [
     "RandomizedResponse",
     "IdentityRelease",
     "flip_probability",
-    "randomized_response",
     "bernoulli_rows",
     "unit_words",
     "randomized_rows",
@@ -66,12 +65,6 @@ def flip_probability(epsilon: float) -> float:
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return 1.0 / (math.exp(epsilon) + 1.0)
-
-
-def randomized_response(bits: np.ndarray, epsilon: float, streams) -> np.ndarray:
-    """Flip each bit independently with probability 1/(e^eps + 1): the bits
-    in C order, drawn as unit 0 of the node `streams`."""
-    return RandomizedResponse(epsilon).release(bits, streams)
 
 
 # Bytes of raw stream words and tie mask that bernoulli_rows holds at once.
@@ -268,19 +261,18 @@ class Transcript:
         return json.dumps(self.dump(), sort_keys=True, separators=(",", ":"))
 
 
-def release_runs(randomizer, rows: np.ndarray, streams, unit: int = 0, first: int = 0, public: bool = False):
-    """One round in which vertex v = first + i releases its run of rows[i],
-    the bits of pairs (v, j) for v < j < rows.shape[1]; the round's runs, in
+def release_runs(randomizer, rows: np.ndarray, streams, unit: int = 0):
+    """One round in which each vertex v releases its run of rows[v], the
+    bits of pairs (v, j) for v < j < rows.shape[1]; the round's runs, in
     vertex order, are released as unit `unit` of the node `streams`.
     Returns the round's outputs and a zero array the shape of rows holding
     each released run in place."""
     end = rows.shape[1]
-    vertices = range(first, first + len(rows))
-    runs = np.arange(end) > np.array(vertices)[:, None]
+    runs = np.triu(np.ones(rows.shape, dtype=bool), k=1)
     released = np.zeros(rows.shape, dtype=np.uint8)
     released[runs] = randomizer.release(rows[runs], streams, unit)
     outputs = [
-        RandomizerOutput(v, randomizer.name, randomizer.params, released[i, v + 1 :].copy(), end, public)
-        for i, v in enumerate(vertices)
+        RandomizerOutput(v, randomizer.name, randomizer.params, released[v, v + 1 :].copy(), end)
+        for v in range(len(rows))
     ]
     return outputs, released

@@ -228,31 +228,15 @@ def test_single_bit_changes_two_vertex_inputs():
             assert changed0 == changed1 == {i, n + j}
 
 
-def test_identity_graybox_matches_exact_answers():
-    gen = Streams(210).generator()
-    for trial in range(15):
-        n = int(gen.integers(2, 7))
-        x = random_bits(n, gen)
-        family, post = mechanism_components("identity")
-        box = GrayBox.prepare(x, family, post, Streams(211).child(trial))
-        q = SubmatrixQuery(
-            (gen.random(n) < 0.5).astype(np.uint8), (gen.random(n) < 0.5).astype(np.uint8)
-        )
-        assert box.answer_submatrix(q, Streams(212).child(trial)) == submatrix_answer(x, q)
-        zeros = SubmatrixQuery(np.zeros(n, np.uint8), np.zeros(n, np.uint8))
-        assert box.answer_submatrix(zeros, Streams(213).child(trial)) == 0
-        oq = OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
-        assert box.answer_outer(oq, Streams(214).child(trial)) == outer_product_answer(x, oq)
-
-
 def test_oracle_graybox_matches_exact_answers():
     gen = Streams(215).generator()
     n = 4
     x = random_bits(n, gen)
     family, post = mechanism_components("oracle")
     box = GrayBox.prepare(x, family, post, Streams(216))
-    q = SubmatrixQuery(np.ones(n, np.uint8), (gen.random(n) < 0.5).astype(np.uint8))
-    assert box.answer_submatrix(q, Streams(217)) == submatrix_answer(x, q)
+    a_signs, b_signs = np.ones((1, n), np.int8), gen.choice((-1, 1), (1, n))
+    answers = box.answer_outer_batch(a_signs, b_signs, Streams(217))
+    assert np.array_equal(answers, exact_outer_answers(x, a_signs, b_signs))
 
 
 def test_oracle_is_identity_under_another_name():
@@ -276,6 +260,14 @@ def test_identity_batch_matches_exact_answers():
         a_signs, b_signs = sample_query_signs(n, 500, Streams(220).child(n))
         batch = box.answer_outer_batch(a_signs, b_signs, Streams(221))
         assert np.array_equal(batch, np.einsum("li,ij,lj->l", a_signs, x.astype(np.int64), b_signs))
+    # one query a box at random sides n = 2..6
+    gen = Streams(210).generator()
+    for trial in range(15):
+        n = int(gen.integers(2, 7))
+        x = random_bits(n, gen)
+        box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(211).child(trial))
+        oq = OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
+        assert box.answer_outer_batch(oq.a, oq.b, Streams(214).child(trial)).tolist() == [outer_product_answer(x, oq)]
 
 
 def test_charge_is_derived_from_transcript():
@@ -512,16 +504,14 @@ def test_rr_pipeline_unbiased_over_full_reruns():
     gen = Streams(224).generator()
     n, eps = 5, 2.0
     x = random_bits(n, gen)
-    q = SubmatrixQuery(
-        (gen.random(n) < 0.5).astype(np.uint8), (gen.random(n) < 0.5).astype(np.uint8)
-    )
-    exact = submatrix_answer(x, q)
+    q = OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
+    exact = outer_product_answer(x, q)
     runs = 2000
     vals = np.empty(runs)
     family, post = mechanism_components("rr", eps)
     for t in range(runs):
         box = GrayBox.prepare(x, family, post, Streams(225).child("p", t))
-        vals[t] = box.answer_submatrix(q, Streams(225).child("a", t))
+        vals[t] = box.answer_outer_batch(q.a, q.b, Streams(225).child("a", t))[0]
     se = vals.std(ddof=1) / math.sqrt(runs)
     assert abs(vals.mean() - exact) <= 4 * se
 
@@ -532,11 +522,11 @@ def test_graybox_never_reads_dataset_after_prepare():
     x = random_bits(n, gen)
     family, post = mechanism_components("rr", 1.0)
     box = GrayBox.prepare(x, family, post, Streams(227))
-    q = SubmatrixQuery(np.ones(n, np.uint8), np.ones(n, np.uint8))
-    before = box.answer_submatrix(q, Streams(228))
+    ones = np.ones((1, n), np.int8)
+    before = box.answer_outer_batch(ones, ones, Streams(228))
     x[:, :] = 1 - x  # corrupt the caller's copy
-    after = box.answer_submatrix(q, Streams(228))
-    assert before == after
+    after = box.answer_outer_batch(ones, ones, Streams(228))
+    assert np.array_equal(before, after)
 
 
 def test_secret_invocations_fixed_regardless_of_query_count():
@@ -556,10 +546,8 @@ def test_secret_invocations_fixed_regardless_of_query_count():
     baseline = secret_invocations()
     assert baseline == {v: 2 for v in range(2 * n)}
     for t in range(7):
-        q = SubmatrixQuery(
-            (gen.random(n) < 0.5).astype(np.uint8), (gen.random(n) < 0.5).astype(np.uint8)
-        )
-        box.answer_submatrix(q, Streams(231).child(t))
+        a_signs, b_signs = sample_query_signs(n, t + 1, Streams(231).child("queries", t))
+        box.answer_outer_batch(a_signs, b_signs, Streams(231).child(t))
     a_signs, b_signs = sample_query_signs(n, 50, Streams(232))
     box.answer_outer_batch(a_signs, b_signs, Streams(233))
     assert secret_invocations() == baseline

@@ -8,6 +8,7 @@ import pytest
 
 from ledplab import estimator, parallel
 from ledplab.estimator import (
+    edge_noise_variance,
     estimate_triangles,
     exact_variance,
     rescale,
@@ -15,6 +16,7 @@ from ledplab.estimator import (
     released_estimates,
     sample_estimates,
     sample_estimates_range,
+    sweep_cell,
     variance_by_enumeration,
     variance_sweep,
 )
@@ -205,6 +207,23 @@ def test_variance_theta_bracket_on_er_graphs():
     lo, hi = min(ratios), max(ratios)
     assert lo > 0
     assert hi / lo <= 50
+
+
+def test_edge_noise_variance_keeps_its_bits_and_stays_positive_past_overflow():
+    # e^eps/(e^eps - 1)^2 bit for bit wherever (e^eps - 1)^2 is finite
+    for eps in [*np.linspace(1e-6, 354, 2001).tolist(), 0.5, 1.5, 4.0, 354.0]:
+        m = math.expm1(eps)
+        assert edge_noise_variance(eps) == math.exp(eps) / (m * m)
+    # past it e^-eps, as (1 - e^-eps)^2 rounds to 1: finite and positive up
+    # to the largest epsilon the command line takes
+    for eps in (356.0, 500.0, 700.0):
+        s = edge_noise_variance(eps)
+        assert math.isfinite(s) and s > 0
+        assert s == pytest.approx(math.exp(-eps), rel=1e-15)
+    assert edge_noise_variance(700.0) == pytest.approx(9.85967654375977e-305, rel=1e-14)
+    row = sweep_cell("complete", 8, 700.0, 1000, Streams(12))
+    assert row["var_empirical"] == 0.0  # no bit flips
+    assert row["var_oracle"] > 0 and row["ratio"] == 0.0
 
 
 def test_unbiasedness_statistical():

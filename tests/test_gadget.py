@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -7,13 +8,10 @@ import pytest
 from ledplab.estimator import edge_noise_variance, exact_variance, rescaled_atoms
 from ledplab.gadget import (
     build_sum_gadget,
-    end_to_end_sum_via_triangles,
     fit_log_log_exponent,
-    ldp_sum_baseline,
     sample_sum_baseline,
     sample_sum_via_triangles,
     sum_error_scaling,
-    triangles_to_sum,
 )
 from ledplab.graphs import count_triangles
 from ledplab.ledp import flip_probability
@@ -89,20 +87,6 @@ def test_single_bit_touches_only_its_party_rows():
         assert rows == {n + 2 * i, n + 2 * i + 1}
 
 
-def test_triangles_to_sum():
-    assert triangles_to_sum(6.0, 3) == 2.0
-    assert triangles_to_sum(0.0, 17) == 0.0
-    with pytest.raises(ValueError):
-        triangles_to_sum(1.0, 0)
-    gen = Streams(42).generator()
-    for _ in range(20):
-        n = int(gen.integers(1, 50))
-        alpha = gen.random() * 10
-        s = gen.integers(0, n + 1)
-        t_hat = s * n + alpha
-        assert abs(triangles_to_sum(t_hat, n) - s) == pytest.approx(alpha / n)
-
-
 def test_baseline_unbiased_zero_input():
     n, eps, trials = 16, math.log(3), 20000
     x = np.zeros(n, dtype=np.uint8)
@@ -138,13 +122,13 @@ def test_baseline_std_scales_like_sqrt_n():
 
 def test_baseline_single_run_and_validation():
     x = np.array([1, 0, 1, 1], dtype=np.uint8)
-    v1 = ldp_sum_baseline(x, 1.0, Streams(46))
-    v2 = ldp_sum_baseline(x, 1.0, Streams(46))
+    v1 = sample_sum_baseline(x, 1.0, 1, Streams(46))[0]
+    v2 = sample_sum_baseline(x, 1.0, 1, Streams(46))[0]
     assert v1 == v2
     with pytest.raises(ValueError):
-        ldp_sum_baseline(x, 0.0, Streams(46))
+        sample_sum_baseline(x, 0.0, 1, Streams(46))
     with pytest.raises(ValueError):
-        ldp_sum_baseline(np.array([0, 2]), 1.0, Streams(46))
+        sample_sum_baseline(np.array([0, 2]), 1.0, 1, Streams(46))
 
 
 def test_sample_sum_baseline_trials_are_stream_slices(monkeypatch):
@@ -154,7 +138,7 @@ def test_sample_sum_baseline_trials_are_stream_slices(monkeypatch):
     x = (Streams(48).child("x").generator().random(n) < 0.5).astype(np.uint8)
     streams = Streams(48).child("mc")
     full = sample_sum_baseline(x, eps, trials, streams)
-    assert full[0] == ldp_sum_baseline(x, eps, streams)
+    assert full[0] == sample_sum_baseline(x, eps, 1, streams)[0]
     # trial t is unit t of the node
     lo, hi = rescaled_atoms(eps)
     ones = (x ^ reference_bits(flip_probability(eps), streams, 0, trials, n)).sum(axis=1)
@@ -177,9 +161,7 @@ def test_end_to_end_sum_unbiased():
 
 def test_end_to_end_near_noiseless_at_huge_epsilon():
     x = np.zeros(5, dtype=np.uint8)
-    vals = [
-        end_to_end_sum_via_triangles(x, 20.0, Streams(49).child(t)) for t in range(50)
-    ]
+    vals = [sample_sum_via_triangles(x, 20.0, 1, Streams(49).child(t))[0] for t in range(50)]
     close = sum(1 for v in vals if abs(v) < 0.01)
     assert close >= 49
 
@@ -188,6 +170,15 @@ def test_fit_log_log_exponent():
     ns = [10, 100, 1000]
     errors = [math.sqrt(n) * 3.7 for n in ns]
     assert fit_log_log_exponent(ns, errors) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_fit_log_log_exponent_zero_error_is_nan_without_warning():
+    # an error of 0, as every error is at eps = 700, has no log
+    ns = [10, 100, 1000]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_log_log_exponent(ns, [0.0, 1.0, 2.0]))
+        assert math.isnan(fit_log_log_exponent([8, 16], [0.0, 0.0]))
 
 
 def test_sum_error_scaling_rows():

@@ -12,11 +12,11 @@ from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
     RandomizedResponse,
+    RandomizerOutput,
     Transcript,
     bernoulli_rows,
     compose_ledger,
     flip_probability,
-    randomized_response,
     release_runs,
 )
 from ledplab.rng import Streams
@@ -38,7 +38,7 @@ def test_flip_probability_rejects_nonpositive():
 
 def test_randomized_response_empirical_flip_rate():
     bits = np.zeros(10**6, dtype=np.uint8)
-    out = randomized_response(bits, math.log(3), Streams(100).child("rr"))
+    out = RandomizedResponse(math.log(3)).release(bits, Streams(100).child("rr"))
     rate = out.mean()
     assert abs(rate - 0.25) < 0.005
 
@@ -51,7 +51,7 @@ def test_randomized_response_marginal_within_4_se():
         se = math.sqrt(p_keep * (1 - p_keep) / n)
         for b in (0, 1):
             bits = np.full(n, b, dtype=np.uint8)
-            out = randomized_response(bits, eps, Streams(101).child("marginal", b))
+            out = RandomizedResponse(eps).release(bits, Streams(101).child("marginal", b))
             kept = (out == b).mean()
             assert abs(kept - p_keep) <= 4 * se
 
@@ -60,7 +60,7 @@ def test_randomized_response_flips_uncorrelated_across_positions():
     # Flip indicators at distinct positions should be independent.
     trials, width = 200000, 4
     bits = np.zeros((trials, width), dtype=np.uint8)
-    out = randomized_response(bits, math.log(3), Streams(102))
+    out = RandomizedResponse(math.log(3)).release(bits, Streams(102))
     flips = out.astype(np.float64)
     p = 0.25
     se = math.sqrt(((p * (1 - p)) ** 2) / trials) / (p * (1 - p))  # corr SE ~ 1/sqrt(N)
@@ -70,16 +70,16 @@ def test_randomized_response_flips_uncorrelated_across_positions():
 
 
 def test_randomized_response_empty_and_deterministic():
-    out = randomized_response(np.zeros(0, dtype=np.uint8), 1.0, Streams(5))
+    out = RandomizedResponse(1.0).release(np.zeros(0, dtype=np.uint8), Streams(5))
     assert out.shape == (0,)
-    a = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6))
-    b = randomized_response(np.ones(64, dtype=np.uint8), 1.0, Streams(6))
+    a = RandomizedResponse(1.0).release(np.ones(64, dtype=np.uint8), Streams(6))
+    b = RandomizedResponse(1.0).release(np.ones(64, dtype=np.uint8), Streams(6))
     assert np.array_equal(a, b)
 
 
 def test_randomized_response_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        randomized_response(np.zeros(3, dtype=np.uint8), 0.0, Streams(7))
+        RandomizedResponse(0.0).release(np.zeros(3, dtype=np.uint8), Streams(7))
     with pytest.raises(ValueError):
         RandomizedResponse(-1.0)
 
@@ -165,12 +165,12 @@ def test_run_noninteractive_ledger_totals():
     node = Streams(9).child("rounds")
     rows = np.ones((6, 6), dtype=np.uint8)
     t = Transcript()
-    for unit, (family, first, public) in enumerate((
-        (RandomizedResponse(0.3), 0, False),
-        (RandomizedResponse(0.1), 2, False),
-        (RandomizedResponse(5.0), 3, True),
-    )):
-        t.append_round(release_runs(family, rows[first:], node, unit, first=first, public=public)[0])
+    for unit, (family, first) in enumerate(((RandomizedResponse(0.3), 0), (RandomizedResponse(0.1), 2))):
+        t.append_round(release_runs(family, rows, node, unit)[0][first:])
+    public = RandomizedResponse(5.0)
+    t.append_round([
+        RandomizerOutput(v, public.name, public.params, rows[v, v + 1 :], 6, public=True) for v in range(3, 6)
+    ])
     t.append_round(release_runs(RandomizedResponse(0.2), rows[:4, :4], node, 3)[0])
     per_bit = t.per_bit_ledger()
     want = reference_per_bit_ledger(t)
