@@ -228,6 +228,34 @@ def test_single_bit_changes_two_vertex_inputs():
             assert changed0 == changed1 == {i, n + j}
 
 
+def submatrix_via_outer(box, q, streams):
+    """1_S^T X 1_T from four sign queries: with a = 2 1_S - 1 and b = 2 1_T - 1,
+    4 1_S^T X 1_T = a^T X b + a^T X 1 + 1^T X b + 1^T X 1."""
+    a = 2 * q.q1.astype(np.int8) - 1
+    b = 2 * q.q2.astype(np.int8) - 1
+    ones = np.ones_like(a)
+    answers = box.answer_outer_batch(np.stack([a, a, ones, ones]), np.stack([b, ones, b, ones]), streams)
+    return answers.sum() / 4
+
+
+def test_identity_graybox_matches_exact_answers():
+    gen = Streams(210).generator()
+    for trial in range(15):
+        n = int(gen.integers(2, 7))
+        x = random_bits(n, gen)
+        family, post = mechanism_components("identity")
+        box = GrayBox.prepare(x, family, post, Streams(211).child(trial))
+        q = SubmatrixQuery(
+            (gen.random(n) < 0.5).astype(np.uint8), (gen.random(n) < 0.5).astype(np.uint8)
+        )
+        assert submatrix_via_outer(box, q, Streams(212).child(trial)) == submatrix_answer(x, q)
+        zeros = SubmatrixQuery(np.zeros(n, np.uint8), np.zeros(n, np.uint8))
+        assert submatrix_via_outer(box, zeros, Streams(213).child(trial)) == 0
+        oq = OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
+        answers = box.answer_outer_batch(oq.a, oq.b, Streams(214).child(trial))
+        assert answers.tolist() == [outer_product_answer(x, oq)]
+
+
 def test_oracle_graybox_matches_exact_answers():
     gen = Streams(215).generator()
     n = 4
@@ -260,14 +288,6 @@ def test_identity_batch_matches_exact_answers():
         a_signs, b_signs = sample_query_signs(n, 500, Streams(220).child(n))
         batch = box.answer_outer_batch(a_signs, b_signs, Streams(221))
         assert np.array_equal(batch, np.einsum("li,ij,lj->l", a_signs, x.astype(np.int64), b_signs))
-    # one query a box at random sides n = 2..6
-    gen = Streams(210).generator()
-    for trial in range(15):
-        n = int(gen.integers(2, 7))
-        x = random_bits(n, gen)
-        box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(211).child(trial))
-        oq = OuterProductQuery(gen.choice((-1, 1), n), gen.choice((-1, 1), n))
-        assert box.answer_outer_batch(oq.a, oq.b, Streams(214).child(trial)).tolist() == [outer_product_answer(x, oq)]
 
 
 def test_charge_is_derived_from_transcript():
