@@ -326,6 +326,13 @@ def run_variance_sweep(cfg, given):
     from ledplab.estimator import variance_sweep
 
     rows = variance_sweep(cfg["ns"], cfg["eps_grid"], cfg["family"], cfg["trials"], Streams(cfg["seed"]))
+    # n >= 3, so the s^3 C(n,3) term is positive unless it underflows
+    for r in rows:
+        if not r["var_oracle"] > 0:
+            raise UsageError(
+                f"eps_grid: the variance oracle underflows to 0 at eps = {r['epsilon']} "
+                f"(family {r['family']}, n = {r['n']}); lower --eps-grid"
+            )
     payload = {"config": {k: given[k] for k in ("ns", "eps_grid", "family", "trials", "seed")}, "rows": rows}
     worst = max(abs(r["ratio"] - 1.0) for r in rows)
     return EXIT_OK, payload, rows, (

@@ -75,16 +75,18 @@ ENUMERATION_MAX_PAIRS = 24
 # (n + 1)^2 at odd n.
 BLOCK_BYTES = 32 << 20
 
-# Most trials a block: a block's generators, ~0.5 KB each, are all derived
-# before it runs, so this bounds them at about 2 MiB a block.
+# Most trials a block. Small graphs fit many trials in BLOCK_BYTES, and
+# blocks past this ran slower as their workspaces outgrew the caches:
+# without it 1e5 trials took 1.51x as long at n = 4, 1.34x at 8 and 1.10x
+# at 12, and 32,768 trials 1.30x at n = 16 and 1.19x at 24 (one BLAS
+# thread, 2 cores).
 BLOCK_TRIALS = 4096
 
-# Fewest vertices whose trial blocks run on threads. A trial holds the
-# interpreter lock ~3 us to derive and call its generator; below this its
-# count products are too small beside that: on 8,192 trials two threads
-# took 1.27x one thread's time at n = 4, 1.17x at 12, 1.05x at 24, 1.04x
-# at 32 and 0.86x at 40 (one BLAS thread, 2 cores).
-THREAD_MIN_N = 40
+# Least work, trials * n^2, of a range that runs on threads; a smaller
+# range runs as one block on the calling thread. At n = 4 to 64 two
+# threads took 1.02-1.48x one thread's time on ranges of work 2^18,
+# 0.74-1.01x at 2^19 and 0.68-0.83x at 2^20 (one BLAS thread, 2 cores).
+THREAD_MIN_WORK = 1 << 19
 
 
 def rescale(x: float, epsilon: float) -> float:
@@ -158,10 +160,9 @@ def sample_estimates(g: Graph, epsilon: float, trials: int, streams: Streams) ->
 
     Trial t is unit t of the node `streams` (stream layout 4,
     `ledplab.rng`): its C(n,2) bits read the words [t W, (t + 1) W),
-    W = ceil(C(n,2)/4), through its own generator, and a tie, if any, the
-    node's "ties" child, so results are identical however trials are
-    scheduled. This bulk path skips transcripts; estimate_triangles records
-    trial 0.
+    W = ceil(C(n,2)/4), and a tie, if any, the node's "ties" child, so
+    results are identical however trials are scheduled. This bulk path
+    skips transcripts; estimate_triangles records trial 0.
     """
     return sample_estimates_range(g, epsilon, 0, trials, streams)
 
@@ -173,15 +174,16 @@ def sample_estimates_range(
     ranges and concatenating reproduces the full run bit for bit.
 
     Batches are gathered through graphs.gather_map(n) and counted at
-    count_dtype(n) by graphs.gathered_stats, on up to one thread a usable
-    CPU per BLAS thread (`ledplab.parallel`) from THREAD_MIN_N vertices
-    up: the range splits evenly into the fewest blocks of at most
-    BLOCK_TRIALS trials and BLOCK_BYTES / threads of (n, n) counts, and a
-    run of one block stays on the calling thread. Each running block fills
-    a workspace of its own, and every trial's generator is derived on the
-    calling thread (a tie generator is derived by the block that holds the
-    tie); a trial's counts are exact integers, so its estimate depends on
-    neither.
+    count_dtype(n) by graphs.gathered_stats. A range of less than
+    THREAD_MIN_WORK trials * n^2 runs on the calling thread; a larger one
+    on up to one thread a usable CPU per BLAS thread (`ledplab.parallel`),
+    split evenly into at least one block a thread and the fewest blocks of
+    at most BLOCK_TRIALS trials and BLOCK_BYTES / threads of (n, n)
+    counts. Each running block fills a workspace of its own and draws its
+    trials in order from one generator, skipped to its first trial's
+    words and derived on the calling thread (a tie generator is derived by
+    the block that holds the tie); a trial's counts are exact integers, so
+    its estimate depends on neither.
     """
     _check_epsilon(epsilon)
     if not 0 <= start <= stop:
@@ -194,11 +196,10 @@ def sample_estimates_range(
     true_bits = g.adjacency[iu]
     pair_index = gather_map(n)
     dtype = count_dtype(n)
-    cpus = parallel.cpus_per_blas_thread() if n >= THREAD_MIN_N else 1
-    cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * np.dtype(dtype).itemsize * n * n)))
     trials = stop - start
-    blocks = max(1, -(-trials // cap))
-    rows = max(1, -(-trials // blocks))
+    cpus = parallel.cpus_per_blas_thread() if trials * n * n >= THREAD_MIN_WORK else 1
+    cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * np.dtype(dtype).itemsize * n * n)))
+    rows = max(1, -(-trials // max(cpus, -(-trials // cap))))
     out = np.empty(trials, dtype=np.float64)
 
     def make_workspace():
@@ -210,21 +211,18 @@ def sample_estimates_range(
         }
 
     def estimate_block(item, ws):
-        lo_t, gens = item
-        b = len(gens)
+        lo_t, gen = item
+        b = min(rows, stop - lo_t)
         bits = ws["bits"][:b]
-        randomized_rows(true_bits, epsilon, gens, ties, lo_t, bits[:, :k])
+        randomized_rows(true_bits, epsilon, gen, ties, lo_t, bits[:, :k])
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
         np.copyto(counts, released)
         stats = gathered_stats(counts, n, ws["product"][:b])
         out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
 
-    items = (
-        (lo_t, [streams.generator(t * words) for t in range(lo_t, min(lo_t + rows, stop))])
-        for lo_t in range(start, stop, rows)
-    )
-    parallel.parallel_map(estimate_block, items, make_workspace, min(cpus, blocks))
+    items = [(lo_t, streams.generator(lo_t * words)) for lo_t in range(start, stop, rows)]
+    parallel.parallel_map(estimate_block, items, make_workspace, min(cpus, len(items)))
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ledplab import ledp
 from ledplab.estimator import rescaled_atoms, sample_estimates
 from ledplab.graphs import Graph, VertexPartition, graph_stats
 from ledplab.ledp import randomized_rows
@@ -62,13 +63,19 @@ def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.
     """Unbiased local-model sum estimates over independent trials: each
     party's bit randomized, debiased and added, of variance
     n e^eps/(e^eps - 1)^2. Trial t is unit t of the node `streams` (stream
-    layout 4, `ledplab.rng`), all drawn in order through one generator;
-    the released bits take trials * n bytes."""
+    layout 4, `ledplab.rng`), all drawn in order through one generator, in
+    chunks of at most ledp.DRAW_BYTES of released bits (one trial's, if
+    more)."""
     x = _as_bit_vector(x)
     n = len(x)
     lo, hi = rescaled_atoms(epsilon)
-    released = np.empty((trials, n), np.uint8)
-    ones = randomized_rows(x, epsilon, streams.generator(), streams.child("ties"), 0, released).sum(axis=1)
+    gen, ties = streams.generator(), streams.child("ties")
+    step = max(1, ledp.DRAW_BYTES // max(n, 1))
+    released = np.empty((min(step, trials), n), np.uint8)
+    ones = np.empty(trials, dtype=np.int64)
+    for first in range(0, trials, step):
+        chunk = released[: min(step, trials - first)]
+        ones[first : first + len(chunk)] = randomized_rows(x, epsilon, gen, ties, first, chunk).sum(axis=1)
     return ones * hi + (n - ones) * lo
 
 

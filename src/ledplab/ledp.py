@@ -81,14 +81,13 @@ def unit_words(bits: int) -> int:
     return -(-bits // 4)
 
 
-def bernoulli_rows(p: float, gens, ties, first: int, out: np.ndarray) -> np.ndarray:
+def bernoulli_rows(p: float, gen, ties, first: int, out: np.ndarray) -> np.ndarray:
     """Fill the (rows, P) bool or uint8 array out with the Bernoulli(p) bits
     of units first, first + 1, ... of a node (stream layout 4, `ledplab.rng`),
     for p at most 1/2, as every flip probability is.
 
-    Row r reads W = ceil(P/4) words as little-endian uint16s h_0 .. h_(P-1):
-    from `gens`, one generator at unit first's words read for every row in
-    turn, or a list of one generator a row, each at its unit's words. With
+    Row r reads the next W = ceil(P/4) words of `gen`, a generator at unit
+    first's words, as little-endian uint16s h_0 .. h_(P-1). With
     c = ceil(p 2^53) = c_hi 2^37 + c_lo, bit i is 1 iff h_i < c_hi, or
     h_i = c_hi and the top 37 bits of word (first + r) P + i of `ties`, the
     node's "ties" child, are below c_lo: exactly the 53-bit draw
@@ -103,17 +102,9 @@ def bernoulli_rows(p: float, gens, ties, first: int, out: np.ndarray) -> np.ndar
     c = math.ceil(p * 2.0**53)
     c_hi, c_lo = c >> TIE_BITS, c & ((1 << TIE_BITS) - 1)
     step = max(1, DRAW_BYTES // max(8 * words + width, 1))
-    single = isinstance(gens, np.random.Generator)
-    if not single:
-        buffer = np.empty((min(step, rows), words), dtype=np.uint64)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
-        if single:
-            raw = gens.bit_generator.random_raw((hi - lo) * words)
-        else:
-            raw = buffer[: hi - lo]
-            for row, gen in zip(raw, gens[lo:hi]):
-                row[...] = gen.bit_generator.random_raw(words)
+        raw = gen.bit_generator.random_raw((hi - lo) * words)
         h = raw.astype("<u8", copy=False).view("<u2").reshape(hi - lo, 4 * words)[:, :width]
         chunk = out[lo:hi]
         np.less(h, c_hi, out=chunk)
@@ -135,11 +126,11 @@ def _tie_bits(ties, words: np.ndarray, c_lo: int) -> np.ndarray:
     return (raw >> np.uint64(64 - TIE_BITS)) < c_lo
 
 
-def randomized_rows(bits: np.ndarray, epsilon: float, gens, ties, first: int, out: np.ndarray) -> np.ndarray:
+def randomized_rows(bits: np.ndarray, epsilon: float, gen, ties, first: int, out: np.ndarray) -> np.ndarray:
     """Fill the (rows, len(bits)) uint8 array out with randomized-response
     copies of bits: row r is bits XOR the Bernoulli(1/(e^eps + 1)) bits of
-    unit first + r, drawn by bernoulli_rows from gens and ties."""
-    bernoulli_rows(flip_probability(epsilon), gens, ties, first, out)
+    unit first + r, drawn by bernoulli_rows from gen and ties."""
+    bernoulli_rows(flip_probability(epsilon), gen, ties, first, out)
     out ^= bits
     return out
 

@@ -6,22 +6,22 @@ ufuncs and BLAS, so a few threads keep the usable CPUs busy. Callers size
 their blocks and pick the thread count with ``cpus_per_blas_thread``: each
 block's products already run on the BLAS threads.
 
-The items are drawn on the calling thread, in order, so everything that
-derives them (stream generators above all) runs there; a worker runs only
-``fn`` on an item and a workspace. The one generator a worker may derive
-is a randomized-response tie generator, for a block whose draws turn out
-to hold a tie (`ledplab.ledp.bernoulli_rows`): what it reads is fixed by
-the tie's place in the stream, not by the thread. Every workspace is made
-on the calling thread before any block starts, and a running block holds
-one of its own, so at most ``threads`` workspaces are ever live.
+The items, one a block, are drawn on the calling thread, in order, and
+handed to the pool all at once; the callers build them as lists, so
+everything that derives them (a block's stream generator above all) runs
+there, and a worker runs only ``fn`` on an item and a workspace. The one
+generator a worker may derive is a randomized-response tie generator, for
+a block whose draws turn out to hold a tie (`ledplab.ledp.bernoulli_rows`):
+what it reads is fixed by the tie's place in the stream, not by the
+thread. Every workspace is made on the calling thread before any block
+starts, and a running block holds one of its own, so at most ``threads``
+workspaces are ever live.
 """
 
 from __future__ import annotations
 
 import os
 import queue
-from collections import deque
-from collections.abc import Sized
 
 __all__ = ["parallel_map", "cpus_per_blas_thread"]
 
@@ -52,10 +52,8 @@ def parallel_map(fn, items, make_workspace, threads: int) -> list:
 
     ``make_workspace()`` is called `threads` times, here, and each running
     call of `fn` has one of those workspaces to itself. With one thread
-    every item runs on the calling thread and no pool is started. Items
-    are drawn on the calling thread: a sized collection is handed to the
-    pool whole, and any other iterable at most two items a thread ahead
-    of the running blocks, so a lazy one stays lazy.
+    every item runs on the calling thread and no pool is started; with
+    more, the items are handed to the pool whole.
     """
     if threads <= 1:
         ws = make_workspace()
@@ -73,15 +71,6 @@ def parallel_map(fn, items, make_workspace, threads: int) -> list:
         finally:
             workspaces.put(ws)
 
-    # a window refilled as blocks finish takes the interpreter lock from the
-    # workers (an rr attack trial took ~2.5% longer), so only a lazy
-    # iterable, whose items cost memory once drawn, gets one
-    ahead = len(items) if isinstance(items, Sized) else 2 * threads
-    results, pending = [], deque()
     with ThreadPoolExecutor(threads) as pool:
-        for item in items:
-            if len(pending) == ahead:
-                results.append(pending.popleft().result())
-            pending.append(pool.submit(run, item))
-        results.extend(future.result() for future in pending)
-    return results
+        futures = [pool.submit(run, item) for item in items]
+        return [future.result() for future in futures]

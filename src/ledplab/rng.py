@@ -7,8 +7,9 @@ worker count.
 
 Stream layout 4 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
 PCG64 stream, and unit u (a trial, a gray-box slot, a prepare round) reads
-the fixed slice [u W, (u + 1) W) of its 64-bit words through a generator
-skipped to it, ``generator(skip=u * W)``, for W words a unit. A unit's
+the fixed slice [u W, (u + 1) W) of its 64-bit words, for W words a unit.
+A block of consecutive units u, u + 1, ... reads them in turn through one
+generator skipped to its first, ``generator(skip=u * W)``. A unit's
 draws do not depend on which other units run, so slicing a run into
 ranges reproduces it bit for bit. A node hashes its SeedSequence once, so
 deriving a generator costs about 2 us, not 20, and may be done on any

@@ -195,6 +195,16 @@ def test_variance_sweep_rejects_zero_epsilon(workdir, capsys):
     assert capsys.readouterr().err.startswith("error: eps_grid: must be positive")
 
 
+def test_variance_sweep_rejects_an_underflowing_oracle(workdir, capsys):
+    # the empty graph's oracle s^3 C(n,3) underflows to 0 from eps ~ 248
+    argv = ["variance-sweep", "--family", "empty", "--ns", "8", "--trials", "1000"]
+    assert run_cli(*argv, "--eps-grid", "1,300", "--output", "v.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps_grid: the variance oracle underflows to 0 at eps = 300.0")
+    assert "family empty, n = 8" in err and not (workdir / "v.csv").exists()
+    assert run_cli(*argv, "--eps-grid", "240") == 0
+
+
 @pytest.mark.parametrize("argv, field", [
     (["estimate", "--graph", "k4.txt", "--eps", "nan"], "eps"),
     (["estimate", "--graph", "k4.txt", "--eps", "inf"], "eps"),

@@ -279,7 +279,7 @@ def check_range_over_blocks_and_threads(monkeypatch, n, g, streams):
     # blocks of 1 to 1000 trials a thread on 1 to 3 threads (more than
     # this host's 2 cores), switching often: a shared write would show
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one block thread a CPU
-    monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
+    monkeypatch.setattr(estimator, "THREAD_MIN_WORK", 1)
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -317,14 +317,14 @@ def test_sample_estimates_range_split_layout_independent_of_blocks_and_threads(m
 
 
 def test_trial_generators_derived_on_calling_thread(monkeypatch):
-    # one generator a trial, in trial order, all on the calling thread;
-    # with two threads only the workers run blocks; no trial holds a tie,
-    # so no block derives a tie generator
+    # one generator a block, at its first trial's words, in block order, all
+    # on the calling thread; with two threads only the workers run blocks;
+    # no trial holds a tie, so no block derives a tie generator
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     n = 6
     k = n * (n - 1) // 2
-    monkeypatch.setattr(estimator, "THREAD_MIN_N", n)
+    monkeypatch.setattr(estimator, "THREAD_MIN_WORK", 1)
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)  # 4 trials a block
     g = erdos_renyi(n, 0.5, Streams(17).generator())
     assert tie_count(flip_probability(1.0), Streams(18), 3, 37, k) == 0
@@ -342,36 +342,38 @@ def test_trial_generators_derived_on_calling_thread(monkeypatch):
     monkeypatch.setattr(Streams, "generator", traced_generator)
     monkeypatch.setattr(estimator, "randomized_rows", traced_rows)
     sample_estimates_range(g, 1.0, 3, 40, Streams(18))
-    assert derived == [(caller, t * unit_words(k)) for t in range(3, 40)]
+    assert derived == [(caller, lo_t * unit_words(k)) for lo_t in range(3, 40, 4)]
     assert block_threads and caller not in block_threads and len(block_threads) <= 2
 
 
-@pytest.mark.parametrize("cpus, trials, block_trials, min_n, threads, rows", [
-    (2, 3, 4096, 6, 1, [3]),  # one block: the calling thread alone
+@pytest.mark.parametrize("cpus, trials, block_trials, floor_trials, threads, rows", [
+    (2, 3, 4096, 6, 1, [3]),  # below the work floor: the calling thread alone
     (2, 4, 4096, 6, 1, [4]),
     (2, 8, 4096, 6, 2, [4, 4]),
     (2, 9, 4096, 6, 2, [3, 3, 3]),  # three blocks of at most 4, split evenly
-    (4, 3, 4096, 6, 2, [2, 1]),
+    (4, 3, 4096, 3, 3, [1, 1, 1]),  # at least one block a thread, a trial each
     (4, 40, 4096, 6, 4, [2] * 20),
     (1, 20, 4096, 6, 1, [7, 7, 6]),
     (1, 20, 5, 6, 1, [5] * 4),  # BLOCK_TRIALS binds before the bytes
     (2, 10, 3, 6, 2, [3, 3, 3, 1]),
-    (4, 40, 4096, 7, 1, [8] * 5),  # below THREAD_MIN_N: one thread, all bytes
+    (4, 40, 4096, 41, 1, [8] * 5),  # below the work floor: one thread, all bytes
+    (2, 4, 4096, 4, 2, [2, 2]),  # fits one block but at the floor: two threads
 ])
-def test_pool_sizing(monkeypatch, cpus, trials, block_trials, min_n, threads, rows):
-    # blocks hold at most BLOCK_TRIALS trials and BLOCK_BYTES / threads of
-    # counts, 8 trials over the usable CPUs of a 6-vertex graph; at most
-    # one workspace a thread, made by the caller
+def test_pool_sizing(monkeypatch, cpus, trials, block_trials, floor_trials, threads, rows):
+    # a range of at least THREAD_MIN_WORK = floor_trials * n^2 splits into
+    # at least one block a thread; blocks hold at most BLOCK_TRIALS trials
+    # and BLOCK_BYTES / threads of counts, 8 trials over the usable CPUs of a
+    # 6-vertex graph; at most one workspace a thread, made by the caller
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
     n = 6
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)
     monkeypatch.setattr(estimator, "BLOCK_TRIALS", block_trials)
-    monkeypatch.setattr(estimator, "THREAD_MIN_N", min_n)
+    monkeypatch.setattr(estimator, "THREAD_MIN_WORK", floor_trials * n * n)
     caller, calls, parallel_map = threading.current_thread(), [], parallel.parallel_map
 
     def recording_map(fn, items, make_workspace, threads):
-        call = {"threads": threads, "made": [], "rows": [], "ran": set()}
+        call = {"threads": threads, "made": [], "firsts": [item[0] for item in items], "ran": set()}
         calls.append(call)
 
         def counted_workspace():
@@ -379,7 +381,6 @@ def test_pool_sizing(monkeypatch, cpus, trials, block_trials, min_n, threads, ro
             return make_workspace()
 
         def traced(item, ws):
-            call["rows"].append(len(item[1]))
             call["ran"].add(threading.current_thread())
             return fn(item, ws)
 
@@ -392,7 +393,7 @@ def test_pool_sizing(monkeypatch, cpus, trials, block_trials, min_n, threads, ro
     (call,) = calls
     assert call["threads"] == threads
     assert call["made"] == [caller] * threads
-    assert sorted(call["rows"]) == sorted(rows)
+    assert np.diff(call["firsts"] + [trials]).tolist() == rows
     assert (call["ran"] == {caller}) == (threads == 1)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from itertools import combinations, product
 
@@ -16,7 +17,7 @@ from ledplab.gadget import (
 from ledplab.graphs import count_triangles
 from ledplab.ledp import flip_probability
 from ledplab.rng import Streams
-from stream_reference import reference_bits, unit_words
+from stream_reference import reference_bits, tie_count
 
 
 def triangles_per_triple(g):
@@ -143,9 +144,35 @@ def test_sample_sum_baseline_trials_are_stream_slices(monkeypatch):
     lo, hi = rescaled_atoms(eps)
     ones = (x ^ reference_bits(flip_probability(eps), streams, 0, trials, n)).sum(axis=1)
     assert np.array_equal(full, ones * hi + (n - ones) * lo)
-    # drawn 2 rows at a time, the chunks concatenate bit for bit
-    monkeypatch.setattr(ledp, "DRAW_BYTES", 2 * (8 * unit_words(n) + n))
-    assert np.array_equal(sample_sum_baseline(x, eps, trials, streams), full)
+    # released 3 rows at a time (drawn one at a time), the chunks
+    # concatenate bit for bit
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 3 * n)
+    assert sample_sum_baseline(x, eps, trials, streams).tobytes() == full.tobytes()
+    # 64 parties released 1,024 trials at a time: the run's only ties are in
+    # its last chunk, and each reads the tie word of its own trial
+    n, trials, p = 64, 4096, flip_probability(eps)
+    x = (Streams(48).child("x").generator().random(n) < 0.5).astype(np.uint8)
+    assert tie_count(p, streams, 0, 3072, n) == 0 < tie_count(p, streams, 3072, 1024, n)
+    monkeypatch.setattr(ledp, "DRAW_BYTES", 1024 * n)
+    ones = (x ^ reference_bits(p, streams, 0, trials, n)).sum(axis=1)
+    assert np.array_equal(sample_sum_baseline(x, eps, trials, streams), ones * hi + (n - ones) * lo)
+
+
+def test_sample_sum_baseline_holds_a_chunk_of_released_bits():
+    # 20,000 trials of 256 parties would release 5 MB at once; in chunks of
+    # DRAW_BYTES the peak is a chunk, its draws and the per-trial outputs
+    import ledplab.ledp as ledp
+
+    n, trials = 256, 20_000
+    x = (Streams(49).child("x").generator().random(n) < 0.5).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_sum_baseline(x, 1.0, trials, Streams(49).child("mc"))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ledp.DRAW_BYTES + 8 * 8 * trials < trials * n
 
 
 def test_end_to_end_sum_unbiased():

@@ -105,8 +105,8 @@ def test_bernoulli_rows_ranges_match_full_run(width, monkeypatch):
     import ledplab.ledp as ledp
 
     # widths of n = 1, 2, 3, 8 among them; any range of units, through one
-    # generator or one a row, and in draw chunks of three rows, equals the
-    # same rows of the full run
+    # generator at its first unit's words and in draw chunks of three rows,
+    # equals the same rows of the full run
     p, units = flip_probability(0.3), 600
     node = Streams(105).child("ranges", width)
     words = unit_words(width)
@@ -117,10 +117,7 @@ def test_bernoulli_rows_ranges_match_full_run(width, monkeypatch):
     for lo, hi in ((0, 1), (5, 17), (17, 600), (599, 600), (3, 3)):
         one = np.empty((hi - lo, width), dtype=bool)
         bernoulli_rows(p, node.generator(lo * words), node.child("ties"), lo, one)
-        each = np.empty((hi - lo, width), dtype=np.uint8)
-        bernoulli_rows(p, [node.generator(u * words) for u in range(lo, hi)], node.child("ties"), lo, each)
         assert np.array_equal(one, full[lo:hi])
-        assert np.array_equal(each, full[lo:hi])
 
 
 def test_bernoulli_rows_rejects_p_above_half():

@@ -8,12 +8,12 @@ from ledplab import parallel
 from ledplab.parallel import cpus_per_blas_thread, parallel_map
 
 
-@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("iterator", [True, False])
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_parallel_map_keeps_order_and_workspaces_apart(threads, lazy):
+def test_parallel_map_keeps_order_and_workspaces_apart(threads, iterator):
     # more threads than this host's 2 cores, switching often: a workspace
-    # shared by two running calls would show as a changed owner; a list is
-    # handed to the pool whole, a generator drawn as blocks finish
+    # shared by two running calls would show as a changed owner; a list or
+    # a one-shot iterator, its items drawn on the calling thread
     caller, made, drawn = threading.current_thread(), [], []
 
     def make_workspace():
@@ -35,7 +35,7 @@ def test_parallel_map_keeps_order_and_workspaces_apart(threads, lazy):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = parallel_map(fn, items() if lazy else list(items()), make_workspace, threads)
+        results = parallel_map(fn, items() if iterator else list(items()), make_workspace, threads)
     finally:
         sys.setswitchinterval(interval)
     assert [item for item, _ in results] == list(range(60))
@@ -44,25 +44,6 @@ def test_parallel_map_keeps_order_and_workspaces_apart(threads, lazy):
     workers = {thread for _, thread in results}
     assert (workers == {caller}) == (threads == 1)
     assert len(workers) <= threads
-
-
-def test_parallel_map_draws_items_lazily():
-    # items are drawn at most two a thread ahead of the running calls
-    threads, ahead = 2, []
-    drawn = 0
-
-    def items():
-        nonlocal drawn
-        for i in range(50):
-            drawn += 1
-            yield i
-
-    def fn(item, ws):
-        ahead.append(drawn - item)
-        return item
-
-    assert parallel_map(fn, items(), dict, threads) == list(range(50))
-    assert max(ahead) <= 2 * threads + 1
 
 
 def test_parallel_map_raises_a_block_error():
