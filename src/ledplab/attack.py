@@ -134,9 +134,12 @@ SLOT_BLOCK = 8192
 
 # Bytes of slot workspaces live at once. The answer threads are the
 # fewest of the usable CPUs per BLAS thread, the blocks and the workspaces
-# this budget holds (at least one). A workspace is 5.8 MiB at n = 8,
-# 19 MiB at n = 16 and over the budget from n = 32, where the blocks run
-# one at a time.
+# this budget holds (at least one). A workspace is 4.1 MiB at n = 8,
+# 11 MiB at n = 16 and 34 MiB at n = 32; from n = 31 the blocks run one at
+# a time, and from n = 46 one workspace is over the budget. It also bounds
+# what a process keeps between calls: the workspaces of a call within it
+# stay mapped in the shared pool's buffers (`ledplab.parallel`), and one
+# over it is freed after the call.
 WORKSPACE_BYTES = 64 << 20
 
 # Most dataset bits n^2 the exhaustive search enumerates: 2^20 candidates.
@@ -376,37 +379,29 @@ class _SlotForm:
         assert np.abs(coef[nu + 1 :]).sum() < exact
         return cls(n, epsilon, coef.astype(dtype))
 
-    def workspace(self, rows: int) -> dict:
-        """Buffers for blocks of up to `rows` slots: the public bits, one row
-        a slot as `ledplab.ledp.bernoulli_rows` fills them; then one column
-        a slot, the selections and bits as uint8, the operand x with its
-        constant row set, the product coef @ x, d - 1, and one run of public
-        pairs."""
+    def layout(self, rows: int) -> dict:
+        """Workspace layout (`ledplab.parallel`) for blocks of up to `rows`
+        slots: the public bits, one row a slot as
+        `ledplab.ledp.bernoulli_rows` fills them; then one column a slot,
+        the selections and bits as uint8, the operand x, the product
+        coef @ x, d - 1, and one run of public pairs."""
         pairs = self.n * (self.n - 1) // 2
-        x = np.empty((self.coef.shape[1], rows), dtype=self.coef.dtype)
-        x[0] = 1
+        dtype = self.coef.dtype
         return {
-            "bits": np.empty((rows, pairs), dtype=bool),
-            "sw": np.empty((2 * self.n + pairs, rows), dtype=np.uint8),
-            "x": x,
-            "product": np.empty((self.coef.shape[0], rows), dtype=x.dtype),
-            "dm1": np.empty((3 * self.n, rows), dtype=x.dtype),
-            "run": np.empty((self.n, rows), dtype=np.uint8),
+            "bits": ((rows, pairs), bool),
+            "sw": ((2 * self.n + pairs, rows), np.uint8),
+            "x": ((self.coef.shape[1], rows), dtype),
+            "product": ((self.coef.shape[0], rows), dtype),
+            "dm1": ((3 * self.n, rows), dtype),
+            "run": ((self.n, rows), np.uint8),
         }
-
-    def triple_sums(self, sel: np.ndarray, w_bits: np.ndarray) -> np.ndarray:
-        """Triple-product sums of B slots, from (B, 2n) 0/1 selections and
-        (B, n(n-1)/2) fresh public-pair bits in triu order."""
-        ws = self.workspace(len(sel))
-        ws["sw"][: 2 * self.n] = sel.T
-        ws["sw"][2 * self.n :] = w_bits.T
-        return self.block_sums(ws, len(sel))
 
     def block_sums(self, ws: dict, rows: int) -> np.ndarray:
         """Triple-product sums of the first `rows` slots of workspace ws,
         whose uint8 operand holds their selections and public bits."""
         nu, nv = 2 * self.n + 1, 3 * self.n
         sw, x = ws["sw"][:, :rows], ws["x"][:, :rows]
+        x[0] = 1
         x[1:] = sw
         g = np.matmul(self.coef, x, out=ws["product"][:, :rows])
         deg, dm1 = g[nu:], ws["dm1"][:, :rows]
@@ -539,14 +534,9 @@ class GrayBox:
         starts = range(0, total, block)
         # derived here, so a worker derives a generator only for a tie
         items = [(start, streams.generator(start * words)) for start in starts]
-        # one workspace a running block, allocated on this thread and held
-        # until the payload is joined: the caller's heap then keeps its pages
-        # warm for the search that follows (freed before the join, they cost a
-        # k/16 trial ~900 more page faults)
-        workspaces = [self._form.workspace(min(block, total))]
-        size = sum(buf.nbytes for buf in workspaces[0].values())
+        layout = self._form.layout(min(block, total))
+        size = parallel.workspace_bytes(layout)
         threads = min(parallel.cpus_per_blas_thread(), len(starts), max(1, WORKSPACE_BYTES // size))
-        workspaces += [self._form.workspace(min(block, total)) for _ in range(threads - 1)]
 
         def answer_block(item, ws):
             start, gen = item
@@ -568,7 +558,8 @@ class GrayBox:
             answers[start : start + rows] = self._form.block_sums(ws, rows) / n
             return packed
 
-        w_bit_blocks = parallel.parallel_map(answer_block, items, iter(workspaces).__next__, threads)
+        keep = threads * size <= WORKSPACE_BYTES
+        w_bit_blocks = parallel.parallel_map(answer_block, items, layout, threads, keep)
         self._record_bulk_public_rounds(total, w_bit_blocks)
         return answers
 

@@ -72,7 +72,12 @@ ENUMERATION_MAX_PAIRS = 24
 # running blocks may hold, split among its threads. A trial's gathered
 # counts are the (3, h, h) blocks of graphs.gather_map and its product
 # workspace one (h, h) block more, h = ceil(n/2): n^2 entries at even n,
-# (n + 1)^2 at odd n.
+# (n + 1)^2 at odd n. It also bounds what a process keeps between calls:
+# the block workspaces, these counts with the blocks' uint8 bits and
+# gathered entries (about 1.3x the counts at even n), stay mapped in the
+# shared pool's buffers (`ledplab.parallel`) while one trial a block fits
+# the budget; past that (n > 1448 on two threads) they are freed after
+# the call.
 BLOCK_BYTES = 32 << 20
 
 # Most trials a block. Small graphs fit many trials in BLOCK_BYTES, and
@@ -179,7 +184,8 @@ def sample_estimates_range(
     on up to one thread a usable CPU per BLAS thread (`ledplab.parallel`),
     split evenly into at least one block a thread and the fewest blocks of
     at most BLOCK_TRIALS trials and BLOCK_BYTES / threads of (n, n)
-    counts. Each running block fills a workspace of its own and draws its
+    counts. Each running block fills a workspace of its own, from the
+    buffers the pool keeps between calls (BLOCK_BYTES), and draws its
     trials in order from one generator, skipped to its first trial's
     words and derived on the calling thread (a tie generator is derived by
     the block that holds the tie); a trial's counts are exact integers, so
@@ -198,22 +204,22 @@ def sample_estimates_range(
     dtype = count_dtype(n)
     trials = stop - start
     cpus = parallel.cpus_per_blas_thread() if trials * n * n >= THREAD_MIN_WORK else 1
-    cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * np.dtype(dtype).itemsize * n * n)))
+    trial_bytes = np.dtype(dtype).itemsize * n * n
+    cap = max(1, min(BLOCK_TRIALS, BLOCK_BYTES // (cpus * trial_bytes)))
     rows = max(1, -(-trials // max(cpus, -(-trials // cap))))
     out = np.empty(trials, dtype=np.float64)
-
-    def make_workspace():
-        return {
-            "bits": np.zeros((rows, k + 1), dtype=np.uint8),
-            "released": np.empty((rows, *pair_index.shape), dtype=np.uint8),
-            "counts": np.empty((rows, *pair_index.shape), dtype=dtype),
-            "product": np.empty((rows, *pair_index.shape[-2:]), dtype=dtype),
-        }
+    layout = {
+        "bits": ((rows, k + 1), np.uint8),
+        "released": ((rows, *pair_index.shape), np.uint8),
+        "counts": ((rows, *pair_index.shape), dtype),
+        "product": ((rows, *pair_index.shape[-2:]), dtype),
+    }
 
     def estimate_block(item, ws):
         lo_t, gen = item
         b = min(rows, stop - lo_t)
         bits = ws["bits"][:b]
+        bits[:, k] = 0  # the column gather_map's diagonal and padding read
         randomized_rows(true_bits, epsilon, gen, ties, lo_t, bits[:, :k])
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
@@ -222,7 +228,8 @@ def sample_estimates_range(
         out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
 
     items = [(lo_t, streams.generator(lo_t * words)) for lo_t in range(start, stop, rows)]
-    parallel.parallel_map(estimate_block, items, make_workspace, min(cpus, len(items)))
+    keep = cpus * trial_bytes <= BLOCK_BYTES  # else one trial a block is over the budget
+    parallel.parallel_map(estimate_block, items, layout, min(cpus, len(items)), keep)
     return out
 
 

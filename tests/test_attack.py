@@ -318,7 +318,11 @@ def test_rr_batch_matches_single_query_postprocessing():
             box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(223).child(n))
             sel = (gen.random((25, 2 * n)) < 0.5).astype(np.uint8)
             w_bits = gen.random((25, n * (n - 1) // 2)) < 0.5
-            via_form = box._form.triple_sums(sel, w_bits) / n
+            # a workspace filled here; x, its constant row unset, too
+            ws = {name: np.empty(shape, dtype) for name, (shape, dtype) in box._form.layout(25).items()}
+            ws["sw"][: 2 * n] = sel.T
+            ws["sw"][2 * n :] = w_bits.T
+            via_form = box._form.block_sums(ws, 25) / n
             for t in range(25):
                 direct = direct_slot_answer(box, sel[t], w_bits[t])
                 assert via_form[t] == direct
@@ -465,24 +469,24 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
     n, k = 4, 100
     box = GrayBox.prepare(random_bits(n, Streams(274).generator()), *mechanism_components("rr", 0.8), Streams(275))
-    size = sum(buf.nbytes for buf in box._form.workspace(8).values())
+    size = parallel.workspace_bytes(box._form.layout(8))
     monkeypatch.setattr(attack, "WORKSPACE_BYTES", fits * size + size - 1)
     a_signs, b_signs = sample_query_signs(n, k, Streams(276))
     caller, workspaces, block_threads = threading.current_thread(), [], set()
-    workspace, block_sums = attack._SlotForm.workspace, attack._SlotForm.block_sums
+    carve, block_sums = parallel._carve, attack._SlotForm.block_sums
 
-    def counted_workspace(self, rows):
-        workspaces.append(rows)
-        return workspace(self, rows)
+    def counted_carve(buffer, layout):
+        workspaces.append(threading.current_thread())
+        return carve(buffer, layout)
 
     def traced_block_sums(self, ws, rows):
         block_threads.add(threading.current_thread())
         return block_sums(self, ws, rows)
 
-    monkeypatch.setattr(attack._SlotForm, "workspace", counted_workspace)
+    monkeypatch.setattr(parallel, "_carve", counted_carve)
     monkeypatch.setattr(attack._SlotForm, "block_sums", traced_block_sums)
     box.answer_outer_batch(a_signs, b_signs, Streams(277))
-    assert len(workspaces) == expected
+    assert workspaces == [caller] * expected
     assert len(block_threads) <= expected
     assert (block_threads == {caller}) == (expected == 1)
 
@@ -509,15 +513,15 @@ def test_rr_batch_threads_share_cpus_with_blas(monkeypatch, env, expected):
     n, k = 4, 100  # 38 blocks
     box = GrayBox.prepare(random_bits(n, Streams(278).generator()), *mechanism_components("rr", 0.8), Streams(279))
     a_signs, b_signs = sample_query_signs(n, k, Streams(280))
-    workspaces, workspace = [], attack._SlotForm.workspace
+    caller, workspaces, carve = threading.current_thread(), [], parallel._carve
 
-    def counted_workspace(self, rows):
-        workspaces.append(rows)
-        return workspace(self, rows)
+    def counted_carve(buffer, layout):
+        workspaces.append(threading.current_thread())
+        return carve(buffer, layout)
 
-    monkeypatch.setattr(attack._SlotForm, "workspace", counted_workspace)
+    monkeypatch.setattr(parallel, "_carve", counted_carve)
     box.answer_outer_batch(a_signs, b_signs, Streams(281))
-    assert len(workspaces) == expected
+    assert workspaces == [caller] * expected
 
 
 def test_rr_pipeline_unbiased_over_full_reruns():

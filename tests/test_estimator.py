@@ -370,23 +370,25 @@ def test_pool_sizing(monkeypatch, cpus, trials, block_trials, floor_trials, thre
     monkeypatch.setattr(estimator, "BLOCK_BYTES", 8 * 4 * n * n)
     monkeypatch.setattr(estimator, "BLOCK_TRIALS", block_trials)
     monkeypatch.setattr(estimator, "THREAD_MIN_WORK", floor_trials * n * n)
-    caller, calls, parallel_map = threading.current_thread(), [], parallel.parallel_map
+    caller, calls = threading.current_thread(), []
+    parallel_map, carve = parallel.parallel_map, parallel._carve
 
-    def recording_map(fn, items, make_workspace, threads):
+    def recording_map(fn, items, layout, threads, keep):
         call = {"threads": threads, "made": [], "firsts": [item[0] for item in items], "ran": set()}
         calls.append(call)
-
-        def counted_workspace():
-            call["made"].append(threading.current_thread())
-            return make_workspace()
 
         def traced(item, ws):
             call["ran"].add(threading.current_thread())
             return fn(item, ws)
 
-        return parallel_map(traced, items, counted_workspace, threads)
+        return parallel_map(traced, items, layout, threads, keep)
+
+    def counted_carve(buffer, layout):
+        calls[-1]["made"].append(threading.current_thread())
+        return carve(buffer, layout)
 
     monkeypatch.setattr(parallel, "parallel_map", recording_map)
+    monkeypatch.setattr(parallel, "_carve", counted_carve)
     g = erdos_renyi(n, 0.5, Streams(19).generator())
     got = sample_estimates_range(g, 1.0, 0, trials, Streams(20))
     assert np.array_equal(got, estimates_by_scatter(g, 1.0, 0, trials, Streams(20)))
