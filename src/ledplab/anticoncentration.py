@@ -2,12 +2,15 @@
 
 For M over {-1,0,1} and uniform independent sign vectors A, B, the
 statistic U = A^T M B has mean zero, variance equal to the number of
-nonzero entries, and fourth moment at most 9 n^4; hence U escapes
-+-sqrt(m)/2 with probability bounded below via Paley-Zygmund. The
-fourth moment is exact at every n, in closed form; the tail is exact up
-to n = 12, counted over half the 4^n sign pairs in float32, with a Monte
-Carlo fallback above. moments_exhaustive enumerates every pair (n <= 7)
-as the brute-force oracle.
+nonzero entries, and fourth moment at most 9 n^4; hence, by
+Paley-Zygmund, U escapes +-sqrt(m)/2 with probability at least
+gamma^2/16 once m >= gamma n^2. The kernels take a (batch, n, n) stack of
+matrices: fourth_moments is exact at every n, in closed form in int64;
+tail_counts is exact up to n = 12, counted over half the 4^n sign pairs
+in float32 products. tail_report draws its matrices a batch at a time,
+as many as fit one byte budget (TAIL_BYTES), with a Monte Carlo tail
+past n = 12. moments_exhaustive enumerates every pair (n <= 7) as the
+brute-force oracle.
 """
 
 from __future__ import annotations
@@ -24,19 +27,23 @@ __all__ = [
     "DiffMatrix",
     "random_diff_matrix",
     "moments_exhaustive",
+    "fourth_moments",
     "fourth_moment",
+    "tail_counts",
     "tail_probability_exhaustive",
     "tail_probability_mc",
-    "paley_zygmund_bound",
-    "chernoff_tail_bound",
     "tail_row",
     "tail_report",
     "ENUMERATION_MAX_N",
 ]
 
-ENUMERATION_MAX_N = 12  # 2^23 sign pairs counted, in blocks of TAIL_BLOCK
+ENUMERATION_MAX_N = 12  # 2^23 sign pairs counted a matrix
 ORACLE_MAX_N = 7  # 4^7 = 16384 sign pairs held at once
-TAIL_BLOCK = 1 << 22  # float32 products per block: 16 MiB
+# A tail batch's products and entries: a batch holds as many matrices as
+# fit, and a matrix past it (n >= 10) is counted in blocks of sign rows.
+TAIL_BYTES = 1 << 20
+PRODUCT_BYTES = 5  # a float32 product and its comparison byte
+ENTRY_BYTES = 40  # an entry in int64, and its fourth moment's int64 and float64 temporaries
 
 
 class DiffMatrix:
@@ -62,13 +69,19 @@ class DiffMatrix:
         return f"DiffMatrix(n={self.n}, m={self.m})"
 
 
+def _draw_entries(gen: np.random.Generator, m: int, out: np.ndarray) -> None:
+    """A uniform random support of size m with uniform +-1 values, written
+    into the zeroed flat row `out` of n * n entries."""
+    support = gen.choice(len(out), size=m, replace=False)
+    out[support] = gen.choice((-1, 1), size=m)
+
+
 def random_diff_matrix(n: int, m: int, gen: np.random.Generator) -> DiffMatrix:
     """Uniform random support of size m with uniform +-1 values."""
     if not 0 <= m <= n * n:
         raise ValueError(f"m must be in [0, {n * n}], got {m}")
     flat = np.zeros(n * n, dtype=np.int64)
-    support = gen.choice(n * n, size=m, replace=False)
-    flat[support] = gen.choice((-1, 1), size=m)
+    _draw_entries(gen, m, flat)
     return DiffMatrix(flat.reshape(n, n))
 
 
@@ -98,39 +111,66 @@ def moments_exhaustive(m: DiffMatrix) -> tuple[Fraction, Fraction, Fraction]:
     )
 
 
-def fourth_moment(m: DiffMatrix) -> int:
-    """Exact E[U^4] in O(n^3): 3 ((tr G)^2 + 2 sum_{i != j} G_ij^2)
-    - 2 sum_j (3 c2_j^2 - 2 c4_j), G = M M^T and c2, c4 the column sums of
-    M^2, M^4. Given A, U = B . c with c = M^T A and sum c_j^2 = A^T G A, so
-    E_B[U^4] = 3 (sum c_j^2)^2 - 2 sum c_j^4; the rest averages over A."""
-    e = m.entries
+def fourth_moments(entries: np.ndarray) -> np.ndarray:
+    """Exact E[U^4] of each matrix of a (batch, n, n) stack, in O(n^3) each:
+    3 ((tr G)^2 + 2 sum_{i != j} G_ij^2) - 2 sum_j (3 c2_j^2 - 2 c4_j),
+    G = M M^T and c2, c4 the column sums of M^2, M^4. Given A, U = B . c
+    with c = M^T A and sum c_j^2 = A^T G A, so E_B[U^4] = 3 (sum c_j^2)^2 -
+    2 sum c_j^4; the rest averages over A. Zero rows and columns padding a
+    matrix leave its moment unchanged."""
+    e = np.asarray(entries, dtype=np.int64)
     sq = e * e
-    g_diag, c2 = sq.sum(axis=1), sq.sum(axis=0)
+    g_diag, c2 = sq.sum(axis=2), sq.sum(axis=1)
     f = e.astype(np.float64)
     # float64 BLAS is exact: every entry of G is an integer of magnitude <= n
-    g = (f @ f.T).astype(np.int64)
-    off_diag = int(np.vdot(g, g)) - int(g_diag @ g_diag)
-    c4 = int((sq * sq).sum())
-    return 3 * (int(g_diag.sum()) ** 2 + 2 * off_diag) - 2 * (3 * int(c2 @ c2) - 2 * c4)
+    g = np.matmul(f, f.transpose(0, 2, 1)).astype(np.int64)
+    off_diag = np.einsum("bij,bij->b", g, g) - np.einsum("bi,bi->b", g_diag, g_diag)
+    c4 = (sq * sq).sum(axis=(1, 2))
+    trace = g_diag.sum(axis=1)
+    return 3 * (trace * trace + 2 * off_diag) - 2 * (3 * np.einsum("bj,bj->b", c2, c2) - 2 * c4)
+
+
+def fourth_moment(m: DiffMatrix) -> int:
+    """Exact E[U^4] of one matrix (fourth_moments)."""
+    return int(fourth_moments(m.entries[None])[0])
+
+
+def tail_counts(entries: np.ndarray, thresholds, signs: np.ndarray | None = None) -> np.ndarray:
+    """For each matrix of a (batch, n, n) stack, the sign pairs with |U| >
+    its threshold among the a's with a_{n-1} = +1, the first half of the
+    enumeration: U(-a, b) = -U(a, b), so that is half the count over all
+    4^n pairs. `signs` is _all_sign_vectors(n) in float32, built once by a
+    caller that counts many batches. Two stacked float32 products, the
+    half sign table times the entries times the full one, are exact: every
+    partial sum is an integer of magnitude at most n^2 < 2^24, in any BLAS
+    order. They are taken in blocks of sign rows of at most TAIL_BYTES.
+    Padding a matrix with k zero rows and columns multiplies its count by 4^k."""
+    e = np.asarray(entries)
+    batch, n, _ = e.shape
+    if n > ENUMERATION_MAX_N:
+        raise ValueError(f"enumeration capped at n={ENUMERATION_MAX_N}, got n={n}")
+    if signs is None:
+        signs = _all_sign_vectors(n).astype(np.float32)
+    # |U| <= m is an integer, so |U| > threshold iff |U| > floor(min(threshold, m))
+    m = np.count_nonzero(e, axis=(1, 2))
+    limits = np.floor(np.minimum(thresholds, m)).astype(np.float32)[:, None]
+    full = len(signs)
+    c = np.matmul(signs[: full // 2], e.astype(np.float32))
+    # a power of two, so the blocks split the 2^(n-1) rows evenly
+    rows = min(full // 2, 1 << (max(1, TAIL_BYTES // (PRODUCT_BYTES * batch * full)).bit_length() - 1))
+    u = np.empty((batch, rows * full), dtype=np.float32)
+    hit = np.empty(u.shape, dtype=bool)
+    counts = np.zeros(batch, dtype=np.int64)
+    for lo in range(0, full // 2, rows):
+        np.matmul(c[:, lo : lo + rows].reshape(-1, n), signs.T, out=u.reshape(-1, full))
+        np.greater(np.abs(u, out=u), limits, out=hit)
+        counts += [np.count_nonzero(h) for h in hit]  # 4x faster than count_nonzero(axis=1)
+    return counts
 
 
 def tail_probability_exhaustive(m: DiffMatrix, threshold: float) -> Fraction:
-    """Exact Pr[|U| > threshold] over all 4^n sign pairs: U(-a, b) = -U(a, b),
-    so the a's with a_{n-1} = +1, the first half of the enumeration, count
-    half of them. float32 is exact: every partial sum is an integer of
-    magnitude at most n^2 < 2^24, in any BLAS order."""
-    if m.n > ENUMERATION_MAX_N:
-        raise ValueError(f"enumeration capped at n={ENUMERATION_MAX_N}, got n={m.n}")
-    signs = _all_sign_vectors(m.n).astype(np.float32)
-    c = signs[: len(signs) // 2] @ m.entries.astype(np.float32)
-    # |U| <= m is an integer, so |U| > threshold iff |U| > floor(threshold)
-    limit = math.floor(min(threshold, m.m))
-    rows = max(1, TAIL_BLOCK // len(signs))
-    count = 0
-    for lo in range(0, len(c), rows):
-        u = c[lo : lo + rows] @ signs.T
-        count += int(np.count_nonzero(np.abs(u, out=u) > limit))
-    return Fraction(2 * count, 1 << (2 * m.n))
+    """Exact Pr[|U| > threshold] over all 4^n sign pairs (tail_counts)."""
+    return Fraction(2 * int(tail_counts(m.entries[None], [threshold])[0]), 1 << (2 * m.n))
 
 
 def tail_probability_mc(
@@ -150,46 +190,28 @@ def tail_probability_mc(
     return p_hat, se
 
 
-def paley_zygmund_bound(theta: float, ez: float, ez2: float) -> float:
-    """(1 - theta)^2 ez^2 / ez2: lower bound on Pr[Z > theta E[Z]]."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
-    if ez2 <= 0:
-        raise ValueError(f"second moment must be positive, got {ez2}")
-    if ez < 0 or ez * ez > ez2 * (1 + 1e-12):
-        raise ValueError(f"need 0 <= ez and ez^2 <= ez2, got ez={ez}, ez2={ez2}")
-    return (1.0 - theta) ** 2 * ez * ez / ez2
-
-
-def chernoff_tail_bound(mu: float, delta: float) -> float:
-    """exp(-delta^2 mu / 2): lower-tail bound for a sum with mean mu."""
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return math.exp(-delta * delta * mu / 2.0)
+def _tail_rows(entries, gamma, mc_streams, mc_samples, signs=None) -> list[dict]:
+    """Observed tail at sqrt(m)/2 vs the gamma^2/16 bound for each matrix of
+    a (batch, n, n) stack; past the enumeration cap matrix j's tail is
+    Monte Carlo, drawn from mc_streams[j]."""
+    n = entries.shape[1]
+    ms = np.count_nonzero(entries, axis=(1, 2)).tolist()
+    thresholds = [math.sqrt(m) / 2.0 for m in ms]
+    if n <= ENUMERATION_MAX_N:
+        tails = [2 * c / (1 << (2 * n)) for c in tail_counts(entries, thresholds, signs).tolist()]
+        mode = "exact"
+    else:
+        tails = [tail_probability_mc(DiffMatrix(e), t, mc_samples, s)[0]
+                 for e, t, s in zip(entries, thresholds, mc_streams)]
+        mode = "mc"
+    return [{"n": n, "m": m, "gamma": gamma, "threshold": threshold, "tail": tail, "tail_mode": mode,
+             "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth), "fourth_bound": 9.0 * n**4}
+            for m, threshold, tail, fourth in zip(ms, thresholds, tails, fourth_moments(entries).tolist())]
 
 
 def tail_row(m: DiffMatrix, gamma: float, streams: Streams, mc_samples: int = 20000) -> dict:
     """Observed tail at sqrt(m)/2 vs the gamma^2/16 bound, for one matrix."""
-    threshold = math.sqrt(m.m) / 2.0
-    if m.n <= ENUMERATION_MAX_N:
-        tail = float(tail_probability_exhaustive(m, threshold))
-        mode = "exact"
-    else:
-        tail, _ = tail_probability_mc(m, threshold, mc_samples, streams)
-        mode = "mc"
-    return {
-        "n": m.n,
-        "m": m.m,
-        "gamma": gamma,
-        "threshold": threshold,
-        "tail": tail,
-        "tail_mode": mode,
-        "lemma_bound": gamma * gamma / 16.0,
-        "fourth_moment": float(fourth_moment(m)),
-        "fourth_bound": 9.0 * m.n**4,
-    }
+    return _tail_rows(m.entries[None], gamma, [streams], mc_samples)[0]
 
 
 def tail_report(
@@ -198,12 +220,22 @@ def tail_report(
     """Tail rows for `count` random n x n difference matrices with at least
     gamma n^2 nonzeros. The sizes come from streams.child("sizes"), matrix i
     from streams.child("matrix", i) and its Monte Carlo draws from that
-    node's child("mc"), so each row depends only on its own index."""
+    node's child("mc"), so each row depends only on its own index. The
+    matrices are counted in batches whose products and entries fit
+    TAIL_BYTES, against one sign table."""
     m_floor = math.ceil(gamma * n * n)
     sizes = streams.child("sizes").generator().integers(m_floor, n * n + 1, size=count)
+    exact = n <= ENUMERATION_MAX_N
+    signs = _all_sign_vectors(n).astype(np.float32) if exact else None
+    # 2^(n-1) sign rows, each 2^n products and an (n,) float32 half product
+    per_matrix = (1 << (n - 1)) * (PRODUCT_BYTES * (1 << n) + 4 * n) + ENTRY_BYTES * n * n
+    batch = max(1, TAIL_BYTES // per_matrix) if exact else 1
     rows = []
-    for idx, m in enumerate(sizes):
-        node = streams.child("matrix", idx)
-        matrix = random_diff_matrix(n, int(m), node.generator())
-        rows.append(tail_row(matrix, gamma, node.child("mc"), mc_samples))
+    for lo in range(0, count, batch):
+        nodes = [streams.child("matrix", i) for i in range(lo, min(lo + batch, count))]
+        entries = np.zeros((len(nodes), n * n), dtype=np.int64)
+        for node, m, out in zip(nodes, sizes[lo : lo + batch].tolist(), entries):
+            _draw_entries(node.generator(), m, out)
+        mc_streams = None if exact else [node.child("mc") for node in nodes]
+        rows += _tail_rows(entries.reshape(-1, n, n), gamma, mc_streams, mc_samples, signs)
     return rows

@@ -17,6 +17,7 @@ seeded inputs. ``attack --mechanism oracle`` is another name for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -466,6 +467,8 @@ def _selftest_rows(seed: int):
     gs = [graphs.erdos_renyi(n, gen.random(), gen) for n in (3, 4, 5, 6, 9, 12)]
     small = [(g, float(gen.uniform(0.4, 2.0))) for g in gs[:4]]  # at most 15 pairs to enumerate
     ms = [ac.random_diff_matrix(n, int(gen.integers(0, n * n + 1)), gen) for n in (1, 2, 4, 6, 7)]
+    padded = np.stack([np.pad(m.entries, (0, 7 - m.n)) for m in ms])  # one batch; zeros keep each U's law
+    thresholds = [math.sqrt(m.m) / 2 for m in ms]
     n, eps, x = 4, 1.0, (gen.random((4, 4)) < 0.5).astype(np.uint8)
     qs = [attack.SubmatrixQuery(*(gen.random((2, n)) < 0.5)) for _ in range(8)]
     bit_vectors = [v for r in range(1, 5) for v in (np.arange(1 << r)[:, None] >> np.arange(r)) & 1]
@@ -497,9 +500,9 @@ def _selftest_rows(seed: int):
         ("exact-variance", small, lambda c: estimator.exact_variance(*c),
          lambda c: estimator.variance_by_enumeration(*c), 1e-9),
         ("estimator-mean", small, lambda c: tri(c[0]), lambda c: estimator._enumeration_moments(*c)[0], 1e-9),
-        ("fourth-moment", ms, ac.fourth_moment, lambda m: ac.moments_exhaustive(m)[2], 0),
-        ("half-enumeration-tail", ms, lambda m: ac.tail_probability_exhaustive(m, math.sqrt(m.m) / 2),
-         lambda m: np.count_nonzero(abs(ac._all_products(m)) > math.sqrt(m.m) / 2) / 4**m.n, 0),
+        ("fourth-moment", [padded], ac.fourth_moments, lambda _: [ac.moments_exhaustive(m)[2] for m in ms], 0),
+        ("half-enumeration-tail", [padded], lambda e: 2 * ac.tail_counts(e, thresholds) / 4**7,
+         lambda _: [np.count_nonzero(abs(ac._all_products(m)) > t) / 4**m.n for m, t in zip(ms, thresholds)], 0),
         ("query-graph-identity", qs, lambda q: n * attack.submatrix_answer(x, q),
          lambda q: graphs.count_triangles(attack.build_query_graph(x, q)), 0),
         ("sum-gadget-identity", bit_vectors, lambda v: int(v.sum()) * len(v),
@@ -594,7 +597,10 @@ COMMANDS = {spec.name: spec for spec in (
 )}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS, built once a process:
+    parsing leaves it unchanged, so each in-process main call shares it."""
     parser = argparse.ArgumentParser(
         prog="ledplab",
         description="Local edge differential privacy experiments",

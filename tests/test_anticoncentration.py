@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,11 +11,11 @@ from ledplab.anticoncentration import (
     DiffMatrix,
     _all_products,
     _all_sign_vectors,
-    chernoff_tail_bound,
     fourth_moment,
+    fourth_moments,
     moments_exhaustive,
-    paley_zygmund_bound,
     random_diff_matrix,
+    tail_counts,
     tail_probability_exhaustive,
     tail_probability_mc,
     tail_report,
@@ -123,13 +124,13 @@ def test_tail_matches_all_products():
 
 
 def test_tail_independent_of_block(monkeypatch):
-    # one row a block against the default block, and past the oracle's cap
-    # against int64 products of all sign pairs
+    # one sign row a block against the default budget, and past the oracle's
+    # cap against int64 products of all sign pairs
     gen = Streams(36).generator()
     cases = [random_diff_matrix(n, int(gen.integers(1, n * n + 1)), gen) for n in (3, 6, 8, 9)]
     threshold = [math.sqrt(m.m) / 2.0 for m in cases]
     default = [tail_probability_exhaustive(m, t) for m, t in zip(cases, threshold)]
-    monkeypatch.setattr(ac, "TAIL_BLOCK", 1)
+    monkeypatch.setattr(ac, "TAIL_BYTES", 1)
     assert [tail_probability_exhaustive(m, t) for m, t in zip(cases, threshold)] == default
     for m, t, tail in zip(cases, threshold, default):
         signs = _all_sign_vectors(m.n)
@@ -223,32 +224,6 @@ def test_tail_mc_se_scaling():
         tail_probability_mc(m, 1.0, 10, Streams(31))
 
 
-def test_paley_zygmund_values():
-    gamma = 1.0 / 9.0
-    n = 12
-    m_val = gamma * n * n
-    bound = paley_zygmund_bound(0.25, m_val, 9 * n**4)
-    assert bound == pytest.approx((0.75**2) * (gamma**2) / 9.0)
-    assert bound == pytest.approx(gamma**2 / 16.0)
-    assert paley_zygmund_bound(1.0, 3.0, 10.0) == 0.0
-    assert paley_zygmund_bound(0.0, 3.0, 10.0) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        paley_zygmund_bound(0.5, 3.0, 0.0)
-    with pytest.raises(ValueError):
-        paley_zygmund_bound(0.5, 10.0, 3.0)
-
-
-def test_chernoff_values():
-    n, gamma = 5, 0.5
-    k = 128 * n * n / gamma**2
-    mu = gamma**2 * k / 16.0
-    assert chernoff_tail_bound(mu, 0.5) == pytest.approx(math.exp(-(n**2)))
-    assert chernoff_tail_bound(8.0, 1.0) == pytest.approx(math.exp(-4.0))
-    assert chernoff_tail_bound(5.0, 1e-12) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        chernoff_tail_bound(0.0, 1.0)
-
-
 def test_pairwise_products_uncorrelated():
     for n in (2, 3, 4):
         assert pairwise_products_uncorrelated(n)
@@ -268,3 +243,85 @@ def test_tail_report_rows():
                 "n", "m", "gamma", "threshold", "tail", "tail_mode",
                 "lemma_bound", "fourth_moment", "fourth_bound",
             }
+
+
+def exact_moments(entries: np.ndarray) -> tuple[Fraction, Fraction]:
+    """(Pr[|U| > sqrt(m)/2], E[U^4]) of one matrix as Fractions, from int64
+    products of all 4^n sign pairs."""
+    signs = _all_sign_vectors(len(entries))
+    u = signs @ entries @ signs.T
+    m = int(np.count_nonzero(entries))
+    pairs = 1 << (2 * len(entries))
+    return (Fraction(int(np.count_nonzero(np.abs(u) > math.sqrt(m) / 2)), pairs),
+            Fraction(int((u**4).sum()), pairs))
+
+
+def report_entries(n: int, count: int, gamma: float, streams: Streams) -> list[np.ndarray]:
+    """The matrices tail_report draws, one at a time."""
+    sizes = streams.child("sizes").generator().integers(math.ceil(gamma * n * n), n * n + 1, size=count)
+    return [random_diff_matrix(n, int(m), streams.child("matrix", i).generator()).entries
+            for i, m in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("budget", ["one", "all"])
+def test_batched_counts_match_fraction_oracle(monkeypatch, budget):
+    # TAIL_BYTES = 1: tail_report draws one matrix a batch and tail_counts
+    # takes one sign row a block; 2^40: every matrix in one batch and block
+    monkeypatch.setattr(ac, "TAIL_BYTES", 1 if budget == "one" else 1 << 40)
+    gen = Streams(39).generator()
+    for n in range(1, 10):
+        sizes = [0, n * n, *gen.integers(0, n * n + 1, size=4).tolist()]
+        entries = np.stack([random_diff_matrix(n, int(m), gen).entries for m in sizes])
+        thresholds = [math.sqrt(m) / 2 for m in sizes]
+        want = [exact_moments(e) for e in entries]
+        counts = tail_counts(entries, thresholds)
+        assert [Fraction(2 * int(c), 1 << (2 * n)) for c in counts] == [tail for tail, _ in want]
+        assert fourth_moments(entries).tolist() == [fourth for _, fourth in want]
+        alone = [int(tail_counts(e[None], [t])[0]) for e, t in zip(entries, thresholds)]
+        assert alone == counts.tolist()
+        rows = tail_report(n, 5, 0.0, Streams(40 + n))
+        want = [exact_moments(e) for e in report_entries(n, 5, 0.0, Streams(40 + n))]
+        assert [(row["tail"], row["fourth_moment"]) for row in rows] == [
+            (float(tail), float(fourth)) for tail, fourth in want]
+
+
+def reference_rows(n: int, count: int, gamma: float, streams: Streams, mc_samples: int) -> list[dict]:
+    """tail_report's rows, one matrix at a time through the one-matrix calls."""
+    rows = []
+    for i, entries in enumerate(report_entries(n, count, gamma, streams)):
+        m = DiffMatrix(entries)
+        threshold = math.sqrt(m.m) / 2.0
+        if n <= ac.ENUMERATION_MAX_N:
+            tail, mode = float(tail_probability_exhaustive(m, threshold)), "exact"
+        else:
+            mc = streams.child("matrix", i).child("mc")
+            tail, mode = tail_probability_mc(m, threshold, mc_samples, mc)[0], "mc"
+        rows.append({
+            "n": n, "m": m.m, "gamma": gamma, "threshold": threshold, "tail": tail, "tail_mode": mode,
+            "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth_moment(m)),
+            "fourth_bound": 9.0 * n**4,
+        })
+    return rows
+
+
+@pytest.mark.parametrize("n, count", [(1, 20), (3, 40), (7, 60), (9, 6), (12, 2), (13, 2)])
+def test_tail_report_matches_per_matrix_loop(n, count):
+    got = tail_report(n, count, 1 / 9, Streams(41), mc_samples=2000)
+    want = reference_rows(n, count, 1 / 9, Streams(41), 2000)
+    assert got == want
+    assert [type(v) for row in got for v in row.values()] == [type(v) for row in want for v in row.values()]
+
+
+def test_tail_report_memory_is_the_budget_plus_the_rows():
+    # 20,000 matrices at n = 7 fill hundreds of batches; what the call holds
+    # beyond its returned rows is one batch and the drawn sizes, one int64 a row
+    tail_report(7, 10, 1 / 9, Streams(42))  # imports and first-call caches
+    count = 20000
+    tracemalloc.start()
+    try:
+        rows = tail_report(7, count, 1 / 9, Streams(42))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count
+    assert peak - held <= ac.TAIL_BYTES + 8 * count

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,7 @@ import pytest
 import ledplab
 from ledplab import anticoncentration, attack, estimator, graphs
 from ledplab.anticoncentration import tail_report
-from ledplab.cli import EPS_MAX, _jsonable, main
+from ledplab.cli import EPS_MAX, _jsonable, build_parser, main
 from ledplab.estimator import sample_estimates, variance_sweep
 from ledplab.gadget import sum_error_scaling
 from ledplab.graphs import complete_graph, erdos_renyi, load_graph, save_graph
@@ -142,9 +141,8 @@ def test_selftest_passes(workdir, capsys):
     (graphs, "graph_stats", lambda s: (s[0], s[1], s[2] + 1), {"graph-stats", "estimator-mean"}),
     (graphs, "codegree_pairs", lambda p: p + 1, {"codegree-pairs"}),
     (estimator, "exact_variance", lambda v: v * (1 + 1e-6), {"exact-variance"}),
-    (anticoncentration, "fourth_moment", lambda f: f + 1, {"fourth-moment"}),
-    (anticoncentration, "tail_probability_exhaustive", lambda p: p + Fraction(1, 1 << 14),
-     {"half-enumeration-tail"}),
+    (anticoncentration, "fourth_moments", lambda f: f + 1, {"fourth-moment"}),
+    (anticoncentration, "tail_counts", lambda counts: counts + 1, {"half-enumeration-tail"}),
     (attack, "_bilinear", lambda answers: answers + 1, {"batch-answers"}),  # identity answers
     (attack._SlotForm, "block_sums", lambda sums: sums * (1 + 1e-12), {"batch-answers"}),  # rr slots
     # the estimator's batch layout is the fast side of the block row alone
@@ -158,6 +156,21 @@ def test_selftest_catches_a_broken_kernel(workdir, monkeypatch, owner, name, shi
     assert payload["passed"] is False
     assert {c["name"] for c in payload["checks"] if not c["passed"]} == failing
     assert all(c["detail"].startswith("entry ") for c in payload["checks"] if not c["passed"])
+
+
+def test_parser_is_built_once_and_outlives_a_usage_error(workdir, capsys):
+    assert build_parser() is build_parser()
+    argv = ["anticoncentration", "--n", "7", "--count", "30", "--format", "csv", "--seed", "3"]
+    assert run_cli(*argv, "--output", "before.csv") == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--eps", "x"])
+    assert exc.value.code == 2
+    assert "--eps" in capsys.readouterr().err
+    assert run_cli(*argv, "--output", "after.csv") == 0
+    build_parser.cache_clear()
+    assert run_cli(*argv, "--output", "fresh.csv") == 0
+    before = (workdir / "before.csv").read_bytes()
+    assert (workdir / "after.csv").read_bytes() == before == (workdir / "fresh.csv").read_bytes()
 
 
 def test_usage_errors_name_the_field(workdir, capsys):
