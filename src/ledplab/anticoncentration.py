@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ledplab.attack import sample_query_signs
+from ledplab.attack import _bilinear, _ternary_matrix, sample_query_signs
 from ledplab.rng import Streams
 
 __all__ = [
@@ -52,14 +52,7 @@ class DiffMatrix:
     __slots__ = ("n", "entries", "m")
 
     def __init__(self, entries: np.ndarray):
-        # checked in float64, not after narrowing to int64, which truncates
-        # 0.5 and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
-        f = np.asarray(entries, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError(f"entries must be square, got shape {f.shape}")
-        if not np.all((np.trunc(f) == f) & (np.abs(f) <= 1)):
-            raise ValueError("entries must lie in {-1, 0, 1}")
-        e = f.astype(np.int64)
+        e = _ternary_matrix(entries, "entries").astype(np.int64)
         e.setflags(write=False)
         self.entries = e
         self.n = e.shape[0]
@@ -182,9 +175,7 @@ def tail_probability_mc(
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     a, b = sample_query_signs(m.n, samples, streams)
-    # float32 is exact: every partial sum is an integer of magnitude at most
-    # n^2 < 2^24, and it halves the (samples, n) temporaries of int64
-    u = np.einsum("si,si->s", a @ m.entries.astype(np.float32), b).astype(np.int64)
+    u = _bilinear(a, m.entries, b)  # exact: m's entries are integers
     p_hat = float(np.mean(np.abs(u) > threshold))
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     return p_hat, se

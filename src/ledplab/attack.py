@@ -127,16 +127,17 @@ QUERY_BLOCK = 1 << 12
 # (`_flip_counts`): fewer numpy calls a sweep, in a buffer that stays in cache.
 SPAN_BLOCKS = 4
 
-# Randomized-response slots answered per block, one reused workspace. A
-# multiple of 8, so each full block packs its public bits into whole bytes
-# and the recorded payload does not depend on the block size.
-SLOT_BLOCK = 8192
+# Randomized-response queries answered per block, one reused workspace:
+# 8,184 slots, the three of each query, so a block combines its own
+# answers. A multiple of 8, so each full block packs its public bits into
+# whole bytes and the recorded payload does not depend on the block size.
+ANSWER_BLOCK = 2728
 
-# Bytes of slot workspaces live at once. The answer threads are the
+# Bytes of answer workspaces live at once. The answer threads are the
 # fewest of the usable CPUs per BLAS thread, the blocks and the workspaces
 # this budget holds (at least one). A workspace is 4.1 MiB at n = 8,
 # 11 MiB at n = 16 and 34 MiB at n = 32; from n = 31 the blocks run one at
-# a time, and from n = 46 one workspace is over the budget. It also bounds
+# a time, and from n = 47 one workspace is over the budget. It also bounds
 # what a process keeps between calls: the workspaces of a call within it
 # stay mapped in the shared pool's buffers (`ledplab.parallel`), and one
 # over it is freed after the call.
@@ -488,7 +489,8 @@ class GrayBox:
     # -- answering ------------------------------------------------------
 
     def answer_outer_batch(self, a_signs: np.ndarray, b_signs: np.ndarray, streams: Streams) -> np.ndarray:
-        """Answers to k sign-vector queries, vectorized.
+        """Answers to k sign-vector queries, vectorized, and one public round
+        recorded for them.
 
         Slot 3l + t is part t of query l's three-part split; its answer
         equals post of _assemble on its selection and the same public bits,
@@ -496,92 +498,73 @@ class GrayBox:
         the node `streams` (stream layout 4, `ledplab.rng`): they read the
         words [j W, (j + 1) W), W = ceil(P/4), and a tie, if any, the node's
         "ties" child. Each slot's estimate is mixed from its graph's exact
-        integer counts. Slots are answered SLOT_BLOCK at a
-        time, the blocks in parallel on up to one thread a usable CPU per
-        BLAS thread and no more threads than WORKSPACE_BYTES holds
-        workspaces, each running block in a workspace of its own
-        (`ledplab.parallel`). A block writes only its own answers, and its
-        generator is derived on the calling thread (a tie generator by the
-        block that holds the tie), so the answers and the recorded public
-        payload depend on neither the block size nor the thread count.
+        integer counts. Queries are answered ANSWER_BLOCK at a time, the
+        blocks in parallel on up to one thread a usable CPU per BLAS thread
+        and no more threads than WORKSPACE_BYTES holds workspaces, each
+        running block in a workspace of its own (`ledplab.parallel`). A
+        block writes only its own queries' answers, and its generator is
+        derived on the calling thread (a tie generator by the block that
+        holds the tie), so the answers and the recorded public payload
+        depend on neither the block size nor the thread count.
         """
         a_signs, b_signs = _sign_pair(a_signs, b_signs, self.n, "n")
-        k = len(a_signs)
+        packed = []  # the public bits, one packed part a block
         if isinstance(self.family, IdentityRelease) and isinstance(self.post, ExactCountPost):
             # Identity releases make every selected released bit exact, so
             # the split recombines to a^T R b with R the stored block;
             # public-vertex "noise" is vacuous for the identity family.
-            answers = _bilinear(a_signs, self._stored_secret_block(), b_signs)
-            self._record_bulk_public_rounds(3 * k, None)
-            return answers
-        if self._form is None:
+            answers = _bilinear(a_signs, self.r0[: self.n, self.n : 2 * self.n], b_signs)
+        elif self._form is not None:
+            answers, packed = self._randomized_answers(a_signs, b_signs, streams)
+        else:
             raise ValueError("no batched path for this family/postprocessor pair")
-        slot_answers = self._noisy_slot_answers(a_signs, b_signs, streams)
-        return 2.0 * (slot_answers[0::3] + slot_answers[1::3]) - slot_answers[2::3]
+        public = RandomizerOutput(
+            vertex=-1,  # stands for the whole public block
+            randomizer=self.family.name,
+            params=self.family.params,
+            payload=np.concatenate(packed) if packed else np.zeros(0, dtype=np.uint8),
+            public=True,
+            count=3 * len(a_signs) * self.n,
+        )
+        self.transcript.append_round([public])
+        return answers
 
-    def _stored_secret_block(self) -> np.ndarray:
-        """Released row-column block bits, read from the stored payloads."""
-        return self.r0[: self.n, self.n : 2 * self.n].astype(np.float64)
-
-    def _noisy_slot_answers(self, a_signs, b_signs, streams) -> np.ndarray:
-        n, block = self.n, SLOT_BLOCK
-        assert block % 8 == 0, f"SLOT_BLOCK must be a multiple of 8, got {block}"
+    def _randomized_answers(self, a_signs, b_signs, streams) -> tuple[np.ndarray, list]:
+        """Randomized-response answers and each block's packed public bits
+        (answer_outer_batch); block q0 draws its slots from unit 3 q0."""
+        n, k, block = self.n, len(a_signs), ANSWER_BLOCK
+        assert block % 8 == 0, f"ANSWER_BLOCK must be a multiple of 8, got {block}"
         words = unit_words(n * (n - 1) // 2)
         p_flip = flip_probability(self.family.epsilon)
         ties = streams.child("ties")
-        total = 3 * len(a_signs)
-        answers = np.empty(total, dtype=np.float64)
-        starts = range(0, total, block)
+        answers = np.empty(k)
+        starts = range(0, k, block)
         # derived here, so a worker derives a generator only for a tie
-        items = [(start, streams.generator(start * words)) for start in starts]
-        layout = self._form.layout(min(block, total))
+        items = [(q0, streams.generator(3 * q0 * words)) for q0 in starts]
+        layout = self._form.layout(3 * min(block, k))
         size = parallel.workspace_bytes(layout)
         threads = min(parallel.cpus_per_blas_thread(), len(starts), max(1, WORKSPACE_BYTES // size))
 
         def answer_block(item, ws):
-            start, gen = item
-            rows = min(block, total - start)
+            q0, gen = item
+            q1 = min(q0 + block, k)
+            rows = 3 * (q1 - q0)
             w_bits, sw = ws["bits"][:rows], ws["sw"][:, :rows]
-            bernoulli_rows(p_flip, gen, ties, start, w_bits)
+            bernoulli_rows(p_flip, gen, ties, 3 * q0, w_bits)
             packed = np.packbits(w_bits, axis=None)
             sw[2 * n :] = w_bits.T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
             # then [a = -1] and [b = -1], then all ones
-            for t, compare in enumerate((np.greater, np.less, None)):
-                col = (t - start) % 3  # the block's first slot of part t
-                sel, q0 = sw[: 2 * n, col::3], (start + col) // 3
-                if compare is None:
-                    sel[...] = 1
-                else:
-                    compare(a_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[:n])
-                    compare(b_signs[q0 : q0 + sel.shape[1]].T, 0, out=sel[n:])
-            answers[start : start + rows] = self._form.block_sums(ws, rows) / n
+            for t, compare in enumerate((np.greater, np.less)):
+                compare(a_signs[q0:q1].T, 0, out=sw[:n, t::3])
+                compare(b_signs[q0:q1].T, 0, out=sw[n : 2 * n, t::3])
+            sw[: 2 * n, 2::3] = 1
+            s = self._form.block_sums(ws, rows) / n
+            answers[q0:q1] = 2.0 * (s[0::3] + s[1::3]) - s[2::3]
             return packed
 
         keep = threads * size <= WORKSPACE_BYTES
-        w_bit_blocks = parallel.parallel_map(answer_block, items, layout, threads, keep)
-        self._record_bulk_public_rounds(total, w_bit_blocks)
-        return answers
-
-    def _record_bulk_public_rounds(self, slot_count: int, w_bit_blocks) -> None:
-        """Condensed transcript round for the public-vertex refreshes."""
-        payload = (
-            np.concatenate(w_bit_blocks)
-            if w_bit_blocks
-            else np.zeros(0, dtype=np.uint8)
-        )
-        self.transcript.append_round(
-            [
-                RandomizerOutput(
-                    vertex=-1,  # stands for the whole public block
-                    randomizer=self.family.name,
-                    params=self.family.params,
-                    payload=payload,
-                    public=True,
-                    count=slot_count * self.n,
-                )
-            ]
-        )
+        return answers, parallel.parallel_map(answer_block, items, layout, threads, keep)
 
 
 def default_query_count(n: int, gamma: float = DEFAULT_GAMMA) -> int:
@@ -653,16 +636,23 @@ def _sign_pair(a_signs, b_signs, n: int, field: str):
     return a_signs, b_signs
 
 
+def _ternary_matrix(entries, field: str) -> np.ndarray:
+    """entries as a float64 square matrix over {-1, 0, 1}; anything else
+    raises ValueError naming `field`."""
+    # checked in float64, not after narrowing to int64, which truncates 0.5
+    # and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
+    m = np.asarray(entries, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{field}: must be a square matrix, got shape {m.shape}")
+    if not np.all((np.trunc(m) == m) & (np.abs(m) <= 1)):
+        raise ValueError(f"{field}: every entry must lie in {{-1, 0, 1}}")
+    return m
+
+
 def catches(a_signs, b_signs, m_diff, gamma: float) -> bool:
     """Whether the query set separates a candidate from the truth often
     enough: more than gamma^2 k / 32 queries move by over sqrt(gamma) n/2."""
-    # checked in float64, not after narrowing to int64, which truncates 0.5
-    # and wraps uint64 2^64 - 1 to -1; an integer of size >= 2 stays >= 2
-    m = np.asarray(m_diff, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"m_diff: must be a square matrix, got shape {m.shape}")
-    if not np.all((np.trunc(m) == m) & (np.abs(m) <= 1)):
-        raise ValueError("difference entries must lie in {-1, 0, 1}")
+    m = _ternary_matrix(m_diff, "m_diff")
     n = m.shape[0]
     a_signs, b_signs = _sign_pair(a_signs, b_signs, n, "m_diff")
     k = a_signs.shape[0]
@@ -968,7 +958,6 @@ def run_attack(
     )
     report.charge = box.charge
     report.mechanism = mechanism
-    report.seed = streams.seed
     return report
 
 
@@ -1009,7 +998,7 @@ def privacy_distance_diagnostic(
         charge = report.charge
     hammings = np.array(hammings, dtype=np.float64)
     mean = float(hammings.mean())
-    se = float(hammings.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("nan")
+    se = float(hammings.std(ddof=1) / math.sqrt(trials))
     not_private = math.isinf(charge.epsilon)
     bound = 0.0 if not_private else math.exp(-charge.epsilon) * (0.5 - charge.delta) * n * n
     return {

@@ -1,6 +1,6 @@
 """The one block pool: blocks of numpy work on threads, each in a workspace.
 
-The gray box's slot blocks and the estimator's trial blocks run through
+The gray box's answer blocks and the estimator's trial blocks run through
 ``parallel_map``. numpy releases the interpreter lock in its draws, its
 ufuncs and BLAS, so a few threads keep the usable CPUs busy. Callers size
 their blocks and pick the thread count with ``cpus_per_blas_thread``: each

@@ -366,13 +366,20 @@ def test_bulk_public_round_dumps_its_packed_bytes():
     box = GrayBox.prepare(x, *mechanism_components("identity"), Streams(294))
     box.answer_outer_batch(a_signs, b_signs, Streams(296))
     assert box.transcript.dump()["invocations"][-1]["payload_hex"] == ""
+    # no queries: no answers and an empty public round, for both mechanisms
+    none = np.zeros((0, n), dtype=np.int8)
+    for mechanism in ("rr", "identity"):
+        box = GrayBox.prepare(x, *mechanism_components(mechanism, eps), Streams(294))
+        assert box.answer_outer_batch(none, none, Streams(296)).shape == (0,)
+        public = box.transcript.rounds[-1][0]
+        assert public.count == 0 and public.payload.dtype == np.uint8 and len(public.payload) == 0
 
 
 def test_rr_batch_blocks_match_direct_assembly(monkeypatch):
     import ledplab.attack as attack
 
-    # blocks of 8 slots split queries across block boundaries
-    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    # blocks of 8 queries, 24 slots; 11 queries end in a partial block
+    monkeypatch.setattr(attack, "ANSWER_BLOCK", 8)
     for n, eps in ((3, 0.05), (4, 0.8), (8, 2.0)):
         check_batch_against_direct_assembly(n, eps, k=11, seed=260 + n)
 
@@ -385,12 +392,13 @@ def test_rr_batch_large_n_matches_direct_assembly():
 
 
 def check_batch_over_blocks_and_threads(monkeypatch, n, seed):
-    """Answers and public payload of one rr batch, 3003 slots, the same
-    for every slot block and thread count; returns the payload."""
+    """Answers and public payload of one rr batch, 1001 queries in 3003
+    slots, the same for every answer block and thread count; returns the
+    payload."""
     import ledplab.attack as attack
 
-    # blocks of 8 and 24 end mid-query, and 8192 is one block; 3 threads is
-    # more than this host's 2 cores
+    # blocks of 8 and 16 queries end in a partial block, and 2728 is one
+    # block; 3 threads is more than a 2-core host has
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     x = random_bits(n, Streams(seed).child(n).generator())
     a_signs, b_signs = sample_query_signs(n, 1001, Streams(seed + 1).child(n))
@@ -398,8 +406,8 @@ def check_batch_over_blocks_and_threads(monkeypatch, n, seed):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a shared write would show
     try:
-        for block, threads in product((8, 24, 8192), (1, 2, 3)):
-            monkeypatch.setattr(attack, "SLOT_BLOCK", block)
+        for block, threads in product((8, 16, 2728), (1, 2, 3)):
+            monkeypatch.setattr(attack, "ANSWER_BLOCK", block)
             monkeypatch.setattr(parallel, "_usable_cpus", lambda: threads)
             box = GrayBox.prepare(x, *mechanism_components("rr", 0.8), Streams(seed + 2).child(n))
             answers = box.answer_outer_batch(a_signs, b_signs, Streams(seed + 3).child(n))
@@ -434,9 +442,9 @@ def test_rr_batch_workers_derive_no_generators(monkeypatch):
     # and only the workers answer blocks; no slot holds a tie, so no worker
     # derives a tie generator
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
-    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "ANSWER_BLOCK", 8)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
-    n, k = 4, 100  # 300 slots: 38 blocks
+    n, k = 4, 100  # 13 blocks
     box = GrayBox.prepare(random_bits(n, Streams(270).generator()), *mechanism_components("rr", 0.8), Streams(271))
     a_signs, b_signs = sample_query_signs(n, k, Streams(272))
     assert tie_count(flip_probability(0.8), Streams(273), 0, 3 * k, 6) == 0
@@ -454,7 +462,7 @@ def test_rr_batch_workers_derive_no_generators(monkeypatch):
     monkeypatch.setattr(Streams, "generator", traced_generator)
     monkeypatch.setattr(attack._SlotForm, "block_sums", traced_block_sums)
     box.answer_outer_batch(a_signs, b_signs, Streams(273))
-    assert generator_threads == [caller] * 38
+    assert generator_threads == [caller] * 13
     assert block_threads and caller not in block_threads and len(block_threads) <= 2
 
 
@@ -462,14 +470,14 @@ def test_rr_batch_workers_derive_no_generators(monkeypatch):
 def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected):
     import ledplab.attack as attack
 
-    # with 8 usable CPUs and 38 blocks, the budget alone caps the threads;
+    # with 8 usable CPUs and 13 blocks, the budget alone caps the threads;
     # one workspace answers every block on the calling thread
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
-    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "ANSWER_BLOCK", 8)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 8)
     n, k = 4, 100
     box = GrayBox.prepare(random_bits(n, Streams(274).generator()), *mechanism_components("rr", 0.8), Streams(275))
-    size = parallel.workspace_bytes(box._form.layout(8))
+    size = parallel.workspace_bytes(box._form.layout(24))  # 8 queries, 24 slots
     monkeypatch.setattr(attack, "WORKSPACE_BYTES", fits * size + size - 1)
     a_signs, b_signs = sample_query_signs(n, k, Streams(276))
     caller, workspaces, block_threads = threading.current_thread(), [], set()
@@ -491,6 +499,30 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
     assert (block_threads == {caller}) == (expected == 1)
 
 
+def test_rr_batch_memory_is_the_answers_payloads_and_block_temporaries(monkeypatch):
+    import ledplab.attack as attack
+
+    # a repeated call holds no array of its slots: past the answers, the
+    # joined public payload and the blocks' packed parts, only what the two
+    # blocks running at once make, under 128 bytes a slot of a block; an
+    # array of 8-byte slot answers alone would be 4.8 MB here
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    n, k = 4, 200_000
+    box = GrayBox.prepare(random_bits(n, Streams(282).generator()), *mechanism_components("rr", 0.8), Streams(283))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(284))
+    box.answer_outer_batch(a_signs, b_signs, Streams(285))  # maps the kept workspaces
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        answers = box.answer_outer_batch(a_signs, b_signs, Streams(285))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    payload = box.transcript.rounds[-1][0].payload
+    assert peak <= answers.nbytes + 2 * payload.nbytes + 2 * 128 * 3 * attack.ANSWER_BLOCK
+
+
 @pytest.mark.parametrize("env, expected", [
     ({}, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 4),
@@ -508,9 +540,9 @@ def test_rr_batch_threads_share_cpus_with_blas(monkeypatch, env, expected):
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setattr(attack, "SLOT_BLOCK", 8)
+    monkeypatch.setattr(attack, "ANSWER_BLOCK", 8)
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 4)
-    n, k = 4, 100  # 38 blocks
+    n, k = 4, 100  # 13 blocks
     box = GrayBox.prepare(random_bits(n, Streams(278).generator()), *mechanism_components("rr", 0.8), Streams(279))
     a_signs, b_signs = sample_query_signs(n, k, Streams(280))
     caller, workspaces, carve = threading.current_thread(), [], parallel._carve
