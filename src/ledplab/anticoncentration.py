@@ -8,9 +8,11 @@ gamma^2/16 once m >= gamma n^2. The kernels take a (batch, n, n) stack of
 matrices: fourth_moments is exact at every n, in closed form in int64;
 tail_counts is exact up to n = 12, counted over half the 4^n sign pairs
 in float32 products. tail_report draws its matrices a batch at a time,
-as many as fit one byte budget (TAIL_BYTES), with a Monte Carlo tail
-past n = 12. moments_exhaustive enumerates every pair (n <= 7) as the
-brute-force oracle.
+as many as fit one byte budget (TAIL_BYTES), each batch by a few whole-
+array calls on one generator (_draw_matrices: a matrix's support is its
+m entries of smallest random key), with a Monte Carlo tail past n = 12.
+moments_exhaustive enumerates every pair (n <= 7) as the brute-force
+oracle.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ ORACLE_MAX_N = 7  # 4^7 = 16384 sign pairs held at once
 TAIL_BYTES = 1 << 20
 PRODUCT_BYTES = 5  # a float32 product and its comparison byte
 ENTRY_BYTES = 40  # an entry in int64, and its fourth moment's int64 and float64 temporaries
+# (its draw's words, keys, masks and signs take 33 bytes)
 
 
 class DiffMatrix:
@@ -62,20 +65,39 @@ class DiffMatrix:
         return f"DiffMatrix(n={self.n}, m={self.m})"
 
 
-def _draw_entries(gen: np.random.Generator, m: int, out: np.ndarray) -> None:
-    """A uniform random support of size m with uniform +-1 values, written
-    into the zeroed flat row `out` of n * n entries."""
-    support = gen.choice(len(out), size=m, replace=False)
-    out[support] = gen.choice((-1, 1), size=m)
+def _draw_matrices(n: int, sizes, gen: np.random.Generator, ties: Streams | None = None,
+                   first: int = 0) -> np.ndarray:
+    """The (len(sizes), n * n) int64 flat difference matrices of units
+    first, first + 1, ... of a node (stream layout 5, `ledplab.rng`), read
+    through gen, a generator at unit first's words. Unit i reads n^2 words:
+    word j's top 63 bits are entry j's key and its low bit its sign, and
+    the m_i entries with the smallest keys are the support, each -1 if its
+    low bit is set, else +1. A unit whose keys repeat is redrawn, n^2 words
+    at a time, from ties.child(i) (from gen, when ties is None) until they
+    are distinct, so every support of size m_i is equally likely."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    cells = n * n
+    raw = gen.bit_generator.random_raw(len(sizes) * cells).reshape(len(sizes), cells)
+    ranked = raw >> np.uint64(1)
+    ranked.sort(axis=1)
+    for r in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)).tolist():
+        redraw = (gen if ties is None else ties.child(first + r).generator()).bit_generator
+        while np.any(ranked[r, 1:] == ranked[r, :-1]):
+            raw[r] = redraw.random_raw(cells)
+            ranked[r] = np.sort(raw[r] >> np.uint64(1))
+    # distinct keys: the m smallest are those below the (m + 1)-th, or all of them
+    bound = np.full(len(sizes), 1 << 63, dtype=np.uint64)
+    short = np.flatnonzero(sizes < cells)
+    bound[short] = ranked[short, sizes[short]]
+    return np.where((raw >> np.uint64(1)) < bound[:, None], np.where(raw & np.uint64(1), -1, 1), 0)
 
 
 def random_diff_matrix(n: int, m: int, gen: np.random.Generator) -> DiffMatrix:
-    """Uniform random support of size m with uniform +-1 values."""
+    """Uniform random support of size m with uniform +-1 values: one unit
+    of _draw_matrices, read from gen."""
     if not 0 <= m <= n * n:
         raise ValueError(f"m must be in [0, {n * n}], got {m}")
-    flat = np.zeros(n * n, dtype=np.int64)
-    _draw_entries(gen, m, flat)
-    return DiffMatrix(flat.reshape(n, n))
+    return DiffMatrix(_draw_matrices(n, [m], gen).reshape(n, n))
 
 
 def _all_sign_vectors(n: int) -> np.ndarray:
@@ -210,10 +232,11 @@ def tail_report(
 ) -> list[dict]:
     """Tail rows for `count` random n x n difference matrices with at least
     gamma n^2 nonzeros. The sizes come from streams.child("sizes"), matrix i
-    from streams.child("matrix", i) and its Monte Carlo draws from that
-    node's child("mc"), so each row depends only on its own index. The
-    matrices are counted in batches whose products and entries fit
-    TAIL_BYTES, against one sign table."""
+    is unit i of streams.child("matrices") (_draw_matrices), all read in
+    order through one generator, and its Monte Carlo draws come from
+    streams.child("matrix", i, "mc"), so each row depends only on its own
+    index. The matrices are counted in batches whose products and entries
+    fit TAIL_BYTES, against one sign table."""
     m_floor = math.ceil(gamma * n * n)
     sizes = streams.child("sizes").generator().integers(m_floor, n * n + 1, size=count)
     exact = n <= ENUMERATION_MAX_N
@@ -221,12 +244,11 @@ def tail_report(
     # 2^(n-1) sign rows, each 2^n products and an (n,) float32 half product
     per_matrix = (1 << (n - 1)) * (PRODUCT_BYTES * (1 << n) + 4 * n) + ENTRY_BYTES * n * n
     batch = max(1, TAIL_BYTES // per_matrix) if exact else 1
+    node = streams.child("matrices")
+    gen, ties = node.generator(), node.child("ties")
     rows = []
     for lo in range(0, count, batch):
-        nodes = [streams.child("matrix", i) for i in range(lo, min(lo + batch, count))]
-        entries = np.zeros((len(nodes), n * n), dtype=np.int64)
-        for node, m, out in zip(nodes, sizes[lo : lo + batch].tolist(), entries):
-            _draw_entries(node.generator(), m, out)
-        mc_streams = None if exact else [node.child("mc") for node in nodes]
+        entries = _draw_matrices(n, sizes[lo : lo + batch], gen, ties, lo)
+        mc_streams = None if exact else [streams.child("matrix", i, "mc") for i in range(lo, lo + len(entries))]
         rows += _tail_rows(entries.reshape(-1, n, n), gamma, mc_streams, mc_samples, signs)
     return rows

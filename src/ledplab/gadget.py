@@ -73,9 +73,11 @@ def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.
     step = max(1, ledp.DRAW_BYTES // max(n, 1))
     released = np.empty((min(step, trials), n), np.uint8)
     ones = np.empty(trials, dtype=np.int64)
+    sum_dtype = np.uint16 if n < 1 << 16 else np.int64  # a row sums to at most n
     for first in range(0, trials, step):
         chunk = released[: min(step, trials - first)]
-        ones[first : first + len(chunk)] = randomized_rows(x, epsilon, gen, ties, first, chunk).sum(axis=1)
+        randomized_rows(x, epsilon, gen, ties, first, chunk)
+        ones[first : first + len(chunk)] = chunk.sum(axis=1, dtype=sum_dtype)
     return ones * hi + (n - ones) * lo
 
 

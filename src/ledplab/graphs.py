@@ -27,6 +27,7 @@ W and T as graph_stats of the (n, n) adjacency.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -279,9 +280,36 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# graph_to_text's spelling: the vertex count, then one "i j" line an edge,
+# single-spaced, with no blank line; at most 18 digits a number, so every
+# endpoint fits an int64
+_CANONICAL_TEXT = re.compile(r"([0-9]{1,18})((?:\n[0-9]{1,18} [0-9]{1,18})*)\n?")
+
+
 def graph_from_text(text: str, max_n: int | None = None) -> Graph:
     """Parse graph_to_text's format, rejecting more than max_n vertices
-    before the adjacency is allocated."""
+    before the adjacency is allocated. Text spelled as graph_to_text writes
+    it is checked by one regular expression, its endpoints are parsed by
+    one numpy call, and their ranges and repeats are checked on whole
+    arrays. Any other spelling (blank lines, runs of blanks, CRLF, signs),
+    and a text that fails a check, is read line by line, which names the
+    first bad line."""
+    match = _CANONICAL_TEXT.fullmatch(text)
+    if match:
+        n = int(match[1])
+        ends = np.fromstring(match[2], dtype=np.int64, sep=" ")
+        i, j = ends[0::2], ends[1::2]
+        if 0 < n and (max_n is None or n <= max_n) and np.all(i < j) and np.all(j < n):
+            a = np.zeros((n, n), dtype=np.uint8)
+            a[i, j] = 1
+            if np.count_nonzero(a) == len(i):  # no edge repeats
+                a[j, i] = 1
+                return Graph(a)
+    return _graph_from_lines(text, max_n)
+
+
+def _graph_from_lines(text: str, max_n: int | None) -> Graph:
+    """graph_from_text, one line at a time."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise GraphFormatError("empty graph text")

@@ -5,26 +5,34 @@ tree of named child streams. Two runs with the same seed and the same
 stream paths produce identical draws regardless of execution order or
 worker count.
 
-Stream layout 4 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
-PCG64 stream, and unit u (a trial, a gray-box slot, a prepare round) reads
-the fixed slice [u W, (u + 1) W) of its 64-bit words, for W words a unit.
-A block of consecutive units u, u + 1, ... reads them in turn through one
-generator skipped to its first, ``generator(skip=u * W)``. A unit's
-draws do not depend on which other units run, so slicing a run into
-ranges reproduces it bit for bit. A node hashes its SeedSequence once, so
-deriving a generator costs about 2 us, not 20, and may be done on any
-thread.
+Stream layout 5 (STREAM_LAYOUT): a Monte Carlo run draws from one node's
+PCG64 stream, and unit u (a trial, a gray-box slot, a prepare round, a
+random difference matrix) reads the fixed slice [u W, (u + 1) W) of its
+64-bit words, for W words a unit. A block of consecutive units u, u + 1,
+... reads them in turn through one generator skipped to its first,
+``generator(skip=u * W)``. A unit's draws do not depend on which other
+units run, so slicing a run into ranges reproduces it bit for bit. A node
+hashes its SeedSequence once, so deriving a generator costs about 2 us,
+not 20, and may be done on any thread.
 
 A randomized-response unit of P bits reads W = ceil(P/4) words as P
 little-endian uint16s, one a bit, and settles the bits whose uint16 ties
 the threshold's top 16 bits from the node's "ties" child, word u P + i for
-bit i (`ledplab.ledp.bernoulli_rows`). Layout 3 spent one word, a 53-bit
-double, on each such bit. The law of each bit is the same, but the bits
-differ, so rr attack, estimate, variance-sweep, gadget and sum-scaling
-outputs differ from layout 3's. Query signs, Monte Carlo tail signs,
-graphs and datasets draw as they did in layout 3, which sliced the last
-per-vertex and per-block child streams (layout 2 had given up a child
-node a trial).
+bit i (`ledplab.ledp.bernoulli_rows`); layout 4 brought this in.
+
+Layout 5 moved the random difference matrices of
+`ledplab.anticoncentration` onto this slicing: the matrix of n^2 entries
+is a unit of W = n^2 words, each an entry's 63-bit sort key and its sign
+bit, redrawn from the node's "ties" child in the rare case that two keys
+repeat (`anticoncentration._draw_matrices`). Layout 4 derived one child
+node a matrix and drew its support and signs by two `Generator.choice`
+calls. The law of each matrix is the same, but the matrices differ, so
+anticoncentration rows, the selftest's rows and the matrices that
+`random_diff_matrix` draws from a given generator (the acceptance
+tests' criterion 5 instances among them) differ from layout 4's.
+Randomized-response bits, query signs, Monte Carlo tail signs, graphs and
+datasets draw as they did in layout 4, so every other output is
+unchanged.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ __all__ = ["Streams", "DEFAULT_SEED", "STREAM_LAYOUT"]
 DEFAULT_SEED = 20240601
 
 # Version of the mapping from (seed, path, trial) to draws; see the module docstring.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 
 
 def _step_to_int(step) -> int:

@@ -10,6 +10,7 @@ import ledplab.anticoncentration as ac
 from ledplab.anticoncentration import (
     DiffMatrix,
     _all_products,
+    _draw_matrices,
     _all_sign_vectors,
     fourth_moment,
     fourth_moments,
@@ -245,6 +246,52 @@ def test_tail_report_rows():
             }
 
 
+class ReplayedWords:
+    """A stand-in generator whose bit generator serves the given words in order."""
+
+    def __init__(self, words):
+        self.words, self.at = np.asarray(words, dtype=np.uint64), 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.at += size
+        return self.words[self.at - size : self.at].copy()
+
+
+def test_repeated_keys_are_redrawn():
+    # 9 words at n = 3 whose keys 2 and 5 repeat (signs differ): the matrix
+    # is redrawn from the next 9 words, or, in a batch, from ties.child(i)
+    words = Streams(43).generator().bit_generator.random_raw(27)
+    words[5] = words[2] ^ np.uint64(1)
+    alone = random_diff_matrix(3, 4, ReplayedWords(words[9:18])).entries.ravel()
+    gen = ReplayedWords(words[:18])
+    assert random_diff_matrix(3, 4, gen).entries.ravel().tolist() == alone.tolist()
+    assert gen.at == 18
+    ties = Streams(44).child("ties")
+    batch = np.concatenate([words[18:27], words[:9], words[9:18]])
+    gen = ReplayedWords(batch)
+    got = _draw_matrices(3, [4, 4, 4], gen, ties, first=10)
+    assert gen.at == 27
+    assert got[0].tolist() == random_diff_matrix(3, 4, ReplayedWords(words[18:27])).entries.ravel().tolist()
+    assert got[1].tolist() == random_diff_matrix(3, 4, ties.child(11).generator()).entries.ravel().tolist()
+    assert got[2].tolist() == alone.tolist()
+
+
+def test_supports_and_signs_are_uniform():
+    # n = 2, m = 2: each of the C(4, 2) = 6 supports has probability 1/6,
+    # and each nonzero entry is -1 with probability 1/2
+    draws = 6000
+    node = Streams(45).child("matrices")
+    entries = _draw_matrices(2, np.full(draws, 2), node.generator(), node.child("ties"))
+    assert np.all(np.count_nonzero(entries, axis=1) == 2)
+    supports = (entries != 0) @ (1 << np.arange(4))
+    se = math.sqrt(1 / 6 * 5 / 6 / draws)
+    for support in (3, 5, 6, 9, 10, 12):
+        assert abs(np.mean(supports == support) - 1 / 6) <= 4 * se
+    negative = np.count_nonzero(entries == -1) / (2 * draws)
+    assert abs(negative - 0.5) <= 4 * math.sqrt(0.25 / (2 * draws))
+
+
 def exact_moments(entries: np.ndarray) -> tuple[Fraction, Fraction]:
     """(Pr[|U| > sqrt(m)/2], E[U^4]) of one matrix as Fractions, from int64
     products of all 4^n sign pairs."""
@@ -257,10 +304,11 @@ def exact_moments(entries: np.ndarray) -> tuple[Fraction, Fraction]:
 
 
 def report_entries(n: int, count: int, gamma: float, streams: Streams) -> list[np.ndarray]:
-    """The matrices tail_report draws, one at a time."""
+    """The matrices tail_report draws, one at a time: matrix i from its own
+    generator at unit i of the "matrices" node."""
     sizes = streams.child("sizes").generator().integers(math.ceil(gamma * n * n), n * n + 1, size=count)
-    return [random_diff_matrix(n, int(m), streams.child("matrix", i).generator()).entries
-            for i, m in enumerate(sizes)]
+    node = streams.child("matrices")
+    return [random_diff_matrix(n, int(m), node.generator(i * n * n)).entries for i, m in enumerate(sizes)]
 
 
 @pytest.mark.parametrize("budget", ["one", "all"])

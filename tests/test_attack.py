@@ -36,7 +36,7 @@ from ledplab.attack import (
 from ledplab.graphs import count_dtype, count_triangles
 from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
-from stream_reference import reference_bits, tie_count
+from stream_reference import reference_bits, threshold, tie_count
 
 
 def random_bits(n, gen):
@@ -433,6 +433,27 @@ def test_rr_batch_with_ties_independent_of_slot_block(monkeypatch):
     assert tie_count(p, node, 0, 3003, 28) == 3
     payload = check_batch_over_blocks_and_threads(monkeypatch, n, seed)
     assert payload.tobytes() == np.packbits(reference_bits(p, node, 0, 3003, 28)).tobytes()
+
+
+def test_rr_batch_reads_each_blocks_tie_words_at_its_first_slot(monkeypatch):
+    # at eps = 0.5 the tie bits c_lo / 2^37 are within 1% of 1/2, so each tie
+    # is a fair coin, and 13 of the 16 ties fall past the first block even at
+    # 2728 queries: a block that read its tie words from another unit would
+    # differ from the reference with probability about 1 - 2^-13
+    import ledplab.attack as attack
+
+    n, k, eps = 8, 12000, 0.5
+    p, node = flip_probability(eps), Streams(313)
+    assert abs(threshold(p) % 2**37 / 2**37 - 0.5) < 0.01
+    assert tie_count(p, node, 3 * 2728, 3 * (k - 2728), 28) >= 12
+    x = random_bits(n, Streams(310).generator())
+    a_signs, b_signs = sample_query_signs(n, k, Streams(311))
+    want = np.packbits(reference_bits(p, node, 0, 3 * k, 28)).tobytes()
+    for block in (8, 16, 2728):
+        monkeypatch.setattr(attack, "ANSWER_BLOCK", block)
+        box = GrayBox.prepare(x, *mechanism_components("rr", eps), Streams(312))
+        box.answer_outer_batch(a_signs, b_signs, node)
+        assert box.transcript.rounds[-1][0].payload.tobytes() == want
 
 
 def test_rr_batch_workers_derive_no_generators(monkeypatch):

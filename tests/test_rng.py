@@ -5,7 +5,7 @@ from ledplab.rng import STREAM_LAYOUT, Streams
 
 
 def test_stream_layout_version():
-    assert STREAM_LAYOUT == 4
+    assert STREAM_LAYOUT == 5
 
 
 @pytest.mark.parametrize("skip", [0, 1, 37, 2**33 + 5])
