@@ -30,7 +30,6 @@ __all__ = [
     "random_diff_matrix",
     "moments_exhaustive",
     "fourth_moments",
-    "fourth_moment",
     "tail_counts",
     "tail_probability_exhaustive",
     "tail_probability_mc",
@@ -143,11 +142,6 @@ def fourth_moments(entries: np.ndarray) -> np.ndarray:
     c4 = (sq * sq).sum(axis=(1, 2))
     trace = g_diag.sum(axis=1)
     return 3 * (trace * trace + 2 * off_diag) - 2 * (3 * np.einsum("bj,bj->b", c2, c2) - 2 * c4)
-
-
-def fourth_moment(m: DiffMatrix) -> int:
-    """Exact E[U^4] of one matrix (fourth_moments)."""
-    return int(fourth_moments(m.entries[None])[0])
 
 
 def tail_counts(entries: np.ndarray, thresholds, signs: np.ndarray | None = None) -> np.ndarray:

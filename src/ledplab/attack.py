@@ -55,13 +55,15 @@ the search holds no (k, n) float copy of the signs. And r_l +- 1.0 is
 the float operation a pattern matrix would do, so the counts match a
 pattern-matrix sweep bit for bit.
 
-The hill-climb starts from y_ij = [S_ij > k/2], S = A^T diag(answers) B,
-decided exactly. Each term +-answer_l is exact in float64, so any
-summation order of the k terms (blocked, threaded or with FMA) returns S
-within gamma_k sum_l |answer_l| <= k 2^-52 sum_l |answer_l| of the true
-sum. Where |S_ij - k/2| exceeds twice that, 2 k 2^-52 sum_l |answer_l|,
-which also covers the rounding of that sum and of the subtraction, the
-float sign is the true one; the entries inside are re-summed with
+The hill-climb climbs once, from y_ij = [S_ij > k/2] with
+S = A^T diag(answers) B, decided exactly, and draws nothing: its dataset
+is a function of the answers and the signs alone. Each term +-answer_l
+is exact in float64, so any summation order of the k terms (blocked,
+threaded or with FMA) returns S within
+gamma_k sum_l |answer_l| <= k 2^-52 sum_l |answer_l| of the true sum.
+Where |S_ij - k/2| exceeds twice that, 2 k 2^-52 sum_l |answer_l|, which
+also covers the rounding of that sum and of the subtraction, the float
+sign is the true one; the entries inside are re-summed with
 math.fsum. So y is the real-number decision whatever the BLAS thread
 count, block size or CPU.
 """
@@ -76,7 +78,7 @@ import numpy as np
 
 from ledplab import parallel
 from ledplab.estimator import released_estimates, triangle_mix
-from ledplab.graphs import Graph, VertexPartition, count_dtype, graph_stats
+from ledplab.graphs import Graph, VertexPartition, checked_bits, count_dtype, graph_stats
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
@@ -146,9 +148,6 @@ WORKSPACE_BYTES = 64 << 20
 # Most dataset bits n^2 the exhaustive search enumerates: 2^20 candidates.
 EXHAUSTIVE_MAX_BITS = 20
 
-# Hill-climb starts: the correlation start, then one uniform random dataset.
-RESTARTS = 2
-
 # Signs unpacked per raw draw, a whole number of 64-bit words. The 64 KiB
 # temporaries stay on the heap: freeing a larger mapped one raises the
 # allocator's mmap threshold, which added ~1.5 MB to an attack's peak RSS.
@@ -156,12 +155,10 @@ SIGN_CHUNK = 1 << 16
 
 
 def _as_bits(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"dataset must be a square bit matrix, got shape {x.shape}")
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("dataset entries must be 0 or 1")
-    return x
+    return checked_bits(x, "dataset")
 
 
 def _as_signs(v) -> np.ndarray:
@@ -200,10 +197,7 @@ class SubmatrixQuery:
     q2: np.ndarray
 
     def __post_init__(self):
-        q1 = np.asarray(self.q1, dtype=np.uint8)
-        q2 = np.asarray(self.q2, dtype=np.uint8)
-        if not (np.all((q1 == 0) | (q1 == 1)) and np.all((q2 == 0) | (q2 == 1))):
-            raise ValueError("query entries must be 0 or 1")
+        q1, q2 = checked_bits(self.q1, "query"), checked_bits(self.q2, "query")
         if q1.shape != q2.shape or q1.ndim != 1:
             raise ValueError("q1 and q2 must be 1-d and the same length")
         object.__setattr__(self, "q1", q1)
@@ -669,12 +663,12 @@ class AttackReport:
     inaccurate_count: int
     feasible: bool
     thresholds: dict
-    seed: int
     search: str
     y_star: Optional[np.ndarray] = None
     hamming: Optional[int] = None
     best_dataset: Optional[np.ndarray] = None
     best_hamming: Optional[int] = None
+    seed: Optional[int] = None
     charge: Optional[PrivacyParams] = None
     mechanism: Optional[str] = None
 
@@ -802,53 +796,30 @@ def _flip_counts(diff, a_signs, b_signs, flat, tau, dtype) -> np.ndarray:
     return (both + (signs * cross.reshape(-1)).astype(np.int64)) // 2
 
 
-def _hillclimb_search(
-    answers,
-    a_signs,
-    b_signs,
-    n,
-    tau,
-    allowed,
-    streams,
-    restarts,
-    max_sweeps,
-    min_improvement,
-):
-    start_y = _correlation_start(answers, a_signs, b_signs)
+def _hillclimb_search(answers, a_signs, b_signs, n, tau, allowed, max_sweeps, min_improvement):
+    """Climb once from the correlation start, taking the best single-bit
+    flip a sweep until the dataset is feasible or no flip gains
+    min_improvement; returns the dataset and its inaccurate count."""
+    flat = _correlation_start(answers, a_signs, b_signs).reshape(-1).astype(np.float64)
     dtype = _sweep_dtype(len(answers), n)
-    best_y = None
-    best_count = None
-    for restart in range(restarts):
-        if restart == 0:
-            y = start_y
-        else:
-            gen = streams.child("restart", restart).generator()
-            y = (gen.random((n, n)) < 0.5).astype(np.uint8)
-        flat = y.reshape(-1).astype(np.float64)
-        diff = _bilinear(a_signs, flat.reshape(n, n), b_signs)
-        diff -= answers
-        count = _inaccurate(diff, tau)
-        for _ in range(max_sweeps):
-            if count <= allowed:
-                break
-            flip_counts = _flip_counts(diff, a_signs, b_signs, flat, tau, dtype)
-            best_flip = int(np.argmin(flip_counts))
-            if count - int(flip_counts[best_flip]) < min_improvement:
-                break
-            i, j = divmod(best_flip, n)
-            step = 1.0 - 2.0 * flat[best_flip]
-            for lo in range(0, len(diff), QUERY_BLOCK):
-                hi = lo + QUERY_BLOCK
-                diff[lo:hi] += a_signs[lo:hi, i] * b_signs[lo:hi, j] * step
-            flat[best_flip] = 1.0 - flat[best_flip]
-            count = int(flip_counts[best_flip])
-        del diff  # freed before the next restart's residuals are allocated
-        if best_count is None or count < best_count:
-            best_count = count
-            best_y = flat.astype(np.uint8).reshape(n, n)
-        if best_count <= allowed:
+    diff = _bilinear(a_signs, flat.reshape(n, n), b_signs)
+    diff -= answers
+    count = _inaccurate(diff, tau)
+    for _ in range(max_sweeps):
+        if count <= allowed:
             break
-    return best_y, int(best_count)
+        flip_counts = _flip_counts(diff, a_signs, b_signs, flat, tau, dtype)
+        best_flip = int(np.argmin(flip_counts))
+        if count - int(flip_counts[best_flip]) < min_improvement:
+            break
+        i, j = divmod(best_flip, n)
+        step = 1.0 - 2.0 * flat[best_flip]
+        for lo in range(0, len(diff), QUERY_BLOCK):
+            hi = lo + QUERY_BLOCK
+            diff[lo:hi] += a_signs[lo:hi, i] * b_signs[lo:hi, j] * step
+        flat[best_flip] = 1.0 - flat[best_flip]
+        count = int(flip_counts[best_flip])
+    return flat.astype(np.uint8).reshape(n, n), count
 
 
 def attacker_reconstruct(
@@ -859,17 +830,18 @@ def attacker_reconstruct(
     gamma: float = DEFAULT_GAMMA,
     search: str = "auto",
     max_sweeps: Optional[int] = None,
-    streams: Optional[Streams] = None,
     x_true=None,
 ) -> AttackReport:
     """Find a dataset consistent with all but a small fraction of answers.
 
     Feasible means at most gamma^2 k / 64 answers are off by more than
-    sqrt(gamma) n / 4. If no candidate within the search budget is
-    feasible the attack fails; the best candidate found is still
-    reported so downstream diagnostics have an output to score. A NaN or
-    infinite answer raises ValueError: a NaN would read as accurate for
-    every candidate.
+    sqrt(gamma) n / 4. The exhaustive search scores every dataset; the
+    hill-climb climbs once from the exact correlation start (module
+    docstring), at most max_sweeps flips, and draws nothing. If no
+    candidate within the search budget is feasible the attack fails; the
+    best candidate found is still reported so downstream diagnostics have
+    an output to score. A NaN or infinite answer raises ValueError: a NaN
+    would read as accurate for every candidate.
     """
     answers = np.asarray(answers, dtype=np.float64)
     if not np.all(np.isfinite(answers)):
@@ -885,8 +857,6 @@ def attacker_reconstruct(
         x_true = _as_bits(x_true)
     tau = accuracy_threshold(n, gamma)
     allowed = disagreement_budget(k, gamma)
-    if streams is None:
-        streams = Streams(0)
     if search == "auto":
         search = "exhaustive" if n * n <= EXHAUSTIVE_MAX_BITS else "hillclimb"
     if search == "exhaustive":
@@ -895,8 +865,7 @@ def attacker_reconstruct(
         sweeps = max_sweeps if max_sweeps is not None else 4 * n * n
         min_improvement = max(1, k // 20000)
         best_y, best_count = _hillclimb_search(
-            answers, a_signs, b_signs, n, tau, allowed,
-            streams, RESTARTS, sweeps, min_improvement,
+            answers, a_signs, b_signs, n, tau, allowed, sweeps, min_improvement
         )
     else:
         raise ValueError(f"unknown search {search!r}")
@@ -912,7 +881,6 @@ def attacker_reconstruct(
             "disagreement_budget": allowed,
             "catch": catch_threshold(k, gamma),
         },
-        seed=streams.seed,
         search=search,
         best_dataset=best_y,
     )
@@ -953,9 +921,9 @@ def run_attack(
         gamma=gamma,
         search=search,
         max_sweeps=max_sweeps,
-        streams=streams.child("search"),
         x_true=x,
     )
+    report.seed = streams.seed
     report.charge = box.charge
     report.mechanism = mechanism
     return report

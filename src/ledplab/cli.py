@@ -560,7 +560,7 @@ COMMANDS = {spec.name: spec for spec in (
             choices=("rr", "identity", "oracle")),
         Opt("search", ("--search",), str, "auto", "search strategy",
             choices=("auto", "exhaustive", "hillclimb")),
-        Opt("budget", ("--budget",), int, None, "hill-climb sweep budget per restart, default 4 n^2",
+        Opt("budget", ("--budget",), int, None, "hill-climb sweep budget, default 4 n^2",
             low=1),
     )),
     Command("anticoncentration", "tail bounds for random sign-sandwich statistics", run_anticoncentration, (

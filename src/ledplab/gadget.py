@@ -13,7 +13,7 @@ import numpy as np
 
 from ledplab import ledp
 from ledplab.estimator import rescaled_atoms, sample_estimates
-from ledplab.graphs import Graph, VertexPartition, graph_stats
+from ledplab.graphs import Graph, VertexPartition, checked_bits, graph_stats
 from ledplab.ledp import randomized_rows
 from ledplab.rng import Streams
 
@@ -27,12 +27,10 @@ __all__ = [
 
 
 def _as_bit_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.uint8)
+    x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError(f"input must be a 1-d bit vector, got shape {x.shape}")
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("input entries must be 0 or 1")
-    return x
+    return checked_bits(x, "input")
 
 
 def build_sum_gadget(x) -> tuple[Graph, VertexPartition]:

@@ -36,6 +36,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "VertexPartition",
+    "checked_bits",
     "count_dtype",
     "graph_stats",
     "gather_map",
@@ -59,6 +60,16 @@ class GraphFormatError(ValueError):
     """Raised when graph text input violates the edge-list format."""
 
 
+def checked_bits(values, what: str) -> np.ndarray:
+    """values as uint8, once every entry as given is 0 or 1, else
+    ValueError("<what> entries must be 0 or 1"). Checking before narrowing
+    keeps 256 from wrapping to 0 and 0.5 from truncating to 0."""
+    v = np.asarray(values)
+    if not np.all((v == 0) | (v == 1)):
+        raise ValueError(f"{what} entries must be 0 or 1")
+    return v.astype(np.uint8, copy=False)
+
+
 class Graph:
     """Undirected simple graph with an explicit adjacency matrix.
 
@@ -69,7 +80,7 @@ class Graph:
     __slots__ = ("n", "adjacency")
 
     def __init__(self, adjacency: np.ndarray):
-        a = np.asarray(adjacency, dtype=np.uint8)
+        a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if a.shape[0] == 0:
@@ -78,9 +89,7 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency diagonal must be zero")
-        if not np.all((a == 0) | (a == 1)):
-            raise ValueError("adjacency entries must be 0 or 1")
-        a = a.copy()
+        a = checked_bits(a, "adjacency").copy()
         a.setflags(write=False)
         self.n = a.shape[0]
         self.adjacency = a

@@ -12,7 +12,6 @@ from ledplab.anticoncentration import (
     _all_products,
     _draw_matrices,
     _all_sign_vectors,
-    fourth_moment,
     fourth_moments,
     moments_exhaustive,
     random_diff_matrix,
@@ -106,7 +105,7 @@ def test_fourth_moment_matches_enumeration():
         sizes = [0, n * n, *gen.integers(0, n * n + 1, size=6).tolist()]
         for m_size in sizes:
             m = random_diff_matrix(n, int(m_size), gen)
-            assert fourth_moment(m) == moments_exhaustive(m)[2]
+            assert fourth_moments(m.entries[None])[0] == moments_exhaustive(m)[2]
 
 
 def test_tail_matches_all_products():
@@ -346,7 +345,7 @@ def reference_rows(n: int, count: int, gamma: float, streams: Streams, mc_sample
             tail, mode = tail_probability_mc(m, threshold, mc_samples, mc)[0], "mc"
         rows.append({
             "n": n, "m": m.m, "gamma": gamma, "threshold": threshold, "tail": tail, "tail_mode": mode,
-            "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth_moment(m)),
+            "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth_moments(m.entries[None])[0]),
             "fourth_bound": 9.0 * n**4,
         })
     return rows

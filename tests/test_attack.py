@@ -12,6 +12,7 @@ import pytest
 from ledplab import parallel
 from ledplab.attack import (
     GrayBox,
+    _as_bits,
     _as_signs,
     _correlation_start,
     OuterProductQuery,
@@ -664,6 +665,31 @@ def test_sample_query_signs_are_int8_with_unchanged_draws(monkeypatch):
     assert _as_signs(a) is a
 
 
+@pytest.mark.parametrize("bad", [256, 0.5])
+def test_dataset_bits_rejected_before_narrowing(bad):
+    # a uint8 cast would wrap 256 to 0 and truncate 0.5 to 0, so a dataset
+    # of them once attacked as all zeros and reported Hamming 0
+    x = np.zeros((3, 3))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="dataset entries must be 0 or 1"):
+        _as_bits(x)
+    with pytest.raises(ValueError, match="dataset entries must be 0 or 1"):
+        _as_bits([[bad, 1], [0, 0]])
+    with pytest.raises(ValueError, match="dataset entries must be 0 or 1"):
+        run_attack(np.full((3, 3), bad), "identity", Streams(234), k=50)
+    a, b = sample_query_signs(3, 50, Streams(235))
+    with pytest.raises(ValueError, match="dataset entries must be 0 or 1"):
+        attacker_reconstruct(np.zeros(50), a, b, 3, x_true=x)
+
+
+@pytest.mark.parametrize("bad", [256, 0.5])
+def test_submatrix_query_bits_rejected_before_narrowing(bad):
+    with pytest.raises(ValueError, match="query entries must be 0 or 1"):
+        SubmatrixQuery(np.array([1, bad, 0]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="query entries must be 0 or 1"):
+        SubmatrixQuery([0, 1, 1], [1, 0, bad])
+
+
 @pytest.mark.parametrize(
     "bad",
     [0, 2, 257, -255, 0.5, -1.5]
@@ -900,6 +926,24 @@ def test_hillclimb_identity_attack_succeeds():
     assert report.charge.epsilon == math.inf
 
 
+def test_hillclimb_keeps_an_exact_start_under_gaussian_noise():
+    # exact answers plus Gaussian noise of SD 3cn at the paper's k: no
+    # dataset is feasible, but the correlation start is the secret at every
+    # seed, so the search must end near it, not at a dataset that only wins
+    # on an inaccurate count that carries no signal
+    n, c = 8, 3
+    k = default_query_count(n)
+    assert k == 663552
+    for trial in range(4):
+        gen = Streams(78).child(n, c, trial).generator()
+        x = random_bits(n, gen)
+        a, b = sample_query_signs(n, k, Streams(77).child(n, trial))
+        answers = exact_outer_answers(x, a, b) + 3 * c * n * gen.standard_normal(k)
+        assert np.array_equal(_correlation_start(answers, a, b), x)
+        report = attacker_reconstruct(answers, a, b, n, search="hillclimb", x_true=x)
+        assert report.best_hamming <= n * n // 8
+
+
 def test_reconstruction_fails_on_noise_answers():
     gen = Streams(245).generator()
     n, k = 8, 20000
@@ -908,9 +952,7 @@ def test_reconstruction_fails_on_noise_answers():
         x = random_bits(n, gen)
         a, b = sample_query_signs(n, k, Streams(246).child(trial))
         noise = gen.uniform(-(n * n), n * n, size=k)
-        report = attacker_reconstruct(
-            noise, a, b, n, search="hillclimb", streams=Streams(247).child(trial), x_true=x
-        )
+        report = attacker_reconstruct(noise, a, b, n, search="hillclimb", x_true=x)
         hammings.append(report.best_hamming)
         assert report.y_star is None or report.inaccurate_count <= disagreement_budget(
             k, report.gamma
@@ -922,7 +964,7 @@ def test_reconstruction_fails_on_noise_answers():
 def test_reconstruct_peak_below_one_float_copy_of_the_signs(noise):
     # the search reads the int8 signs in blocks, so its traced peak stays
     # below one float32 (k, n) copy of a sign array; with noise no dataset
-    # is feasible, so both restarts sweep
+    # is feasible, so the climb sweeps
     n, k = 16, 1 << 17
     gen = Streams(289).generator()
     x = random_bits(n, gen)
@@ -931,7 +973,7 @@ def test_reconstruct_peak_below_one_float_copy_of_the_signs(noise):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = attacker_reconstruct(answers, a, b, n, streams=Streams(291), x_true=x)
+        report = attacker_reconstruct(answers, a, b, n, x_true=x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -943,8 +985,8 @@ def test_reconstruct_peak_below_one_float_copy_of_the_signs(noise):
 def test_reconstruct_holds_one_whole_length_float_array(noise):
     # the residuals are the one (k,) float64 array the search holds: their
     # sizes, counts and steps, and the start's magnitude, are taken
-    # QUERY_BLOCK queries at a time, and a restart frees the last
-    # restart's residuals first; the rest is a few blocks of float64 signs
+    # QUERY_BLOCK queries at a time; the rest is a few blocks of float64
+    # signs
     import ledplab.attack as attack
 
     n, k = 8, 1 << 18
@@ -955,7 +997,7 @@ def test_reconstruct_holds_one_whole_length_float_array(noise):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = attacker_reconstruct(answers, a, b, n, streams=Streams(301), x_true=x)
+        report = attacker_reconstruct(answers, a, b, n, x_true=x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

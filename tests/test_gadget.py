@@ -46,6 +46,18 @@ def test_gadget_known_values():
     assert count_triangles(g) == 0
 
 
+@pytest.mark.parametrize("bad", [256, 0.5])
+def test_gadget_bits_checked_before_narrowing(bad):
+    # a uint8 cast would wrap 256 to 0 and truncate 0.5 to 0
+    x = [1, bad, 0]
+    with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+        build_sum_gadget(x)
+    with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+        sample_sum_baseline(x, 1.0, 10, Streams(60))
+    with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+        sample_sum_via_triangles(x, 1.0, 10, Streams(61))
+
+
 def test_gadget_partition_layout():
     x = np.array([1, 1], dtype=np.uint8)
     g, part = build_sum_gadget(x)

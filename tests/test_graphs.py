@@ -190,6 +190,16 @@ def test_graph_validation_rejects_bad_matrices():
         Graph.from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("bad", [256, 0.5])
+def test_graph_bits_checked_before_narrowing(bad):
+    # a uint8 cast would wrap 256 to 0 and truncate 0.5 to 0: an edgeless graph
+    a = np.array([[0, bad, bad], [bad, 0, 1], [bad, 1, 0]])
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        Graph(a)
+    with pytest.raises(ValueError, match="adjacency entries must be 0 or 1"):
+        Graph(a.tolist())
+
+
 def test_text_format_round_trip():
     gen = Streams(14).generator()
     for _ in range(10):

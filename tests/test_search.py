@@ -42,37 +42,27 @@ def pattern_flip_counts(diff, patterns, flat, tau, chunk=1 << 17) -> np.ndarray:
     return flip_counts
 
 
-def pattern_hillclimb(answers, a_signs, b_signs, n, tau, allowed, streams, restarts, max_sweeps, min_improvement):
+def pattern_hillclimb(answers, a_signs, b_signs, n, tau, allowed, max_sweeps, min_improvement):
     """The pattern-matrix hill-climb; also returns the number of flips taken."""
     patterns = query_patterns(a_signs, b_signs)
-    best_y, best_count, flips = None, None, 0
-    for restart in range(restarts):
-        if restart == 0:
-            corr = np.einsum(
-                "l,li,lj->ij", answers, a_signs.astype(np.float64), b_signs.astype(np.float64)
-            ) / len(answers)
-            y = (corr > 0.5).astype(np.uint8)
-        else:
-            y = (streams.child("restart", restart).generator().random((n, n)) < 0.5).astype(np.uint8)
-        flat = y.reshape(-1).astype(np.float64)
-        diff = patterns.astype(np.float64) @ flat - answers
-        count = int(np.count_nonzero(np.abs(diff) > tau))
-        for _ in range(max_sweeps):
-            if count <= allowed:
-                break
-            flip_counts = pattern_flip_counts(diff, patterns, flat, tau)
-            best_flip = int(np.argmin(flip_counts))
-            if count - int(flip_counts[best_flip]) < min_improvement:
-                break
-            diff = diff + patterns[:, best_flip] * (1.0 - 2.0 * flat[best_flip])
-            flat[best_flip] = 1.0 - flat[best_flip]
-            count = int(flip_counts[best_flip])
-            flips += 1
-        if best_count is None or count < best_count:
-            best_count, best_y = count, flat.astype(np.uint8).reshape(n, n)
-        if best_count <= allowed:
+    corr = np.einsum(
+        "l,li,lj->ij", answers, a_signs.astype(np.float64), b_signs.astype(np.float64)
+    ) / len(answers)
+    flat = (corr > 0.5).astype(np.float64).reshape(-1)
+    diff = patterns.astype(np.float64) @ flat - answers
+    count, flips = int(np.count_nonzero(np.abs(diff) > tau)), 0
+    for _ in range(max_sweeps):
+        if count <= allowed:
             break
-    return best_y, best_count, flips
+        flip_counts = pattern_flip_counts(diff, patterns, flat, tau)
+        best_flip = int(np.argmin(flip_counts))
+        if count - int(flip_counts[best_flip]) < min_improvement:
+            break
+        diff = diff + patterns[:, best_flip] * (1.0 - 2.0 * flat[best_flip])
+        flat[best_flip] = 1.0 - flat[best_flip]
+        count = int(flip_counts[best_flip])
+        flips += 1
+    return flat.astype(np.uint8).reshape(n, n), count, flips
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -122,14 +112,15 @@ def _answers(mechanism, epsilon, n, k, seed):
 @pytest.mark.parametrize("n", [3, 5, 8])
 def test_hillclimb_matches_pattern_oracle(mechanism, epsilon, n):
     # identity answers: few queries, so the correlation start is off and the
-    # search has to climb
+    # search has to climb; from that start alone a climb often takes no flip
+    # (no seed of the first four at n = 8), so eight seeds are compared
     k = {0.05: 20000, 2.0: 4000, None: 2 * n * n}[epsilon]
     tau = accuracy_threshold(n, GAMMA)
     allowed = disagreement_budget(k, GAMMA)
     flips = 0
-    for seed in range(4):
+    for seed in range(8):
         answers, a, b = _answers(mechanism, epsilon, n, k, 310 + seed)
-        args = (answers, a, b, n, tau, allowed, Streams(320 + seed), 2, 4 * n * n, max(1, k // 20000))
+        args = (answers, a, b, n, tau, allowed, 4 * n * n, max(1, k // 20000))
         y, count = _hillclimb_search(*args)
         want_y, want_count, taken = pattern_hillclimb(*args)
         assert np.array_equal(y, want_y) and y.dtype == want_y.dtype
@@ -157,7 +148,7 @@ def test_blocked_sweeps_match_pattern_oracle_at_any_block_size(block, monkeypatc
         assert np.array_equal(_flip_counts(diff, a, b, flat, tau, dtype), want)
     for mechanism, epsilon, k in (("identity", None, 2 * n * n), ("rr", 2.0, 700)):
         answers, a, b = _answers(mechanism, epsilon, n, k, 342)
-        args = (answers, a, b, n, tau, disagreement_budget(k, GAMMA), Streams(343), 2, 4 * n * n, 1)
+        args = (answers, a, b, n, tau, disagreement_budget(k, GAMMA), 4 * n * n, 1)
         y, count = _hillclimb_search(*args)
         want_y, want_count, taken = pattern_hillclimb(*args)
         assert np.array_equal(y, want_y) and count == want_count
