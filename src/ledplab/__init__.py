@@ -8,8 +8,8 @@ exact brute-force oracles.
 
 __version__ = "0.1.0"
 
-from ledplab.graphs import Graph, VertexPartition
+from ledplab.graphs import Graph
 from ledplab.ledp import PrivacyParams, Transcript
 from ledplab.rng import Streams
 
-__all__ = ["Graph", "VertexPartition", "PrivacyParams", "Transcript", "Streams", "__version__"]
+__all__ = ["Graph", "PrivacyParams", "Transcript", "Streams", "__version__"]

@@ -33,7 +33,6 @@ __all__ = [
     "tail_counts",
     "tail_probability_exhaustive",
     "tail_probability_mc",
-    "tail_row",
     "tail_report",
     "ENUMERATION_MAX_N",
 ]
@@ -214,11 +213,6 @@ def _tail_rows(entries, gamma, mc_streams, mc_samples, signs=None) -> list[dict]
     return [{"n": n, "m": m, "gamma": gamma, "threshold": threshold, "tail": tail, "tail_mode": mode,
              "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth), "fourth_bound": 9.0 * n**4}
             for m, threshold, tail, fourth in zip(ms, thresholds, tails, fourth_moments(entries).tolist())]
-
-
-def tail_row(m: DiffMatrix, gamma: float, streams: Streams, mc_samples: int = 20000) -> dict:
-    """Observed tail at sqrt(m)/2 vs the gamma^2/16 bound, for one matrix."""
-    return _tail_rows(m.entries[None], gamma, [streams], mc_samples)[0]
 
 
 def tail_report(

@@ -48,12 +48,12 @@ product scores all n^2 flips. Only the queries with P_l != M_l, those a
 flip can carry across tau, have a nonzero weight, so only they enter it.
 Its entries and partial sums are integers of magnitude at most k, and
 those of the start residuals a_l^T Y b_l at most n^2, so BLAS computes
-both exactly in any order: in float32 while k and n^2 are below 2^24, in
-float64 above. Both products read the int8 signs QUERY_BLOCK queries at
-a time, cast to that float as each block is used, and sum their blocks;
-the search holds no (k, n) float copy of the signs. And r_l +- 1.0 is
-the float operation a pattern matrix would do, so the counts match a
-pattern-matrix sweep bit for bit.
+both exactly in any order at graphs.exact_float(max(k, n^2)): in float32
+while k and n^2 are below 2^24, in float64 above. Both products read the
+int8 signs QUERY_BLOCK queries at a time, cast to that float as each
+block is used, and sum their blocks; the search holds no (k, n) float
+copy of the signs. And r_l +- 1.0 is the float operation a pattern
+matrix would do, so the counts match a pattern-matrix sweep bit for bit.
 
 The hill-climb climbs once, from y_ij = [S_ij > k/2] with
 S = A^T diag(answers) B, decided exactly, and draws nothing: its dataset
@@ -78,7 +78,7 @@ import numpy as np
 
 from ledplab import parallel
 from ledplab.estimator import released_estimates, triangle_mix
-from ledplab.graphs import Graph, VertexPartition, checked_bits, count_dtype, graph_stats
+from ledplab.graphs import Graph, checked_bits, count_dtype, exact_float, graph_stats
 from ledplab.ledp import (
     IdentityRelease,
     PrivacyParams,
@@ -241,22 +241,16 @@ def split_outer_product(q: OuterProductQuery):
     )
 
 
-def build_secret_graph(x) -> tuple[Graph, VertexPartition]:
-    """Bipartite embedding of the dataset; the W block stays isolated."""
+def build_secret_graph(x) -> tuple[Graph, dict[str, tuple[int, ...]]]:
+    """Bipartite embedding of the dataset, with its vertex blocks by label;
+    the W block stays isolated."""
     x = _as_bits(x)
     n = x.shape[0]
     a = np.zeros((3 * n, 3 * n), dtype=np.uint8)
     a[:n, n : 2 * n] = x
     a[n : 2 * n, :n] = x.T
-    partition = VertexPartition(
-        parts=(
-            tuple(range(n)),
-            tuple(range(n, 2 * n)),
-            tuple(range(2 * n, 3 * n)),
-        ),
-        labels=("U1", "U2", "W"),
-    )
-    return Graph(a), partition
+    parts = {"U1": tuple(range(n)), "U2": tuple(range(n, 2 * n)), "W": tuple(range(2 * n, 3 * n))}
+    return Graph(a), parts
 
 
 def build_query_graph(x, q: SubmatrixQuery) -> Graph:
@@ -603,11 +597,10 @@ def sample_query_signs(n: int, k: int, streams: Streams) -> tuple[np.ndarray, np
 
 def _bilinear(a_signs, m: np.ndarray, b_signs) -> np.ndarray:
     """a_l^T m b_l for each query l as float64, from products of QUERY_BLOCK
-    queries in float32 while sum |m| < 2^24, else in float64; exact for
-    integer m, whose every partial sum is an integer <= sum |m|, while that
-    is below 2^53."""
+    queries at exact_float(sum |m|); exact for integer m, whose every
+    partial sum is an integer <= sum |m|, while that is below 2^53."""
     out = np.empty(len(a_signs))
-    dtype = np.float32 if np.abs(m).sum() < 1 << 24 else np.float64
+    dtype = exact_float(np.abs(m).sum())
     m = m.astype(dtype)
     ones = np.ones(m.shape[1], dtype)
     for lo in range(0, len(out), QUERY_BLOCK):
@@ -756,13 +749,6 @@ def _correlation_start(answers, a_signs, b_signs) -> np.ndarray:
     return y
 
 
-def _sweep_dtype(k: int, n: int):
-    """float32 while k < 2^24 and n^2 < 2^24, else float64: the narrowest
-    float in which the hill-climb's products are exact integers, the flip
-    product's partial sums being at most k and a residual's at most n^2."""
-    return np.float32 if max(k, n * n) < 1 << 24 else np.float64
-
-
 def _inaccurate(diff, tau) -> int:
     """How many residuals exceed tau in size, counted QUERY_BLOCK at a time."""
     blocks = range(0, len(diff), QUERY_BLOCK)
@@ -801,7 +787,7 @@ def _hillclimb_search(answers, a_signs, b_signs, n, tau, allowed, max_sweeps, mi
     flip a sweep until the dataset is feasible or no flip gains
     min_improvement; returns the dataset and its inaccurate count."""
     flat = _correlation_start(answers, a_signs, b_signs).reshape(-1).astype(np.float64)
-    dtype = _sweep_dtype(len(answers), n)
+    dtype = exact_float(max(len(answers), n * n))  # k bounds a flip product's partial sums, n^2 a residual's
     diff = _bilinear(a_signs, flat.reshape(n, n), b_signs)
     diff -= answers
     count = _inaccurate(diff, tau)

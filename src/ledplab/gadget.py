@@ -13,7 +13,7 @@ import numpy as np
 
 from ledplab import ledp
 from ledplab.estimator import rescaled_atoms, sample_estimates
-from ledplab.graphs import Graph, VertexPartition, checked_bits, graph_stats
+from ledplab.graphs import Graph, checked_bits, graph_stats
 from ledplab.ledp import randomized_rows
 from ledplab.rng import Streams
 
@@ -33,8 +33,9 @@ def _as_bit_vector(x) -> np.ndarray:
     return checked_bits(x, "input")
 
 
-def build_sum_gadget(x) -> tuple[Graph, VertexPartition]:
-    """Gadget graph on 3n vertices whose triangle count is sum(x) * n.
+def build_sum_gadget(x) -> tuple[Graph, dict[str, tuple[int, ...]]]:
+    """Gadget graph on 3n vertices whose triangle count is sum(x) * n,
+    with its vertex parts by label.
 
     Vertices [0, n) form the public part V1; party i owns the matched
     pair (n + 2i, n + 2i + 1) inside V2 = [n, 3n). V1 x V2 is complete
@@ -50,11 +51,7 @@ def build_sum_gadget(x) -> tuple[Graph, VertexPartition]:
             u, v = n + 2 * i, n + 2 * i + 1
             a[u, v] = 1
             a[v, u] = 1
-    partition = VertexPartition(
-        parts=(tuple(range(n)), tuple(range(n, 3 * n))),
-        labels=("V1", "V2"),
-    )
-    return Graph(a), partition
+    return Graph(a), {"V1": tuple(range(n)), "V2": tuple(range(n, 3 * n))}
 
 
 def sample_sum_baseline(x, epsilon: float, trials: int, streams: Streams) -> np.ndarray:
@@ -91,9 +88,10 @@ def sample_sum_via_triangles(x, epsilon: float, trials: int, streams: Streams) -
 
 def fit_log_log_exponent(ns, errors) -> float:
     """Least-squares slope of log(error) against log(n); NaN when an error
-    is not positive, so has no log."""
+    is not positive, so has no log, or when ns holds fewer than two
+    distinct sizes, so the slope is undefined."""
     errors = np.asarray(errors, dtype=np.float64)
-    if not np.all(errors > 0):
+    if not np.all(errors > 0) or len(set(ns)) < 2:
         return float("nan")
     return float(np.polyfit(np.log(np.asarray(ns, dtype=np.float64)), np.log(errors), 1)[0])
 
@@ -136,7 +134,7 @@ def sum_error_scaling(
     """
     rows = [sum_error_row(n, epsilon, trials, streams, triangle_trials) for n in ns]
     errors = [row["mean_abs_error_baseline"] for row in rows]
-    exponent = fit_log_log_exponent(ns, errors) if len(ns) >= 2 else float("nan")
+    exponent = fit_log_log_exponent(ns, errors)
     for row in rows:
         row["fitted_exponent"] = exponent
     return rows, exponent

@@ -28,15 +28,14 @@ W and T as graph_stats of the (n, n) adjacency.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 __all__ = [
     "Graph",
-    "VertexPartition",
     "checked_bits",
+    "exact_float",
     "count_dtype",
     "graph_stats",
     "gather_map",
@@ -118,38 +117,22 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
 
-    def __hash__(self):
-        return hash((self.n, self.adjacency.tobytes()))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint labeled vertex groups covering a prefix or all of [n]."""
-
-    parts: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.labels):
-            raise ValueError("one label per part required")
-        seen: set[int] = set()
-        for part in self.parts:
-            overlap = seen.intersection(part)
-            if overlap:
-                raise ValueError(f"parts must be disjoint, repeated vertices {sorted(overlap)}")
-            seen.update(part)
-
-    def part(self, label: str) -> tuple[int, ...]:
-        return self.parts[self.labels.index(label)]
+def exact_float(bound: int):
+    """float32 while bound < 2^24, else float64: the narrowest float that
+    holds every integer up to bound, so a kernel whose partial sums are
+    integers of size at most bound is exact in it in any BLAS order. Every
+    kernel's float is chosen here."""
+    return np.float32 if bound < 1 << 24 else np.float64
 
 
 def count_dtype(n: int):
-    """float32 while n(n-1)(n-2) < 2^24 (n <= 257), else float64: the
-    narrowest float that holds every partial sum of graph_stats exactly."""
-    return np.float32 if n * (n - 1) * (n - 2) < 1 << 24 else np.float64
+    """exact_float of n(n-1)(n-2), the bound on every partial sum of
+    graph_stats: float32 up to n = 257, else float64."""
+    return exact_float(n * (n - 1) * (n - 2))
 
 
 def graph_stats(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -134,8 +134,8 @@ def test_build_secret_graph_layout():
     g, part = build_secret_graph(np.eye(2, dtype=np.uint8))
     assert g.n == 6
     assert sorted(g.edges()) == [(0, 2), (1, 3)]
-    assert part.labels == ("U1", "U2", "W")
-    assert part.part("W") == (4, 5)
+    assert tuple(part) == ("U1", "U2", "W")
+    assert part["W"] == (4, 5)
     empty, _ = build_secret_graph(np.zeros((3, 3), dtype=np.uint8))
     assert empty.edge_count() == 0
 

@@ -489,6 +489,21 @@ def test_module_entry_point(workdir):
     assert "T = 4, S = 2, n = 2" in result.stdout
 
 
+def test_import_leaves_numpy_random_and_futures_unloaded(workdir):
+    # ledplab.seeding derives streams without numpy.random, and
+    # parallel_map imports its executor only when it runs blocks on threads
+    code = (
+        "import sys\n"
+        "import ledplab.cli, ledplab.attack, ledplab.anticoncentration, ledplab.estimator, ledplab.gadget\n"
+        "print(sorted({'numpy.random', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=workdir, env=_child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 # A child's ru_maxrss also counts its parent's peak memory up to the
 # child's exec, which for the test process can be hundreds of MB. So the
 # measured command runs as a grandchild of this small launcher, which

@@ -61,9 +61,9 @@ def test_gadget_bits_checked_before_narrowing(bad):
 def test_gadget_partition_layout():
     x = np.array([1, 1], dtype=np.uint8)
     g, part = build_sum_gadget(x)
-    assert part.labels == ("V1", "V2")
-    assert part.part("V1") == (0, 1)
-    assert part.part("V2") == (2, 3, 4, 5)
+    assert tuple(part) == ("V1", "V2")
+    assert part["V1"] == (0, 1)
+    assert part["V2"] == (2, 3, 4, 5)
     # matched pair of party 0 is (n+0, n+1) = (2, 3)
     assert g.has_edge(2, 3)
     assert g.has_edge(4, 5)
@@ -74,8 +74,8 @@ def test_every_triangle_uses_a_matching_edge():
     for n in (3, 4, 5, 6):
         x = (gen.random(n) < 0.5).astype(np.uint8)
         g, part = build_sum_gadget(x)
-        v1 = set(part.part("V1"))
-        v2 = set(part.part("V2"))
+        v1 = set(part["V1"])
+        v2 = set(part["V2"])
         for tri in triangles_per_triple(g):
             in_v2 = [v for v in tri if v in v2]
             assert len(in_v2) == 2
@@ -218,6 +218,14 @@ def test_fit_log_log_exponent_zero_error_is_nan_without_warning():
         warnings.simplefilter("error")
         assert math.isnan(fit_log_log_exponent(ns, [0.0, 1.0, 2.0]))
         assert math.isnan(fit_log_log_exponent([8, 16], [0.0, 0.0]))
+
+
+def test_fit_log_log_exponent_one_distinct_size_is_nan_without_warning():
+    # a log-log slope over a single n is undefined, repeated or not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(fit_log_log_exponent([64, 64], [1.0, 2.0]))
+        assert math.isnan(fit_log_log_exponent([64], [1.0]))
 
 
 def test_sum_error_scaling_rows():

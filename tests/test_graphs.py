@@ -26,6 +26,7 @@ from ledplab.graphs import (
     path_graph,
     star_graph,
 )
+from ledplab.graphs import _graph_from_lines
 from ledplab.rng import Streams
 
 
@@ -222,6 +223,71 @@ def test_text_format_load_errors():
         graph_from_text("3\n0 1 2\n")
     with pytest.raises(GraphFormatError):
         graph_from_text("x\n")
+
+
+def _edit_line(lines, draw, edit):
+    """lines with the line of a drawn index passed through edit."""
+    k = draw(st.integers(0, len(lines) - 1))
+    return lines[:k] + [edit(lines[k])] + lines[k + 1 :]
+
+
+@st.composite
+def edited_graph_texts(draw):
+    """graph_to_text of a random graph on at most 9 vertices, with one edit
+    that either reader may accept or reject, and a vertex limit."""
+    n = draw(st.integers(1, 9))
+    bits = draw(st.lists(st.booleans(), min_size=comb(n, 2), max_size=comb(n, 2)))
+    a = np.zeros((n, n), dtype=np.uint8)
+    a[np.triu_indices(n, k=1)] = bits
+    lines = graph_to_text(Graph(a + a.T)).splitlines()
+    edges = lines[1:]
+    edit = draw(st.sampled_from([
+        "none", "duplicate", "swap", "self-loop", "out-of-range", "zero-n", "crlf",
+        "blank-line", "blank-runs", "plus", "leading-zero", "third-field", "no-count",
+    ]))
+    if edit == "duplicate" and edges:
+        lines.append(draw(st.sampled_from(edges)))
+    elif edit == "swap" and edges:
+        lines = [lines[0]] + _edit_line(edges, draw, lambda ln: " ".join(ln.split()[::-1]))
+    elif edit == "self-loop":
+        v = draw(st.integers(0, n - 1))
+        lines.append(f"{v} {v}")
+    elif edit == "out-of-range":
+        lines.append(f"{draw(st.integers(0, n - 1))} {draw(st.integers(n, n + 2))}")
+    elif edit == "zero-n":
+        lines[0] = "0"
+    elif edit == "blank-line":
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
+    elif edit == "blank-runs":
+        lines = _edit_line(lines, draw, lambda ln: f" {ln.replace(' ', '  ')} ")
+    elif edit == "plus":
+        lines = _edit_line(lines, draw, lambda ln: "+" + ln)
+    elif edit == "leading-zero":
+        lines = _edit_line(lines, draw, lambda ln: "0" + ln)
+    elif edit == "third-field" and edges:
+        lines = [lines[0]] + _edit_line(edges, draw, lambda ln: ln + " 0")
+    elif edit == "no-count":
+        lines = lines[1:]
+    text = "\r\n".join(lines) + "\r\n" if edit == "crlf" else "\n".join(lines) + "\n"
+    return text, draw(st.one_of(st.none(), st.integers(0, 10)))
+
+
+def _read(reader, text, max_n):
+    """Adjacency bytes of reader's graph, or its GraphFormatError message."""
+    try:
+        return reader(text, max_n).adjacency.tobytes()
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edited_graph_texts())
+def test_one_pass_reader_agrees_with_line_reader(case):
+    # graph_from_text's one-pass path accepts only what the line reader
+    # accepts, and gives the same graph; anything else it hands over
+    text, max_n = case
+    assert _read(graph_from_text, text, max_n) == _read(_graph_from_lines, text, max_n)
 
 
 def test_adjacency_is_immutable():

@@ -16,12 +16,12 @@ from ledplab.attack import (
     _flip_counts,
     _hillclimb_search,
     _inaccurate_counts_for_candidates,
-    _sweep_dtype,
     accuracy_threshold,
     disagreement_budget,
     mechanism_components,
     sample_query_signs,
 )
+from ledplab.graphs import exact_float
 from ledplab.rng import Streams
 
 GAMMA = 1.0 / 9.0
@@ -97,8 +97,8 @@ def test_flip_counts_match_pattern_oracle_at_threshold_edges(n):
     ],
 )
 def test_sweep_dtype_switches_at_2_pow_24(k, n, dtype):
-    # chosen from (k, n) alone, so no k rows are allocated
-    assert _sweep_dtype(k, n) is dtype
+    # the hill-climb's float, chosen from (k, n) alone, so no k rows are allocated
+    assert exact_float(max(k, n * n)) is dtype
 
 
 def _answers(mechanism, epsilon, n, k, seed):
