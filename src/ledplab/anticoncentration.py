@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from ledplab.attack import _bilinear, _ternary_matrix, sample_query_signs
+from ledplab.graphs import exact_float
 from ledplab.rng import Streams
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "tail_counts",
     "tail_probability_exhaustive",
     "tail_probability_mc",
+    "tail_row",
     "tail_report",
     "ENUMERATION_MAX_N",
 ]
@@ -150,13 +152,14 @@ def tail_counts(entries: np.ndarray, thresholds, signs: np.ndarray | None = None
     4^n pairs. `signs` is _all_sign_vectors(n) in float32, built once by a
     caller that counts many batches. Two stacked float32 products, the
     half sign table times the entries times the full one, are exact: every
-    partial sum is an integer of magnitude at most n^2 < 2^24, in any BLAS
-    order. They are taken in blocks of sign rows of at most TAIL_BYTES.
+    partial sum is an integer of magnitude at most n^2, and exact_float(n^2)
+    is float32. They are taken in blocks of sign rows of at most TAIL_BYTES.
     Padding a matrix with k zero rows and columns multiplies its count by 4^k."""
     e = np.asarray(entries)
     batch, n, _ = e.shape
     if n > ENUMERATION_MAX_N:
         raise ValueError(f"enumeration capped at n={ENUMERATION_MAX_N}, got n={n}")
+    assert exact_float(n * n) is np.float32
     if signs is None:
         signs = _all_sign_vectors(n).astype(np.float32)
     # |U| <= m is an integer, so |U| > threshold iff |U| > floor(min(threshold, m))
@@ -213,6 +216,11 @@ def _tail_rows(entries, gamma, mc_streams, mc_samples, signs=None) -> list[dict]
     return [{"n": n, "m": m, "gamma": gamma, "threshold": threshold, "tail": tail, "tail_mode": mode,
              "lemma_bound": gamma * gamma / 16.0, "fourth_moment": float(fourth), "fourth_bound": 9.0 * n**4}
             for m, threshold, tail, fourth in zip(ms, thresholds, tails, fourth_moments(entries).tolist())]
+
+
+def tail_row(m: DiffMatrix, gamma: float, streams: Streams, mc_samples: int = 20000) -> dict:
+    """Observed tail at sqrt(m)/2 vs the gamma^2/16 bound, for one matrix."""
+    return _tail_rows(m.entries[None], gamma, [streams], mc_samples)[0]
 
 
 def tail_report(

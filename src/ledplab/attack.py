@@ -361,11 +361,10 @@ class _SlotForm:
             [d0.sum(axis=0)[:, None], (d1 - d0).T, incidence.T],
         ])
         dtype = count_dtype(nv)
-        exact = 1 << (np.finfo(dtype).nmant + 1)
         # |F_ab[i, j]| <= 3n - j - 1 caps the first sum for any payloads,
         # at 11.4M < 2^24 for n = 85, the last float32 size
-        assert np.abs(coef[: nu + 1]).sum() + math.comb(n, 3) < exact
-        assert np.abs(coef[nu + 1 :]).sum() < exact
+        for bound in (np.abs(coef[: nu + 1]).sum() + math.comb(n, 3), np.abs(coef[nu + 1 :]).sum()):
+            assert exact_float(bound) in (np.float32, dtype)
         return cls(n, epsilon, coef.astype(dtype))
 
     def layout(self, rows: int) -> dict:

@@ -124,8 +124,9 @@ class Graph:
 def exact_float(bound: int):
     """float32 while bound < 2^24, else float64: the narrowest float that
     holds every integer up to bound, so a kernel whose partial sums are
-    integers of size at most bound is exact in it in any BLAS order. Every
-    kernel's float is chosen here."""
+    integers of size at most bound is exact in it in any BLAS order. The
+    one place 2^24 is written: each exact kernel takes its float from here
+    or checks its fixed float against it."""
     return np.float32 if bound < 1 << 24 else np.float64
 
 

@@ -97,8 +97,39 @@ def test_flip_counts_match_pattern_oracle_at_threshold_edges(n):
     ],
 )
 def test_sweep_dtype_switches_at_2_pow_24(k, n, dtype):
-    # the hill-climb's float, chosen from (k, n) alone, so no k rows are allocated
+    # exact_float at the hill-climb's bound max(k, n^2), which the test below
+    # pins in _hillclimb_search: it switches at 2^24 in either term
     assert exact_float(max(k, n * n)) is dtype
+
+
+@pytest.mark.parametrize(
+    "k, n, limit, dtype",
+    [
+        (10, 4, 16, np.float64),  # n^2 = 16 reaches the limit, k = 10 does not
+        (10, 4, 17, np.float32),
+        (10, 2, 10, np.float64),  # k reaches it, n^2 = 4 does not
+        (10, 2, 11, np.float32),
+    ],
+)
+def test_hillclimb_sizes_its_float_by_k_and_n_squared(k, n, limit, dtype, monkeypatch):
+    # exact_float's 2^24 moved down to `limit`: the float the climb hands
+    # _flip_counts must switch where max(k, n^2) reaches it, so a bound of
+    # k alone, n^2 alone or k + n^2 fails a case
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def flip_counts(diff, a_signs, b_signs, flat, tau, dtype):
+        seen.append(dtype)
+        raise Stop
+
+    monkeypatch.setattr(attack, "exact_float", lambda bound: np.float32 if bound < limit else np.float64)
+    monkeypatch.setattr(attack, "_flip_counts", flip_counts)
+    a, b = sample_query_signs(n, k, Streams(350))
+    with pytest.raises(Stop):  # allowed = -1, so the first sweep scores flips
+        _hillclimb_search(np.zeros(k), a, b, n, 0.5, -1, 1, 1)
+    assert seen == [dtype]
 
 
 def _answers(mechanism, epsilon, n, k, seed):
