@@ -30,7 +30,11 @@ and w its fresh public-pair bits. Triangles come in three kinds:
 - i secret, j < k public: r_ij r_ik comes from row i, so the triangle
   adds (h0 + dH^T s) . w, where h0[jk] = sum_i r0_ij r0_ik and
   dH[i, jk] = r1_ij r1_ik - r0_ij r0_ik.
-- all public: t_WWW(w), the public block's triangle count.
+- all public: t_WWW(w), the public block's triangle count. With each
+  public pair's bits packed 8 slots a byte, a chunk of triangles gathers
+  and ANDs the rows of its three pairs, and the ANDed bits are summed per
+  slot in 4-bit lanes (`_public_triangles`), in the workspace bytes of
+  the operand x once T's first term is taken.
 
 Degrees are linear in (s, w): row v adds its bits to the degrees of
 their columns and their count to v's, and each public pair adds one to
@@ -70,6 +74,7 @@ count, block size or CPU.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -135,9 +140,17 @@ SPAN_BLOCKS = 4
 # whole bytes and the recorded payload does not depend on the block size.
 ANSWER_BLOCK = 2728
 
+# Groups of up to 15 public triangles, the most a 4-bit lane counts, that
+# one chunk of `_public_triangles` takes: a chunk's count of a slot, at most
+# 120, fits a byte, and its shifted planes (480 KiB at the full block) stay
+# in cache.
+TRIANGLE_GROUPS = 8
+_NIBBLE_SHIFTS = np.arange(4, dtype=np.uint64)[:, None]
+_NIBBLE_BIT = np.uint64(0x1111111111111111)  # bit 0 of each 4-bit lane
+
 # Bytes of answer workspaces live at once. The answer threads are the
 # fewest of the usable CPUs per BLAS thread, the blocks and the workspaces
-# this budget holds (at least one). A workspace is 4.1 MiB at n = 8,
+# this budget holds (at least one). A workspace is 4.0 MiB at n = 8,
 # 11 MiB at n = 16 and 34 MiB at n = 32; from n = 31 the blocks run one at
 # a time, and from n = 47 one workspace is over the budget. It also bounds
 # what a process keeps between calls: the workspaces of a call within it
@@ -372,7 +385,8 @@ class _SlotForm:
         slots: the public bits, one row a slot as
         `ledplab.ledp.bernoulli_rows` fills them; then one column a slot,
         the selections and bits as uint8, the operand x, the product
-        coef @ x, d - 1, and one run of public pairs."""
+        coef @ x and d - 1. Once T's first term is taken, the bytes of x
+        are the public-triangle count's scratch."""
         pairs = self.n * (self.n - 1) // 2
         dtype = self.coef.dtype
         return {
@@ -381,7 +395,6 @@ class _SlotForm:
             "x": ((self.coef.shape[1], rows), dtype),
             "product": ((self.coef.shape[0], rows), dtype),
             "dm1": ((3 * self.n, rows), dtype),
-            "run": ((self.n, rows), np.uint8),
         }
 
     def block_sums(self, ws: dict, rows: int) -> np.ndarray:
@@ -394,28 +407,83 @@ class _SlotForm:
         g = np.matmul(self.coef, x, out=ws["product"][:, :rows])
         deg, dm1 = g[nu:], ws["dm1"][:, :rows]
         t = np.einsum("ib,ib->b", g[:nu], x[:nu]).astype(np.int64)
-        t += self._public_triangles(sw[nu - 1 :], ws["run"][:, :rows])
+        t += _public_triangles(self.n, sw[nu - 1 :], ws["x"].reshape(-1).view(np.uint8))
         m = deg.sum(axis=0).astype(np.int64) // 2
         wedges = np.einsum("ib,ib->b", deg, np.subtract(deg, 1, out=dm1)).astype(np.int64) // 2
         return triangle_mix(m, wedges, t, nv, self.epsilon)
 
-    def _public_triangles(self, wt: np.ndarray, run: np.ndarray) -> np.ndarray:
-        """t_WWW per slot from (n(n-1)/2, B) public bits: triangles a < b < c
-        count w_ab times the AND of the pairs (a, c > b) and (b, c > b), each
-        a contiguous run in triu order."""
-        n = self.n
-        first = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # index of pair (v, v + 1)
-        common_dtype = np.min_scalar_type(n)  # a run's sum is at most n - 2
-        t = np.zeros(wt.shape[1], dtype=np.min_scalar_type(math.comb(n, 3)))
-        for a in range(n - 2):
-            for b in range(a + 1, n - 1):
-                ab = first[a] + b - a - 1
-                both = np.bitwise_and(
-                    wt[ab + 1 : first[a + 1]], wt[first[b] : first[b + 1]], out=run[: n - b - 1]
-                )
-                common = both.sum(axis=0, dtype=common_dtype)
-                t += np.multiply(common, wt[ab], out=common)
-        return t
+
+@functools.lru_cache(maxsize=8)
+def _triangle_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each pair's triangles start, and the offsets that take a
+    triangle's rank to its pairs ac and bc, for triangles a < b < c in
+    lexicographic order and pairs in triu order.
+
+    Triangle r of pair p = (a, b) has c = b + 1 + r - start[p], so its pair
+    ac is p + 1 + r - start[p] and its pair bc is f_b + r - start[p], where
+    pair f_b is (b, b + 1). Returns start[1:], which a rank is searched in
+    for its pair ab, and the (2, n(n-1)/2) offsets, both read-only.
+    """
+    lo, hi = np.triu_indices(n, k=1)
+    runs = n - 1 - hi
+    start = np.cumsum(runs) - runs
+    offset = np.stack((np.arange(len(lo)) + 1 - start, np.searchsorted(lo, hi) - start))
+    ends = start[1:]
+    for table in (ends, offset):
+        table.setflags(write=False)
+    return ends, offset
+
+
+def _public_triangles(n: int, wt: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """t_WWW per slot from the (n(n-1)/2, B) 0/1 public bits wt, pair-major
+    in triu order, worked in the uint8 buffer scratch.
+
+    Each pair's row is packed 8 slots a byte, slot 8j + i at bit i of byte
+    j. A chunk of triangles a < b < c, in lexicographic order, gathers the
+    packed rows of its pairs ab, ac and bc and ANDs them: bit i of byte j is
+    then 1 where the triangle is in slot 8j + i's public graph. Shifting
+    those bytes right by k < 4 as 64-bit words, which carries bits into a
+    byte only above its bit 4, and keeping bit 0 of each 4-bit lane leaves
+    bit k of each byte in its low lane and bit k + 4 in its high one. A
+    group of up to 15 such rows sums within its lanes, and the groups' low
+    and high lanes sum over a chunk of TRIANGLE_GROUPS groups within a
+    byte. So a chunk takes a fixed number of calls, each over the whole
+    chunk, in place of the C(n - 1, 2) pairs' calls of a loop.
+    """
+    pairs, b = wt.shape
+    width, total = -(-b // 8), math.comb(n, 3)
+    packed = np.packbits(wt, axis=1, bitorder="little")
+    ends, offset = _triangle_ranks(n)
+    buf = scratch[: len(scratch) // 8 * 8]
+    # c triangles take 3 c width bytes gathered, then 4 planes of c width
+    # bytes in whole words
+    cap = len(buf) // (7 * width + 64)
+    group = max(1, min(15, cap, total))
+    chunk = group * max(1, min(TRIANGLE_GROUPS, -(-total // group), cap // group))
+    assert chunk <= cap or total == 0, f"{len(scratch)} scratch bytes hold no triangle"
+    rows = buf[: 3 * chunk * width].reshape(3 * chunk, width)
+    lanes = buf[len(buf) - 32 * -(-chunk * width // 8) :].view(np.uint64).reshape(4, -1)
+    counts = np.zeros((8, width), dtype=np.min_scalar_type(total))  # [bit i, byte j]
+    for r0 in range(0, total, chunk):
+        rank = np.arange(r0, min(r0 + chunk, total))
+        c, whole = len(rank), -(-len(rank) // group) * group
+        ab = np.searchsorted(ends, rank, side="right")
+        # rows [0, c) for pairs ab, [chunk, chunk + 2c) for ac then bc; the
+        # indices are in range, and "clip" skips numpy's slower checked gather
+        np.take(packed, ab, axis=0, out=rows[:c], mode="clip")
+        acbc = (offset[:, ab] + rank).reshape(-1)
+        np.take(packed, acbc, axis=0, out=rows[chunk : chunk + 2 * c], mode="clip")
+        both = np.bitwise_and(rows[:c], rows[chunk : chunk + c], out=rows[:c])
+        np.bitwise_and(both, rows[chunk + c : chunk + 2 * c], out=both)
+        rows[c:whole] = 0  # the last group's missing triangles
+        words = -(-whole * width // 8)
+        np.right_shift(buf[: 8 * words].view(np.uint64), _NIBBLE_SHIFTS, out=lanes[:, :words])
+        np.bitwise_and(lanes[:, :words], _NIBBLE_BIT, out=lanes[:, :words])
+        planes = lanes.view(np.uint8)[:, : whole * width].reshape(4, -1, group, width)
+        sums = np.add.reduce(planes, axis=2, dtype=np.uint8)  # [bit k, group, byte j], 4-bit lanes
+        counts[:4] += np.add.reduce(sums & 15, axis=1, dtype=np.uint8)
+        counts[4:] += np.add.reduce(sums >> 4, axis=1, dtype=np.uint8)
+    return counts.T.reshape(-1)[:b]
 
 
 class GrayBox:
@@ -538,7 +606,6 @@ class GrayBox:
             rows = 3 * (q1 - q0)
             w_bits, sw = ws["bits"][:rows], ws["sw"][:, :rows]
             bernoulli_rows(p_flip, gen, ties, 3 * q0, w_bits)
-            packed = np.packbits(w_bits, axis=None)
             sw[2 * n :] = w_bits.T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
             # then [a = -1] and [b = -1], then all ones
@@ -548,7 +615,12 @@ class GrayBox:
             sw[: 2 * n, 2::3] = 1
             s = self._form.block_sums(ws, rows) / n
             answers[q0:q1] = 2.0 * (s[0::3] + s[1::3]) - s[2::3]
-            return packed
+            # packed last, so the kept payload takes the heap chunk that the
+            # block's public-triangle count freed, of the same size at a
+            # full block, and kept payloads do not strand freed chunks
+            # between them: packed first, a two-thread answer at n = 8 and
+            # the paper's k left 3-5 MB more resident
+            return np.packbits(w_bits, axis=None)
 
         keep = threads * size <= WORKSPACE_BYTES
         return answers, parallel.parallel_map(answer_block, items, layout, threads, keep)

@@ -131,9 +131,10 @@ class Opt:
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its options, output formats (the first is the
-    default), CSV columns and run function. `run(cfg, given)` takes the
-    checked values and the values as given, and returns (exit status,
-    JSON payload, CSV rows, summary line)."""
+    default, unless the --output suffix names another), CSV columns and
+    run function. `run(cfg, given)` takes the checked values and the
+    values as given, and returns (exit status, JSON payload, CSV rows,
+    summary line)."""
 
     name: str
     help: str
@@ -147,7 +148,9 @@ def _common_options(formats: tuple) -> tuple:
     return (
         Opt("seed", ("--seed",), int, DEFAULT_SEED, "master seed", low=0),
         Opt("output", ("--output",), str, None, "output file path (default <command>.<format>)"),
-        Opt("format", ("--format",), str, formats[0], "output format", choices=formats),
+        Opt("format", ("--format",), str, formats[0],
+            "output format; if not given, the --output suffix when it is one of the choices",
+            choices=formats),
         Opt("workers", ("--workers",), int, None,
             "accepted but has no effect: every run is one process "
             "(default $LEDPLAB_WORKERS or 1)", low=1),
@@ -240,8 +243,10 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve(spec: Command, args: argparse.Namespace) -> tuple[dict, dict]:
-    """Config file first, command-line flags over it, defaults last; then
-    every value is checked. Returns (checked values, values as given)."""
+    """Config file first, command-line flags over it, defaults last, where
+    the format's default is the --output suffix when that is one of the
+    command's formats; then every value is checked. Returns (checked
+    values, values as given)."""
     options = _common_options(spec.formats) + spec.options
     # a config key is an option's key or any of its flag names
     keys = {f.lstrip("-").replace("-", "_"): opt.key for opt in options for f in opt.flags}
@@ -257,6 +262,9 @@ def _resolve(spec: Command, args: argparse.Namespace) -> tuple[dict, dict]:
         raise UsageError(f"{sorted(unknown)[0]}: unknown configuration key")
     if given.get("workers") is None:
         given["workers"] = os.environ.get("LEDPLAB_WORKERS", "1")
+    suffix = os.path.splitext(str(given.get("output") or ""))[1][1:]
+    if "format" not in given and suffix in spec.formats:
+        given["format"] = suffix
     for opt in options:
         given.setdefault(opt.key, opt.default)
     return {opt.key: _check(opt, given[opt.key]) for opt in options}, given

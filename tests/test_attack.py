@@ -11,10 +11,12 @@ import pytest
 
 from ledplab import parallel
 from ledplab.attack import (
+    ANSWER_BLOCK,
     GrayBox,
     _as_bits,
     _as_signs,
     _correlation_start,
+    _public_triangles,
     OuterProductQuery,
     SubmatrixQuery,
     accuracy_threshold,
@@ -34,7 +36,7 @@ from ledplab.attack import (
     split_outer_product,
     submatrix_answer,
 )
-from ledplab.graphs import count_dtype, count_triangles
+from ledplab.graphs import Graph, count_dtype, count_triangles
 from ledplab.ledp import PrivacyParams, flip_probability
 from ledplab.rng import Streams
 from stream_reference import reference_bits, threshold, tie_count
@@ -309,6 +311,72 @@ def direct_slot_answer(box, sel, w_bits):
     return box.post(box._assemble(sel, [w_matrix[i, i + 1 :] for i in range(n)])) / n
 
 
+def public_graph_triangles(n, wt):
+    """count_triangles of each slot's public graph, from (n(n-1)/2, B) bits
+    in triu order."""
+    upper = np.triu_indices(n, k=1)
+    counts = []
+    for bits in wt.T:
+        adjacency = np.zeros((n, n), dtype=np.uint8)
+        adjacency[upper] = bits
+        counts.append(count_triangles(Graph(adjacency | adjacency.T)))
+    return counts
+
+
+def answer_scratch(n, rows, fill):
+    """The bytes of the operand x in an answer workspace for blocks of
+    `rows` slots, as block_sums hands them to _public_triangles, holding
+    `fill` (a carved workspace is not zeroed)."""
+    box = GrayBox.prepare(np.ones((n, n), dtype=np.uint8), *mechanism_components("rr", 1.0), Streams(331))
+    shape, dtype = box._form.layout(rows)["x"]
+    scratch = np.empty(shape, dtype).reshape(-1).view(np.uint8)
+    scratch[:] = fill
+    return scratch
+
+
+def public_bits(gen, n, width):
+    """Random (n(n-1)/2, width) public bits as a view whose rows are
+    further apart than width, as sw's rows are in a partial block."""
+    return (gen.random((n * (n - 1) // 2, width + 5)) < 0.5).astype(np.uint8)[:, :width]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_public_triangles_match_brute_force(n):
+    # every block width from 1 to 17 slots, so the last packed byte is
+    # part-full, in a full block's scratch; and the one-query block, 3
+    # slots, in a workspace of its own
+    gen = Streams(330).child(n).generator()
+    scratch = answer_scratch(n, 3 * ANSWER_BLOCK, 0xA5)
+    for width in range(1, 18):
+        wt = public_bits(gen, n, width)
+        assert _public_triangles(n, wt, scratch).tolist() == public_graph_triangles(n, wt)
+    wt = public_bits(gen, n, 3)
+    assert _public_triangles(n, wt, answer_scratch(n, 3, 0xFF)).tolist() == public_graph_triangles(n, wt)
+    # complete public graphs fill every 4-bit lane and byte the count sums in
+    complete = np.ones((n * (n - 1) // 2, 17), dtype=np.uint8)
+    assert _public_triangles(n, complete, scratch).tolist() == [math.comb(n, 3)] * 17
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_public_triangles_full_block_match_brute_force(n):
+    # 8,184 slots, every seventh public graph complete; at n = 16 the 560
+    # triangles span five chunks
+    gen = Streams(332).child(n).generator()
+    wt = public_bits(gen, n, 3 * ANSWER_BLOCK)
+    wt[:, ::7] = 1
+    scratch = answer_scratch(n, 3 * ANSWER_BLOCK, 0x5A)
+    assert _public_triangles(n, wt, scratch).tolist() == public_graph_triangles(n, wt)
+
+
+@pytest.mark.parametrize("n, most", [(8, 4_255_872), (16, 11_588_672)])
+def test_answer_workspace_does_not_grow(n, most):
+    # the public-triangle count works in bytes the block already has: the
+    # workspace of a full block stays within its size before that count
+    # went whole-block
+    box = GrayBox.prepare(random_bits(n, Streams(333).generator()), *mechanism_components("rr", 1.0), Streams(334))
+    assert parallel.workspace_bytes(box._form.layout(3 * ANSWER_BLOCK)) <= most
+
+
 def test_rr_batch_matches_single_query_postprocessing():
     # same selection pattern and same public bits must give the same answer,
     # bit for bit, through the integer forms and through direct assembly
@@ -421,7 +489,7 @@ def check_batch_over_blocks_and_threads(monkeypatch, n, seed):
     return runs[0][1]
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 12])
 def test_rr_batch_independent_of_slot_block(monkeypatch, n):
     check_batch_over_blocks_and_threads(monkeypatch, n, 266)
 

@@ -123,6 +123,27 @@ def test_sum_scaling_subcommand(workdir):
     )
 
 
+def test_output_suffix_picks_the_format(workdir):
+    # sum-scaling's first format is csv; a .json output is JSON and a .csv
+    # output is CSV, an explicit --format wins over the suffix, and a
+    # suffix that is no format gives the first format
+    base = ["sum-scaling", "--ns", "64,128", "--trials", "100", "--seed", "4"]
+    header = "n,epsilon,trials,mean_abs_error_baseline,mean_abs_error_via_triangles,fitted_exponent"
+    assert run_cli(*base, "--output", "s.json") == 0
+    assert json.loads((workdir / "s.json").read_text())["command"] == "sum-scaling"
+    assert run_cli(*base, "--output", "s.csv") == 0
+    assert (workdir / "s.csv").read_text().split("\n")[0] == header
+    assert run_cli(*base, "--format", "csv", "--output", "forced.json") == 0
+    assert (workdir / "forced.json").read_text().split("\n")[0] == header
+    assert run_cli(*base, "--format", "json", "--output", "forced.csv") == 0
+    assert json.loads((workdir / "forced.csv").read_text())["command"] == "sum-scaling"
+    assert run_cli(*base, "--output", "s.txt") == 0
+    assert (workdir / "s.txt").read_text().split("\n")[0] == header
+    (workdir / "cfg.json").write_text(json.dumps({"format": "csv"}))
+    assert run_cli(*base, "--config", "cfg.json", "--output", "cfg-out.json") == 0
+    assert (workdir / "cfg-out.json").read_text().split("\n")[0] == header
+
+
 def test_selftest_passes(workdir, capsys):
     assert run_cli("selftest") == 0
     out = capsys.readouterr().out
