@@ -14,13 +14,13 @@ vertices [0, n), columns own [n, 2n), and the public completion block
 W is [2n, 3n).
 
 A randomized-response slot's answer is the estimator's triple-type mix
-(estimator.triangle_mix) of the edges m, wedges W and triangles T of
-its assembled released graph, so batched answers need only those
-integers. Vertex v releases only its pairs (v, j > v), so of the three
-pairs of a triangle i < j < k, two come from row i and one from row j.
-Let r0, r1 be the stored 0/1 rows of the 2n secret vertices (zero
-outside each row's released span), s in {0,1}^(2n) the slot's selection
-and w its fresh public-pair bits. Triangles come in three kinds:
+(estimator.triangle_mix) of sum d, sum d^2 and the triangles T of its
+assembled released graph, so batched answers need only those integers.
+Vertex v releases only its pairs (v, j > v), so of the three pairs of a
+triangle i < j < k, two come from row i and one from row j. Let r0, r1
+be the stored 0/1 rows of the 2n secret vertices (zero outside each
+row's released span), s in {0,1}^(2n) the slot's selection and w its
+fresh public-pair bits. Triangles come in three kinds:
 
 - i, j secret (k anywhere): row i is r_{s_i}, row j is r_{s_j}, and the
   count over k is F_ab[i, j] = r_a[i, j] (r_a r_b^T)[i, j] for a = s_i,
@@ -38,10 +38,10 @@ and w its fresh public-pair bits. Triangles come in three kinds:
 
 Degrees are linear in (s, w): row v adds its bits to the degrees of
 their columns and their count to v's, and each public pair adds one to
-both ends. Then m = sum d / 2 and W = sum d (d - 1) / 2. Every
-coefficient is an integer fixed at prepare time, O(n^2) wide in the
-selection, so the batched answers equal the assembled graph's estimate
-bit for bit.
+both ends; one more row sums them, and m = sum d / 2 and
+W = (sum d^2 - sum d) / 2. Every coefficient is an integer fixed at
+prepare time, O(n^2) wide in the selection, so the batched answers
+equal the assembled graph's estimate bit for bit.
 
 The hill-climb never builds the (k, n^2) sign patterns a_li b_lj. A
 flip of bit ij moves residual r_l = a_l^T Y b_l - answer_l by
@@ -150,12 +150,12 @@ _NIBBLE_BIT = np.uint64(0x1111111111111111)  # bit 0 of each 4-bit lane
 
 # Bytes of answer workspaces live at once. The answer threads are the
 # fewest of the usable CPUs per BLAS thread, the blocks and the workspaces
-# this budget holds (at least one). A workspace is 4.0 MiB at n = 8,
-# 11 MiB at n = 16 and 34 MiB at n = 32; from n = 31 the blocks run one at
-# a time, and from n = 47 one workspace is over the budget. It also bounds
-# what a process keeps between calls: the workspaces of a call within it
-# stay mapped in the shared pool's buffers (`ledplab.parallel`), and one
-# over it is freed after the call.
+# this budget holds (at least one). A workspace is 3.8 MiB at n = 8,
+# 10 MiB at n = 16 and 31 MiB at n = 32; from n = 33 the blocks run one
+# at a time, and from n = 48 one workspace is over the budget. It also
+# bounds what a process keeps between calls: the workspaces of a call
+# within it stay mapped in the shared pool's buffers (`ledplab.parallel`),
+# and one over it is freed after the call.
 WORKSPACE_BYTES = 64 << 20
 
 # Most dataset bits n^2 the exhaustive search enumerates: 2^20 candidates.
@@ -339,17 +339,17 @@ class _SlotForm:
     A slot's operand is x = (s', w): s' = (1, s), its selection after a
     constant 1, then its public-pair bits w in triu order. One product
     coef @ x gives g = Q^T s' + H w, then the 3n degrees d of the slot's
-    assembled graph, so that T = s' . g + t_WWW(w), m = sum d / 2 and
-    W = sum d (d - 1) / 2. Q holds c0 in its first diagonal entry and
-    C + diag(c) after it (s_i^2 = s_i); H stacks h0 over dH. Every entry
-    is an integer and every partial sum stays below the mantissa bound
-    of count_dtype(3n), so the products are exact in any BLAS order. The
-    module docstring derives the terms.
+    assembled graph and sum d, so that T = s' . g + t_WWW(w). Q holds c0
+    in its first diagonal entry and C + diag(c) after it (s_i^2 = s_i);
+    H stacks h0 over dH. Every entry is an integer and every partial
+    sum, and sum d^2, stays below the mantissa bound of count_dtype(3n),
+    so the products are exact in any BLAS order. The module docstring
+    derives the terms.
     """
 
     n: int
     epsilon: float
-    coef: np.ndarray  # (2n + 1 + 3n, 2n + 1 + n(n-1)/2): [Q^T H] over the degree rows
+    coef: np.ndarray  # (2n + 1 + 3n + 1, 2n + 1 + n(n-1)/2): [Q^T H], the degree rows, their sum
 
     @classmethod
     def from_payloads(cls, r0: np.ndarray, r1: np.ndarray, epsilon: float) -> "_SlotForm":
@@ -369,24 +369,23 @@ class _SlotForm:
         d0, d1 = (r + np.eye(nu, nv, dtype=np.int64) * r.sum(axis=1, keepdims=True) for r in rs)
         incidence = np.zeros((len(iu[0]), nv), dtype=np.int64)
         incidence[np.arange(len(iu[0]))[:, None], nu + np.column_stack(iu)] = 1
-        coef = np.block([
-            [q.T, np.vstack((w0.sum(axis=0), w1 - w0))],
-            [d0.sum(axis=0)[:, None], (d1 - d0).T, incidence.T],
-        ])
+        qh = np.hstack((q.T, np.vstack((w0.sum(axis=0), w1 - w0))))
+        degrees = np.hstack((d0.sum(axis=0)[:, None], (d1 - d0).T, incidence.T))
         dtype = count_dtype(nv)
         # |F_ab[i, j]| <= 3n - j - 1 caps the first sum for any payloads,
-        # at 11.4M < 2^24 for n = 85, the last float32 size
-        for bound in (np.abs(coef[: nu + 1]).sum() + math.comb(n, 3), np.abs(coef[nu + 1 :]).sum()):
+        # at 11.4M < 2^24 for n = 85, the last float32 size; the second caps
+        # each degree and sum d, and the third sum d^2, 16.45M there
+        for bound in (np.abs(qh).sum() + math.comb(n, 3), np.abs(degrees).sum(), nv * (nv - 1) ** 2):
             assert exact_float(bound) in (np.float32, dtype)
-        return cls(n, epsilon, coef.astype(dtype))
+        return cls(n, epsilon, np.vstack((qh, degrees, degrees.sum(axis=0))).astype(dtype))
 
     def layout(self, rows: int) -> dict:
         """Workspace layout (`ledplab.parallel`) for blocks of up to `rows`
         slots: the public bits, one row a slot as
         `ledplab.ledp.bernoulli_rows` fills them; then one column a slot,
         the selections and bits as uint8, the operand x, the product
-        coef @ x and d - 1. Once T's first term is taken, the bytes of x
-        are the public-triangle count's scratch."""
+        coef @ x, and triangle_mix's counts and types. Once T's first term
+        is taken, the bytes of x are the public-triangle count's scratch."""
         pairs = self.n * (self.n - 1) // 2
         dtype = self.coef.dtype
         return {
@@ -394,44 +393,49 @@ class _SlotForm:
             "sw": ((2 * self.n + pairs, rows), np.uint8),
             "x": ((self.coef.shape[1], rows), dtype),
             "product": ((self.coef.shape[0], rows), dtype),
-            "dm1": ((3 * self.n, rows), dtype),
+            "counts": ((4, rows), np.float64),
+            "types": ((4, rows), np.float64),
         }
 
     def block_sums(self, ws: dict, rows: int) -> np.ndarray:
         """Triple-product sums of the first `rows` slots of workspace ws,
         whose uint8 operand holds their selections and public bits."""
-        nu, nv = 2 * self.n + 1, 3 * self.n
+        nu = 2 * self.n + 1
         sw, x = ws["sw"][:, :rows], ws["x"][:, :rows]
         x[0] = 1
         x[1:] = sw
         g = np.matmul(self.coef, x, out=ws["product"][:, :rows])
-        deg, dm1 = g[nu:], ws["dm1"][:, :rows]
-        t = np.einsum("ib,ib->b", g[:nu], x[:nu]).astype(np.int64)
-        t += _public_triangles(self.n, sw[nu - 1 :], ws["x"].reshape(-1).view(np.uint8))
-        m = deg.sum(axis=0).astype(np.int64) // 2
-        wedges = np.einsum("ib,ib->b", deg, np.subtract(deg, 1, out=dm1)).astype(np.int64) // 2
-        return triangle_mix(m, wedges, t, nv, self.epsilon)
+        counts = ws["counts"][:, :rows]  # [1, sum d, sum d^2, T]
+        counts[0] = 1
+        counts[1] = g[-1]
+        counts[2] = np.einsum("ib,ib->b", g[nu:-1], g[nu:-1])
+        counts[3] = np.einsum("ib,ib->b", g[:nu], x[:nu])
+        counts[3] += _public_triangles(self.n, sw[nu - 1 :], ws["x"].reshape(-1).view(np.uint8))
+        return triangle_mix(counts, 3 * self.n, self.epsilon, degree_sums=True, out=ws["types"][:, :rows])
 
 
 @functools.lru_cache(maxsize=8)
-def _triangle_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each pair's triangles start, and the offsets that take a
-    triangle's rank to its pairs ac and bc, for triangles a < b < c in
-    lexicographic order and pairs in triu order.
+def _triangle_pairs(n: int, chunk: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For each run of `chunk` triangles a < b < c, in lexicographic order,
+    the read-only triu-order indices of their pairs ab, and of ac then bc.
 
-    Triangle r of pair p = (a, b) has c = b + 1 + r - start[p], so its pair
-    ac is p + 1 + r - start[p] and its pair bc is f_b + r - start[p], where
-    pair f_b is (b, b + 1). Returns start[1:], which a rank is searched in
-    for its pair ab, and the (2, n(n-1)/2) offsets, both read-only.
+    Triangle r of pair p = (a, b) has c = b + 1 + r - start[p], start[p]
+    the rank of p's first triangle, so its pair ac is p + 1 + r - start[p]
+    and its pair bc is f_b + r - start[p], where pair f_b is (b, b + 1).
     """
     lo, hi = np.triu_indices(n, k=1)
     runs = n - 1 - hi
     start = np.cumsum(runs) - runs
-    offset = np.stack((np.arange(len(lo)) + 1 - start, np.searchsorted(lo, hi) - start))
-    ends = start[1:]
-    for table in (ends, offset):
-        table.setflags(write=False)
-    return ends, offset
+    rank = np.arange(math.comb(n, 3))
+    ab = np.searchsorted(start[1:], rank, side="right")
+    local = rank - start[ab]
+    ac, bc = ab + 1 + local, np.searchsorted(lo, hi)[ab] + local
+    ab.setflags(write=False)  # and so its chunks, views of it
+    chunks = []
+    for r0 in range(0, len(rank), chunk):
+        chunks.append((ab[r0 : r0 + chunk], np.concatenate((ac[r0 : r0 + chunk], bc[r0 : r0 + chunk]))))
+        chunks[-1][1].setflags(write=False)
+    return tuple(chunks)
 
 
 def _public_triangles(n: int, wt: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -453,7 +457,6 @@ def _public_triangles(n: int, wt: np.ndarray, scratch: np.ndarray) -> np.ndarray
     pairs, b = wt.shape
     width, total = -(-b // 8), math.comb(n, 3)
     packed = np.packbits(wt, axis=1, bitorder="little")
-    ends, offset = _triangle_ranks(n)
     buf = scratch[: len(scratch) // 8 * 8]
     # c triangles take 3 c width bytes gathered, then 4 planes of c width
     # bytes in whole words
@@ -464,14 +467,11 @@ def _public_triangles(n: int, wt: np.ndarray, scratch: np.ndarray) -> np.ndarray
     rows = buf[: 3 * chunk * width].reshape(3 * chunk, width)
     lanes = buf[len(buf) - 32 * -(-chunk * width // 8) :].view(np.uint64).reshape(4, -1)
     counts = np.zeros((8, width), dtype=np.min_scalar_type(total))  # [bit i, byte j]
-    for r0 in range(0, total, chunk):
-        rank = np.arange(r0, min(r0 + chunk, total))
-        c, whole = len(rank), -(-len(rank) // group) * group
-        ab = np.searchsorted(ends, rank, side="right")
+    for ab, acbc in _triangle_pairs(n, chunk):
+        c, whole = len(ab), -(-len(ab) // group) * group
         # rows [0, c) for pairs ab, [chunk, chunk + 2c) for ac then bc; the
         # indices are in range, and "clip" skips numpy's slower checked gather
         np.take(packed, ab, axis=0, out=rows[:c], mode="clip")
-        acbc = (offset[:, ab] + rank).reshape(-1)
         np.take(packed, acbc, axis=0, out=rows[chunk : chunk + 2 * c], mode="clip")
         both = np.bitwise_and(rows[:c], rows[chunk : chunk + c], out=rows[:c])
         np.bitwise_and(both, rows[chunk + c : chunk + 2 * c], out=both)
@@ -606,7 +606,7 @@ class GrayBox:
             rows = 3 * (q1 - q0)
             w_bits, sw = ws["bits"][:rows], ws["sw"][:, :rows]
             bernoulli_rows(p_flip, gen, ties, 3 * q0, w_bits)
-            sw[2 * n :] = w_bits.T
+            sw[2 * n :] = w_bits.view(np.uint8).T
             # slot 3l + t selects part t of query l: [a = 1] and [b = 1],
             # then [a = -1] and [b = -1], then all ones
             for t, compare in enumerate((np.greater, np.less)):

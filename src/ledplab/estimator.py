@@ -19,6 +19,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations
 
@@ -130,19 +131,48 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite and at least {MIN_EPSILON}, got {epsilon}")
 
 
-def triangle_mix(m, w, t3, n: int, epsilon: float):
-    """T_hat of released n-vertex graphs from their int64 edges m, wedges
-    W and triangles T, by the triple-type mix (module docstring)."""
-    t2 = w - 3 * t3
-    t1 = m * (n - 2) - 2 * w + 3 * t3
-    t0 = math.comb(n, 3) - t1 - t2 - t3
+@functools.lru_cache(maxsize=32)
+def _triple_types(n: int, degree_sums: bool) -> np.ndarray:
+    """The read-only 4x4 map from counts [1, m, W, T] to t0..t3 (module
+    docstring), t0 = C(n,3) - (n-2) m + W - T; with degree_sums, from
+    [1, sum d, sum d^2, T], by m = sum d / 2 and W = (sum d^2 - sum d) / 2.
+    Every entry is an integer or a half-integer."""
+    types = np.array([
+        [math.comb(n, 3), 2 - n, 1, -1],
+        [0, n - 2, -2, 3],
+        [0, 0, 1, -3],
+        [0, 0, 0, 1],
+    ], dtype=np.float64)
+    if degree_sums:
+        types = types @ [[1, 0, 0, 0], [0, 0.5, 0, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 1]]
+    types.setflags(write=False)
+    return types
+
+
+def triangle_mix(counts, n: int, epsilon: float, degree_sums: bool = False, out=None):
+    """T_hat of released n-vertex graphs from counts, a float64 block of
+    rows [1, m, W, T] of their edges m, wedges W and triangles T, or with
+    degree_sums [1, sum d, sum d^2, T], by the triple-type mix (module
+    docstring); out, a float64 (4, N) array for N graphs, if given, holds
+    the triple types.
+
+    One constant 4x4 product maps the counts to t0..t3. Its entries and
+    partial sums are integers or half-integers below 2^52 while n < 2^17,
+    so it is exact in any BLAS order. The terms p0 = lo^3 t0,
+    p1 = lo^2 hi t1, p2 = lo hi^2 t2 and p3 = hi^3 t3 are added by one
+    axis-0 reduction in that order, ((p0 + p1) + p2) + p3, so each
+    estimate has the bytes of the four-term sum over int64 counts.
+    """
+    types = np.matmul(_triple_types(n, degree_sums), counts.reshape(4, -1), out=out)
     lo, hi = rescaled_atoms(epsilon)
-    return lo**3 * t0 + lo * lo * hi * t1 + lo * hi * hi * t2 + hi**3 * t3
+    types *= np.array([[lo**3], [lo * lo * hi], [lo * hi * hi], [hi**3]])
+    return np.add.reduce(types, axis=0).reshape(counts.shape[1:])[()]
 
 
 def released_estimates(released: np.ndarray, epsilon: float):
     """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices."""
-    return triangle_mix(*graph_stats(released), released.shape[-1], epsilon)
+    m, w, t = graph_stats(released)
+    return triangle_mix(np.stack((np.ones(np.shape(t)), m, w, t)), released.shape[-1], epsilon)
 
 
 def estimate_triangles(g: Graph, epsilon: float, streams: Streams) -> tuple[float, Transcript]:
@@ -224,8 +254,8 @@ def sample_estimates_range(
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
         np.copyto(counts, released)
-        stats = gathered_stats(counts, n, ws["product"][:b])
-        out[lo_t - start : lo_t - start + b] = triangle_mix(*stats, n, epsilon)
+        m, w, t = gathered_stats(counts, n, ws["product"][:b])
+        out[lo_t - start : lo_t - start + b] = triangle_mix(np.stack((np.ones(b), m, w, t)), n, epsilon)
 
     items = [(lo_t, streams.generator(lo_t * words)) for lo_t in range(start, stop, rows)]
     keep = cpus * trial_bytes <= BLOCK_BYTES  # else one trial a block is over the budget

@@ -368,11 +368,12 @@ def test_public_triangles_full_block_match_brute_force(n):
     assert _public_triangles(n, wt, scratch).tolist() == public_graph_triangles(n, wt)
 
 
-@pytest.mark.parametrize("n, most", [(8, 4_255_872), (16, 11_588_672)])
+@pytest.mark.parametrize("n, most", [(8, 3_961_216), (16, 10_442_880)])
 def test_answer_workspace_does_not_grow(n, most):
-    # the public-triangle count works in bytes the block already has: the
-    # workspace of a full block stays within its size before that count
-    # went whole-block
+    # the public-triangle count works in bytes the block already has, and
+    # sum d comes from the product: a full block's workspace holds the
+    # public bits, the uint8 operand, x, the product and the mix's two
+    # (4, B) float64 blocks, and nothing more
     box = GrayBox.prepare(random_bits(n, Streams(333).generator()), *mechanism_components("rr", 1.0), Streams(334))
     assert parallel.workspace_bytes(box._form.layout(3 * ANSWER_BLOCK)) <= most
 
@@ -458,6 +459,32 @@ def test_rr_batch_large_n_matches_direct_assembly():
     for n, eps, k in ((11, 2.0, 6), (16, 2.0, 6), (85, 0.05, 2), (86, 0.05, 2)):
         box = check_batch_against_direct_assembly(n, eps, k=k, seed=264 + n)
         assert box._form.coef.dtype == count_dtype(3 * n)
+
+
+def test_rr_batch_complete_public_graphs_at_last_float32_size(monkeypatch):
+    import ledplab.attack as attack
+
+    # 3n = 255, the last float32 size, where sum d^2 comes closest to 2^24:
+    # every public bit is 1, and at eps = 300 each payload is its true row,
+    # here all ones; each slot against its assembly, then whole answers
+    n, k = 85, 2
+    box = GrayBox.prepare(np.ones((n, n), dtype=np.uint8), *mechanism_components("rr", 300.0), Streams(340))
+    assert box._form.coef.dtype == np.float32
+    complete = np.ones(n * (n - 1) // 2, dtype=np.uint8)
+    sel = np.vstack([np.ones(2 * n), np.zeros(2 * n), Streams(341).generator().random((4, 2 * n)) < 0.5])
+    ws = {name: np.empty(shape, dtype) for name, (shape, dtype) in box._form.layout(len(sel)).items()}
+    ws["sw"][: 2 * n] = sel.T
+    ws["sw"][2 * n :] = 1
+    via_form = box._form.block_sums(ws, len(sel)) / n
+    for t, slot in enumerate(sel.astype(np.uint8)):
+        assert via_form[t] == direct_slot_answer(box, slot, complete)
+    monkeypatch.setattr(attack, "bernoulli_rows", lambda p, gen, ties, first, out: out.fill(1))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(342))
+    answers = box.answer_outer_batch(a_signs, b_signs, Streams(343))
+    for q in range(k):
+        q1, q2, q3, combine = split_outer_product(OuterProductQuery(a_signs[q], b_signs[q]))
+        parts = [direct_slot_answer(box, np.concatenate([p.q1, p.q2]), complete) for p in (q1, q2, q3)]
+        assert answers[q] == combine(*parts)
 
 
 def check_batch_over_blocks_and_threads(monkeypatch, n, seed):

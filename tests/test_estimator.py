@@ -8,6 +8,7 @@ import pytest
 
 from ledplab import estimator, parallel
 from ledplab.estimator import (
+    MIN_EPSILON,
     edge_noise_variance,
     estimate_triangles,
     exact_variance,
@@ -17,6 +18,7 @@ from ledplab.estimator import (
     sample_estimates,
     sample_estimates_range,
     sweep_cell,
+    triangle_mix,
     variance_by_enumeration,
     variance_sweep,
 )
@@ -162,6 +164,34 @@ def test_released_values_rescale_to_atoms():
     for inv in transcript.invocations():
         for bit in inv.payload:
             assert rescale(int(bit), eps) in (lo, hi)
+
+
+def four_term_mix(m, w, t3, n, epsilon):
+    """The triple-type mix as four terms over int64 counts, added left to
+    right: the oracle of triangle_mix's bytes."""
+    t2 = w - 3 * t3
+    t1 = m * (n - 2) - 2 * w + 3 * t3
+    t0 = math.comb(n, 3) - t1 - t2 - t3
+    lo, hi = rescaled_atoms(epsilon)
+    return lo**3 * t0 + lo * lo * hi * t1 + lo * hi * hi * t2 + hi**3 * t3
+
+
+@pytest.mark.parametrize("n", [3, 24, 255, 10_000])
+def test_triangle_mix_keeps_its_bytes(n):
+    # random counts in their ranges, from the edges, wedges and triangles
+    # and from the degree sums sum d = 2m and sum d^2 = 2W + 2m
+    gen = Streams(440).child(n).generator()
+    for epsilon in (MIN_EPSILON, 0.05, 1, 2, 300):
+        for shape in ((), (1,), (3, 5)):
+            m = gen.integers(0, math.comb(n, 2), shape, endpoint=True)
+            w = gen.integers(0, n * math.comb(n - 1, 2), shape, endpoint=True)
+            t3 = gen.integers(0, math.comb(n, 3), shape, endpoint=True)
+            want = np.asarray(four_term_mix(m, w, t3, n, epsilon)).tobytes()
+            ones = np.ones(shape)
+            got = triangle_mix(np.stack((ones, m, w, t3)), n, epsilon)
+            assert np.asarray(got).tobytes() == want and np.shape(got) == shape
+            sums = triangle_mix(np.stack((ones, 2 * m, 2 * w + 2 * m, t3)), n, epsilon, degree_sums=True)
+            assert np.asarray(sums).tobytes() == want
 
 
 def test_variance_known_values():
