@@ -563,36 +563,40 @@ class GrayBox:
         depend on neither the block size nor the thread count.
         """
         a_signs, b_signs = _sign_pair(a_signs, b_signs, self.n, "n")
-        packed = []  # the public bits, one packed part a block
+        payload = np.zeros(0, dtype=np.uint8)  # the public bits, packed
         if isinstance(self.family, IdentityRelease) and isinstance(self.post, ExactCountPost):
             # Identity releases make every selected released bit exact, so
             # the split recombines to a^T R b with R the stored block;
             # public-vertex "noise" is vacuous for the identity family.
             answers = _bilinear(a_signs, self.r0[: self.n, self.n : 2 * self.n], b_signs)
         elif self._form is not None:
-            answers, packed = self._randomized_answers(a_signs, b_signs, streams)
+            answers, payload = self._randomized_answers(a_signs, b_signs, streams)
         else:
             raise ValueError("no batched path for this family/postprocessor pair")
         public = RandomizerOutput(
             vertex=-1,  # stands for the whole public block
             randomizer=self.family.name,
             params=self.family.params,
-            payload=np.concatenate(packed) if packed else np.zeros(0, dtype=np.uint8),
+            payload=payload,
             public=True,
             count=3 * len(a_signs) * self.n,
         )
         self.transcript.append_round([public])
         return answers
 
-    def _randomized_answers(self, a_signs, b_signs, streams) -> tuple[np.ndarray, list]:
-        """Randomized-response answers and each block's packed public bits
-        (answer_outer_batch); block q0 draws its slots from unit 3 q0."""
+    def _randomized_answers(self, a_signs, b_signs, streams) -> tuple[np.ndarray, np.ndarray]:
+        """Randomized-response answers and the packed public bits of all
+        their slots (answer_outer_batch); block q0 draws its slots from
+        unit 3 q0 and packs them at byte 3 q0 P / 8, whole since q0 is a
+        multiple of 8."""
         n, k, block = self.n, len(a_signs), ANSWER_BLOCK
         assert block % 8 == 0, f"ANSWER_BLOCK must be a multiple of 8, got {block}"
-        words = unit_words(n * (n - 1) // 2)
+        pairs = n * (n - 1) // 2
+        words = unit_words(pairs)
         p_flip = flip_probability(self.family.epsilon)
         ties = streams.child("ties")
         answers = np.empty(k)
+        payload = np.empty(-(-3 * k * pairs // 8), dtype=np.uint8)
         starts = range(0, k, block)
         # derived here, so a worker derives a generator only for a tie
         items = [(q0, streams.generator(3 * q0 * words)) for q0 in starts]
@@ -615,15 +619,12 @@ class GrayBox:
             sw[: 2 * n, 2::3] = 1
             s = self._form.block_sums(ws, rows) / n
             answers[q0:q1] = 2.0 * (s[0::3] + s[1::3]) - s[2::3]
-            # packed last, so the kept payload takes the heap chunk that the
-            # block's public-triangle count freed, of the same size at a
-            # full block, and kept payloads do not strand freed chunks
-            # between them: packed first, a two-thread answer at n = 8 and
-            # the paper's k left 3-5 MB more resident
-            return np.packbits(w_bits, axis=None)
+            packed = np.packbits(w_bits, axis=None)
+            payload[3 * q0 * pairs // 8 :][: len(packed)] = packed
 
         keep = threads * size <= WORKSPACE_BYTES
-        return answers, parallel.parallel_map(answer_block, items, layout, threads, keep)
+        parallel.parallel_map(answer_block, items, layout, threads, keep)
+        return answers, payload
 
 
 def default_query_count(n: int, gamma: float = DEFAULT_GAMMA) -> int:

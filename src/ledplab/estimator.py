@@ -77,9 +77,14 @@ ENUMERATION_MAX_PAIRS = 24
 # the block workspaces, these counts with the blocks' uint8 bits and
 # gathered entries (about 1.3x the counts at even n), stay mapped in the
 # shared pool's buffers (`ledplab.parallel`) while one trial a block fits
-# the budget; past that (n > 1448 on two threads) they are freed after
-# the call.
-BLOCK_BYTES = 32 << 20
+# the budget; past that (n > 724 in float64 on two threads) they are
+# freed after the call. A 4096-trial estimate at n = 128 on two threads
+# runs 64-trial blocks in 5.5 MB workspaces and keeps 11 MB, against
+# 44 MB at 32 MiB, in the same time: at the CLI benchmark's sizes
+# (n = 40 to 128, 512 to 4096 trials) blocks within 8 MiB took -8% to
+# +1% of 32 MiB's time, within 4 MiB up to +11% (one BLAS thread,
+# 2 cores, median of 100 alternating rounds).
+BLOCK_BYTES = 8 << 20
 
 # Most trials a block. Small graphs fit many trials in BLOCK_BYTES, and
 # blocks past this ran slower as their workspaces outgrew the caches:
@@ -243,6 +248,8 @@ def sample_estimates_range(
         "released": ((rows, *pair_index.shape), np.uint8),
         "counts": ((rows, *pair_index.shape), dtype),
         "product": ((rows, *pair_index.shape[-2:]), dtype),
+        "stats": ((4, rows), np.float64),
+        "types": ((4, rows), np.float64),
     }
 
     def estimate_block(item, ws):
@@ -254,8 +261,10 @@ def sample_estimates_range(
         released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
         counts = ws["counts"][:b]
         np.copyto(counts, released)
-        m, w, t = gathered_stats(counts, n, ws["product"][:b])
-        out[lo_t - start : lo_t - start + b] = triangle_mix(np.stack((np.ones(b), m, w, t)), n, epsilon)
+        stats = ws["stats"][:, :b]  # [1, m, W, T]
+        stats[0] = 1
+        stats[1:] = gathered_stats(counts, n, ws["product"][:b])
+        out[lo_t - start : lo_t - start + b] = triangle_mix(stats, n, epsilon, out=ws["types"][:, :b])
 
     items = [(lo_t, streams.generator(lo_t * words)) for lo_t in range(start, stop, rows)]
     keep = cpus * trial_bytes <= BLOCK_BYTES  # else one trial a block is over the budget

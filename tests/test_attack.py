@@ -37,7 +37,7 @@ from ledplab.attack import (
     submatrix_answer,
 )
 from ledplab.graphs import Graph, count_dtype, count_triangles
-from ledplab.ledp import PrivacyParams, flip_probability
+from ledplab.ledp import PrivacyParams, bernoulli_rows, flip_probability
 from ledplab.rng import Streams
 from stream_reference import reference_bits, threshold, tie_count
 
@@ -619,10 +619,11 @@ def test_rr_batch_threads_bounded_by_workspace_bytes(monkeypatch, fits, expected
 def test_rr_batch_memory_is_the_answers_payloads_and_block_temporaries(monkeypatch):
     import ledplab.attack as attack
 
-    # a repeated call holds no array of its slots: past the answers, the
-    # joined public payload and the blocks' packed parts, only what the two
-    # blocks running at once make, under 128 bytes a slot of a block; an
-    # array of 8-byte slot answers alone would be 4.8 MB here
+    # a repeated call holds no array of its slots: past the answers and the
+    # public payload, which the blocks pack into in place, only what the two
+    # blocks running at once make, their packed parts and under 128 bytes a
+    # slot; an array of 8-byte slot answers alone would be 4.8 MB here, and
+    # a second payload, the packed parts joined, 0.45 MB
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
     monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     n, k = 4, 200_000
@@ -637,7 +638,28 @@ def test_rr_batch_memory_is_the_answers_payloads_and_block_temporaries(monkeypat
     finally:
         tracemalloc.stop()
     payload = box.transcript.rounds[-1][0].payload
-    assert peak <= answers.nbytes + 2 * payload.nbytes + 2 * 128 * 3 * attack.ANSWER_BLOCK
+    part = 3 * attack.ANSWER_BLOCK * n * (n - 1) // 2 // 8
+    assert peak <= answers.nbytes + payload.nbytes + 2 * part + 2 * 128 * 3 * attack.ANSWER_BLOCK
+
+
+@pytest.mark.parametrize("block", [16, 2728])
+def test_rr_batch_payload_is_one_draw_of_all_slots_packed(monkeypatch, block):
+    import ledplab.attack as attack
+
+    # each block packs its slots' bits into the payload at byte 3 q0 P / 8;
+    # k = 2729 ends in a partial block of 9 queries at 16 and of 1 at 2728,
+    # and two answer threads write their blocks in either order
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # one answer thread a CPU
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(attack, "ANSWER_BLOCK", block)
+    n, k, eps = 5, 2729, 0.8
+    box = GrayBox.prepare(random_bits(n, Streams(350).generator()), *mechanism_components("rr", eps), Streams(351))
+    a_signs, b_signs = sample_query_signs(n, k, Streams(352))
+    box.answer_outer_batch(a_signs, b_signs, Streams(353))
+    w_bits = np.empty((3 * k, n * (n - 1) // 2), dtype=bool)
+    bernoulli_rows(flip_probability(eps), Streams(353).generator(), Streams(353).child("ties"), 0, w_bits)
+    payload = box.transcript.rounds[-1][0].payload
+    assert payload.dtype == np.uint8 and payload.tobytes() == np.packbits(w_bits, axis=None).tobytes()
 
 
 @pytest.mark.parametrize("env, expected", [

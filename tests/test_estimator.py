@@ -429,6 +429,19 @@ def test_pool_sizing(monkeypatch, cpus, trials, block_trials, floor_trials, thre
     assert (call["ran"] == {caller}) == (threads == 1)
 
 
+def test_full_block_estimate_keeps_its_budget(monkeypatch):
+    # 4096 trials at n = 128 on two threads run 64-trial blocks; the pool
+    # keeps their two 5.5 MB workspaces, about 1.3x the 8 MiB budget of
+    # counts, where 32 MiB kept two 22 MB ones
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_idle", [])
+    g = erdos_renyi(128, 0.5, Streams(21).generator())
+    sample_estimates(g, 1.0, 4096, Streams(22))
+    assert len(parallel._idle) == 2
+    assert sum(len(buf) for buf in parallel._idle) <= 16_000_000
+
+
 def test_kernel_estimates_match_explicit_loop():
     gen = Streams(11).generator()
     for eps in (0.05, 0.3, 1.0, 3.0):
