@@ -106,7 +106,6 @@ __all__ = [
     "TrianglePost",
     "ExactCountPost",
     "mechanism_components",
-    "outer_product_answer",
     "submatrix_answer",
     "split_outer_product",
     "build_secret_graph",
@@ -215,13 +214,6 @@ class SubmatrixQuery:
             raise ValueError("q1 and q2 must be 1-d and the same length")
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
-
-
-def outer_product_answer(x, q: OuterProductQuery) -> int:
-    x = _as_bits(x)
-    if len(q.a) != x.shape[0]:
-        raise ValueError(f"query length {len(q.a)} does not match dataset side {x.shape[0]}")
-    return int(q.a @ x.astype(np.int64) @ q.b)
 
 
 def submatrix_answer(x, q: SubmatrixQuery) -> int:
@@ -411,7 +403,7 @@ class _SlotForm:
         counts[2] = np.einsum("ib,ib->b", g[nu:-1], g[nu:-1])
         counts[3] = np.einsum("ib,ib->b", g[:nu], x[:nu])
         counts[3] += _public_triangles(self.n, sw[nu - 1 :], ws["x"].reshape(-1).view(np.uint8))
-        return triangle_mix(counts, 3 * self.n, self.epsilon, degree_sums=True, out=ws["types"][:, :rows])
+        return triangle_mix(counts, 3 * self.n, self.epsilon, out=ws["types"][:, :rows])
 
 
 @functools.lru_cache(maxsize=8)

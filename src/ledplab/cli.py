@@ -487,7 +487,7 @@ def _selftest_rows(seed: int):
 
     def block_tri(g):  # g's pair bits, zero column last, gathered as the estimator gathers a trial
         bits = np.append(g.adjacency[np.triu_indices(g.n, k=1)], 0)
-        return int(graphs.gathered_stats(bits[graphs.gather_map(g.n)][None], g.n)[2][0])
+        return int(graphs.gathered_stats(bits[graphs.gather_map(g.n)][None], g.n)[2, 0])  # rows [sum d, sum d^2, T]
 
     def rr_slots(box):  # slot j's 6 public-pair bits, 53 bits each: 6 uint16s of its 2 words, 6 tie words
         answers, slots = node.child("answers"), 3 * len(a)

@@ -5,12 +5,14 @@ and hi for a 1, and T_hat sums the rescaled products over all triples:
 T_hat = lo^3 t0 + lo^2 hi t1 + lo hi^2 t2 + hi^3 t3, t_j counting the
 triples with j released edges. From the released edges m, wedges
 W = sum_v C(d_v, 2) and triangles T: t3 = T, t2 = W - 3T,
-t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3. They are counted by
-float32 (n <= 257) or float64 matmul on 0/1 entries, whose partial sums
-stay integers below the mantissa bound, exact in any BLAS order. A Monte
-Carlo batch is gathered through `graphs.gather_map(n)` as three (h, h)
-blocks of each graph, padded to 2h = 2 ceil(n/2) vertices, and counted
-by `graphs.gathered_stats` from four block products with half the
+t1 = m(n-2) - 2W + 3T, t0 = C(n,3) - t1 - t2 - t3; `triangle_mix` takes
+them as the rows [1, sum d, sum d^2, T], sum d = 2m and
+sum d^2 = 2W + 2m. They are counted by float32 (n <= 257) or float64
+matmul on 0/1 entries, whose partial sums stay integers below the
+mantissa bound, exact in any BLAS order. A Monte Carlo batch is gathered
+through `graphs.gather_map(n)` as three (h, h) blocks of each graph,
+padded to 2h = 2 ceil(n/2) vertices, and counted by
+`graphs.gathered_stats` from four block products with half the
 multiplies of one (n, n) product and the same integers (the
 `ledplab.graphs` docstring has the identity and its exactness bound).
 The closed-form variance is checked against a full flip-pattern
@@ -73,18 +75,19 @@ ENUMERATION_MAX_PAIRS = 24
 # running blocks may hold, split among its threads. A trial's gathered
 # counts are the (3, h, h) blocks of graphs.gather_map and its product
 # workspace one (h, h) block more, h = ceil(n/2): n^2 entries at even n,
-# (n + 1)^2 at odd n. It also bounds what a process keeps between calls:
-# the block workspaces, these counts with the blocks' uint8 bits and
-# gathered entries (about 1.3x the counts at even n), stay mapped in the
-# shared pool's buffers (`ledplab.parallel`) while one trial a block fits
-# the budget; past that (n > 724 in float64 on two threads) they are
-# freed after the call. A 4096-trial estimate at n = 128 on two threads
-# runs 64-trial blocks in 5.5 MB workspaces and keeps 11 MB, against
-# 44 MB at 32 MiB, in the same time: at the CLI benchmark's sizes
-# (n = 40 to 128, 512 to 4096 trials) blocks within 8 MiB took -8% to
-# +1% of 32 MiB's time, within 4 MiB up to +11% (one BLAS thread,
-# 2 cores, median of 100 alternating rounds).
-BLOCK_BYTES = 8 << 20
+# (n + 1)^2 at odd n; the uint8 gather fills 3h^2 of the product's 4h^2
+# or 8h^2 bytes before the first product. It also bounds what a process
+# keeps between calls: the block workspaces, these counts with the
+# blocks' uint8 bits (about 1.1x the counts at even n), stay mapped in
+# the shared pool's buffers (`ledplab.parallel`) while one trial a block
+# fits the budget; past that (n > 512 in float64 on two threads) they
+# are freed after the call. A 4096-trial estimate at n = 128 on two
+# threads runs 32-trial blocks in 2.4 MB workspaces and keeps 4.7 MB,
+# against 11 MB at 8 MiB, in the same time: at the CLI benchmark's sizes
+# (n = 40 to 128, 512 to 4096 trials) 4 MiB blocks took 0.97x to 1.04x
+# of 8 MiB's time (one BLAS thread, 2 cores, median ratio over 40
+# alternating rounds).
+BLOCK_BYTES = 4 << 20
 
 # Most trials a block. Small graphs fit many trials in BLOCK_BYTES, and
 # blocks past this ran slower as their workspaces outgrew the caches:
@@ -137,29 +140,27 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 @functools.lru_cache(maxsize=32)
-def _triple_types(n: int, degree_sums: bool) -> np.ndarray:
-    """The read-only 4x4 map from counts [1, m, W, T] to t0..t3 (module
-    docstring), t0 = C(n,3) - (n-2) m + W - T; with degree_sums, from
-    [1, sum d, sum d^2, T], by m = sum d / 2 and W = (sum d^2 - sum d) / 2.
+def _triple_types(n: int) -> np.ndarray:
+    """The read-only 4x4 map from counts [1, sum d, sum d^2, T] to t0..t3
+    (module docstring), by m = sum d / 2 and W = (sum d^2 - sum d) / 2:
+    t0 = C(n,3) - (n-1)/2 sum d + sum d^2 / 2 - T,
+    t1 = n/2 sum d - sum d^2 + 3T and t2 = (sum d^2 - sum d) / 2 - 3T.
     Every entry is an integer or a half-integer."""
     types = np.array([
-        [math.comb(n, 3), 2 - n, 1, -1],
-        [0, n - 2, -2, 3],
-        [0, 0, 1, -3],
+        [math.comb(n, 3), (1 - n) / 2, 0.5, -1],
+        [0, n / 2, -1, 3],
+        [0, -0.5, 0.5, -3],
         [0, 0, 0, 1],
-    ], dtype=np.float64)
-    if degree_sums:
-        types = types @ [[1, 0, 0, 0], [0, 0.5, 0, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 1]]
+    ])
     types.setflags(write=False)
     return types
 
 
-def triangle_mix(counts, n: int, epsilon: float, degree_sums: bool = False, out=None):
+def triangle_mix(counts, n: int, epsilon: float, out=None):
     """T_hat of released n-vertex graphs from counts, a float64 block of
-    rows [1, m, W, T] of their edges m, wedges W and triangles T, or with
-    degree_sums [1, sum d, sum d^2, T], by the triple-type mix (module
-    docstring); out, a float64 (4, N) array for N graphs, if given, holds
-    the triple types.
+    rows [1, sum d, sum d^2, T] of their degree sums and triangles T, by
+    the triple-type mix (module docstring); out, a float64 (4, N) array for
+    N graphs, if given, holds the triple types.
 
     One constant 4x4 product maps the counts to t0..t3. Its entries and
     partial sums are integers or half-integers below 2^52 while n < 2^17,
@@ -168,7 +169,7 @@ def triangle_mix(counts, n: int, epsilon: float, degree_sums: bool = False, out=
     axis-0 reduction in that order, ((p0 + p1) + p2) + p3, so each
     estimate has the bytes of the four-term sum over int64 counts.
     """
-    types = np.matmul(_triple_types(n, degree_sums), counts.reshape(4, -1), out=out)
+    types = np.matmul(_triple_types(n), counts.reshape(4, -1), out=out)
     lo, hi = rescaled_atoms(epsilon)
     types *= np.array([[lo**3], [lo * lo * hi], [lo * hi * hi], [hi**3]])
     return np.add.reduce(types, axis=0).reshape(counts.shape[1:])[()]
@@ -177,7 +178,7 @@ def triangle_mix(counts, n: int, epsilon: float, degree_sums: bool = False, out=
 def released_estimates(released: np.ndarray, epsilon: float):
     """T_hat for a (..., n, n) stack of released symmetric 0/1 matrices."""
     m, w, t = graph_stats(released)
-    return triangle_mix(np.stack((np.ones(np.shape(t)), m, w, t)), released.shape[-1], epsilon)
+    return triangle_mix(np.stack((np.ones(np.shape(t)), 2 * m, 2 * (w + m), t)), released.shape[-1], epsilon)
 
 
 def estimate_triangles(g: Graph, epsilon: float, streams: Streams) -> tuple[float, Transcript]:
@@ -213,8 +214,10 @@ def sample_estimates_range(
     """Estimates for the trial indices [start, stop); slicing a run into
     ranges and concatenating reproduces the full run bit for bit.
 
-    Batches are gathered through graphs.gather_map(n) and counted at
-    count_dtype(n) by graphs.gathered_stats. A range of less than
+    Batches are gathered through graphs.gather_map(n), as uint8 into the
+    bytes of the block's product workspace, then copied to count_dtype(n)
+    and counted by graphs.gathered_stats into the block's rows
+    [1, sum d, sum d^2, T] for triangle_mix. A range of less than
     THREAD_MIN_WORK trials * n^2 runs on the calling thread; a larger one
     on up to one thread a usable CPU per BLAS thread (`ledplab.parallel`),
     split evenly into at least one block a thread and the fewest blocks of
@@ -245,7 +248,6 @@ def sample_estimates_range(
     out = np.empty(trials, dtype=np.float64)
     layout = {
         "bits": ((rows, k + 1), np.uint8),
-        "released": ((rows, *pair_index.shape), np.uint8),
         "counts": ((rows, *pair_index.shape), dtype),
         "product": ((rows, *pair_index.shape[-2:]), dtype),
         "stats": ((4, rows), np.float64),
@@ -258,12 +260,13 @@ def sample_estimates_range(
         bits = ws["bits"][:b]
         bits[:, k] = 0  # the column gather_map's diagonal and padding read
         randomized_rows(true_bits, epsilon, gen, ties, lo_t, bits[:, :k])
-        released = np.take(bits, pair_index, axis=1, out=ws["released"][:b], mode="clip")
+        product = ws["product"][:b]  # first the uint8 gather, dead once copied to counts
+        gathered = product.reshape(-1).view(np.uint8)[: b * pair_index.size].reshape(b, *pair_index.shape)
         counts = ws["counts"][:b]
-        np.copyto(counts, released)
-        stats = ws["stats"][:, :b]  # [1, m, W, T]
+        np.copyto(counts, np.take(bits, pair_index, axis=1, out=gathered, mode="clip"))
+        stats = ws["stats"][:, :b]  # [1, sum d, sum d^2, T]
         stats[0] = 1
-        stats[1:] = gathered_stats(counts, n, ws["product"][:b])
+        gathered_stats(counts, n, product, stats[1:])
         out[lo_t - start : lo_t - start + b] = triangle_mix(stats, n, epsilon, out=ws["types"][:, :b])
 
     items = [(lo_t, streams.generator(lo_t * words)) for lo_t in range(start, stop, rows)]

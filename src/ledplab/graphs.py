@@ -19,10 +19,11 @@ tr(A22 A12^T A12) = sum(A12 o A12 A22) so that no operand is transposed:
     6T = tr(A11^3) + tr(A22^3) + 3 sum(A11 o A12 A12^T) + 3 sum(A22 o A12^T A12)
 
 The degrees are the blocks' row sums and A12's column sums. Every term
-is a non-negative integer, so every partial sum of 6T, 2m and
-2W = sum d(d - 1) is an integer at most n(n-1)(n-2), exact at
-count_dtype(n) in any BLAS order, and the blocks give the same int64 m,
-W and T as graph_stats of the (n, n) adjacency.
+is a non-negative integer, so every partial sum of 6T and of each degree
+is an integer at most n(n-1)(n-2), exact at count_dtype(n) in any BLAS
+order. The blocks give the rows [sum d, sum d^2, T] = [2m, 2W + 2m, T]
+of graph_stats' m, W and T of the (n, n) adjacency, sum d^2 summed in
+float64, the row form the estimator's triangle mix takes.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ __all__ = [
     "erdos_renyi",
     "empty_graph",
     "complete_graph",
-    "complete_bipartite",
     "cycle_graph",
-    "path_graph",
     "star_graph",
     "graph_to_text",
     "graph_from_text",
@@ -160,24 +159,31 @@ def gather_map(n: int) -> np.ndarray:
     return np.stack([index[:h, :h], index[:h, h:], index[h:, h:]])
 
 
-def gathered_stats(gathered, n: int, product=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """graph_stats of a (b, 3, h, h) stack of gather_map(n) blocks at
-    count_dtype(n), for n-vertex graphs; `product`, (b, h, h) at the same
-    dtype, is the products' workspace."""
+def gathered_stats(gathered, n: int, product=None, out=None) -> np.ndarray:
+    """Float64 rows [sum d, sum d^2, T] of a (b, 3, h, h) stack of
+    gather_map(n) blocks at count_dtype(n), for n-vertex graphs, written
+    into out, a float64 (3, b) array, if given; `product`, (b, h, h) at the
+    same dtype, is the products' workspace. Each row holds exact integers:
+    the degrees and 6T are count_dtype(n) sums, and sum d and sum d^2, up
+    to n(n-1)^2, which passes 2^24 at n = 257, are summed in float64."""
     gathered = np.asarray(gathered, dtype=count_dtype(n))
     b, _, h, _ = gathered.shape
-    rows = (gathered.reshape(-1, h) @ np.ones(h, gathered.dtype)).reshape(b, 3, h)  # one BLAS call
+    out = np.empty((3, b)) if out is None else out
     a11, a12, a22 = gathered[:, 0], gathered[:, 1], gathered[:, 2]
-    deg = np.concatenate([rows[:, 0] + rows[:, 1], rows[:, 2] + a12.sum(axis=-2)], axis=-1)
-    m = deg.sum(axis=-1) / 2
-    w = (deg * (deg - 1)).sum(axis=-1) / 2
-    six_t = 0  # sum(against o left right), weighted: the module docstring's four terms
-    for left, right, against, weight in (
-        (a11, a11, a11, 1), (a22, a22, a22, 1), (a11, a12, a12, 3), (a12, a22, a12, 3)
-    ):
-        prod = np.matmul(left, right, out=product)
-        six_t = six_t + weight * np.einsum("...ij,...ij->...", prod, against)
-    return m.astype(np.int64), w.astype(np.int64), (six_t / 6).astype(np.int64)
+    ones = np.ones(h, gathered.dtype)
+    sums = np.empty((b, 4, h), gathered.dtype)  # row sums of A11, A12 and A22, column sums of A12
+    np.matmul(gathered, ones, out=sums[:, :3])
+    np.matmul(ones, a12, out=sums[:, 3])
+    deg = np.add(sums[:, 0::2], sums[:, 1::2], out=np.empty((b, 2, h))).reshape(b, 1, 2 * h)
+    np.add.reduce(deg, axis=2, out=out[0][:, None])
+    np.matmul(deg, deg.reshape(b, 2 * h, 1), out=out[1][:, None, None])
+    terms = np.empty((4, b), gathered.dtype)  # sum(against o left right): the module docstring's four
+    operands = ((a11, a11, a11), (a22, a22, a22), (a11, a12, a12), (a12, a22, a12))
+    for term, (left, right, against) in zip(terms, operands):
+        prod = np.matmul(left, right, out=product).reshape(b, 1, h * h)
+        np.matmul(prod, against.reshape(b, h * h, 1), out=term[:, None, None])
+    np.divide(np.array([1, 1, 3, 3], gathered.dtype) @ terms, 6, out=out[2])
+    return out
 
 
 def codegree_pairs(a) -> int:
@@ -244,21 +250,10 @@ def complete_graph(n: int) -> Graph:
     return Graph(a)
 
 
-def complete_bipartite(n1: int, n2: int) -> Graph:
-    a = np.zeros((n1 + n2, n1 + n2), dtype=np.uint8)
-    a[:n1, n1:] = 1
-    a[n1:, :n1] = 1
-    return Graph(a)
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(leaves: int) -> Graph:

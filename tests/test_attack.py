@@ -28,7 +28,6 @@ from ledplab.attack import (
     default_query_count,
     disagreement_budget,
     mechanism_components,
-    outer_product_answer,
     privacy_distance_diagnostic,
     run_attack,
     sample_query_signs,
@@ -44,6 +43,11 @@ from stream_reference import reference_bits, threshold, tie_count
 
 def random_bits(n, gen):
     return (gen.random((n, n)) < 0.5).astype(np.uint8)
+
+
+def outer_product_answer(x, q: OuterProductQuery) -> int:
+    """Test-local oracle: a^T X b as an exact integer."""
+    return int(q.a @ np.asarray(x, dtype=np.int64) @ q.b)
 
 
 def exact_outer_answers(x, a_signs, b_signs):
@@ -81,8 +85,8 @@ def test_query_validation():
         OuterProductQuery([1, 1], [2, -1])
     with pytest.raises(ValueError):
         SubmatrixQuery([1, 2], [1, 1])
-    with pytest.raises(ValueError):
-        outer_product_answer(np.eye(3, dtype=np.uint8), OuterProductQuery([1, 1], [1, 1]))
+    with pytest.raises(ValueError, match="query length 2 does not match dataset side 3"):
+        submatrix_answer(np.eye(3, dtype=np.uint8), SubmatrixQuery([1, 1], [1, 1]))
 
 
 def test_split_outer_product_identity():

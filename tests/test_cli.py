@@ -167,7 +167,7 @@ def test_selftest_passes(workdir, capsys):
     (attack, "_bilinear", lambda answers: answers + 1, {"batch-answers"}),  # identity answers
     (attack._SlotForm, "block_sums", lambda sums: sums * (1 + 1e-12), {"batch-answers"}),  # rr slots
     # the estimator's batch layout is the fast side of the block row alone
-    (graphs, "gathered_stats", lambda s: (s[0], s[1], s[2] + 1), {"block-stats"}),
+    (graphs, "gathered_stats", lambda rows: rows + [[0], [0], [1]], {"block-stats"}),  # T, the third row
 ])
 def test_selftest_catches_a_broken_kernel(workdir, monkeypatch, owner, name, shift, failing):
     original = getattr(owner, name)

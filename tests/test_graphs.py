@@ -10,7 +10,6 @@ from ledplab.graphs import (
     Graph,
     GraphFormatError,
     codegree_pairs,
-    complete_bipartite,
     complete_graph,
     count_dtype,
     count_four_cycles,
@@ -23,7 +22,6 @@ from ledplab.graphs import (
     graph_from_text,
     graph_stats,
     graph_to_text,
-    path_graph,
     star_graph,
 )
 from ledplab.graphs import _graph_from_lines
@@ -51,7 +49,7 @@ def four_cycles_by_subsets(g: Graph) -> int:
 
 def test_triangles_known_graphs():
     assert count_triangles(complete_graph(4)) == 4
-    assert count_triangles(path_graph(3)) == 0
+    assert count_triangles(Graph.from_edges(3, [(0, 1), (1, 2)])) == 0  # a path
     assert count_triangles(complete_graph(5)) == 10
     assert count_triangles(empty_graph(6)) == 0
     assert count_triangles(star_graph(10)) == 0
@@ -61,7 +59,7 @@ def test_four_cycles_known_graphs():
     assert count_four_cycles(cycle_graph(4)) == 1
     assert count_four_cycles(complete_graph(4)) == 3
     # K_{3,3}: derived by 4-subset enumeration, equals C(3,2)^2
-    k33 = complete_bipartite(3, 3)
+    k33 = Graph(np.kron([[0, 1], [1, 0]], np.ones((3, 3), dtype=np.uint8)))
     assert four_cycles_by_subsets(k33) == 9
     assert count_four_cycles(k33) == 9
 
@@ -122,11 +120,15 @@ def test_counting_kernel_exact_at_dtype_boundary(n, dtype):
 
 
 def gathered_counts(g: Graph) -> tuple[int, int, int]:
-    """gathered_stats of one graph, its triu pair bits gathered as the
-    estimator gathers a released row, with the zero column after them."""
+    """m = sum d / 2, W = (sum d^2 - sum d) / 2 and T from gathered_stats'
+    rows for one graph, its triu pair bits gathered as the estimator
+    gathers a released row, with the zero column after them."""
     bits = np.append(g.adjacency[np.triu_indices(g.n, k=1)], 0)
-    m, w, t = gathered_stats(bits[gather_map(g.n)][None].astype(count_dtype(g.n)), g.n)
-    return int(m[0]), int(w[0]), int(t[0])
+    rows = gathered_stats(bits[gather_map(g.n)][None].astype(count_dtype(g.n)), g.n)
+    assert rows.dtype == np.float64 and rows.shape == (3, 1)
+    sum_d, sum_d2, t = (int(v) for v in rows[:, 0])
+    assert rows[:, 0].tolist() == [sum_d, sum_d2, t]  # whole numbers
+    return sum_d // 2, (sum_d2 - sum_d) // 2, t
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 85, 257, 258])
@@ -141,20 +143,46 @@ def test_gathered_counts_match_oracles_on_both_layouts(n):
     assert gathered_counts(complete_graph(n)) == (comb(n, 2), n * comb(n - 1, 2), comb(n, 3))
 
 
-def test_gathered_batches_match_graph_stats_per_graph():
-    # a batch of graphs of every density counts each graph on its own
-    n = 87
-    gen = Streams(20).child("batch").generator()
-    graphs = [erdos_renyi(n, p, gen) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+def gathered_rows(graphs, out=None):
+    """gathered_stats of a batch of n-vertex graphs, as the estimator
+    gathers and counts a block, into out if given."""
+    n = graphs[0].n
     iu = np.triu_indices(n, k=1)
     bits = np.zeros((len(graphs), len(iu[0]) + 1), dtype=np.uint8)
     bits[:, :-1] = [g.adjacency[iu] for g in graphs]
     gathered = np.take(bits, gather_map(n), axis=1).astype(count_dtype(n))
     product = np.empty((len(graphs), *gather_map(n).shape[-2:]), dtype=count_dtype(n))
-    got = gathered_stats(gathered, n, product)
-    want = graph_stats(np.stack([g.adjacency for g in graphs]))
-    for a, b in zip(got, want):
-        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+    return gathered_stats(gathered, n, product, out)
+
+
+def test_gathered_batches_match_graph_stats_per_graph():
+    # a batch of graphs of every density counts each graph on its own, its
+    # rows [sum d, sum d^2, T] = [2m, 2W + 2m, T] written into a float64
+    # block's rows, as the estimator's stats block takes them
+    n = 87
+    gen = Streams(20).child("batch").generator()
+    graphs = [erdos_renyi(n, p, gen) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+    block = np.full((4, len(graphs)), -1.0)
+    gathered_rows(graphs, block[1:])
+    m, w, t = graph_stats(np.stack([g.adjacency for g in graphs]))
+    assert block.tolist() == [[-1.0] * len(graphs), (2 * m).tolist(), (2 * w + 2 * m).tolist(), t.tolist()]
+
+
+def test_gathered_sum_of_squared_degrees_past_float32_at_257():
+    # n = 257, the last float32 size: sum d^2 of the complete graph is
+    # 257 * 256^2 = 2^24 + 2^16 and, with one edge gone, 2^24 + 64,514, past
+    # the integers float32 holds (the next odd integer rounds), so the row
+    # is summed in float64; every row stays exact
+    n = 257
+    assert count_dtype(n) is np.float32
+    gone = 1 - np.eye(n, dtype=np.uint8)
+    gone[0, 1] = gone[1, 0] = 0
+    graphs = [complete_graph(n), Graph(gone)]
+    rows = gathered_rows(graphs)
+    m, w, t = graph_stats(np.stack([g.adjacency for g in graphs]))
+    assert rows[1].tolist() == (2 * w + 2 * m).tolist() == [(1 << 24) + (1 << 16), (1 << 24) + 64_514]
+    assert all(float(np.float32(v + 1)) != v + 1 for v in rows[1].tolist())  # float32 rounds here
+    assert rows.tolist() == [(2 * m).tolist(), (2 * w + 2 * m).tolist(), t.tolist()]
 
 
 def test_erdos_renyi_extremes_and_determinism():
